@@ -311,8 +311,9 @@ def cmd_gridsearch(args) -> int:
         (r.config.key(), r.val_psnr, r.error or "") for r in fresh
     ]
     merged.extend((key, psnr, err) for key, (psnr, err) in journal.items())
-    ok = sorted((m for m in merged if m[1] is not None), key=lambda m: (-m[1], m[0]))
-    failed = sorted((m for m in merged if m[1] is None), key=lambda m: m[0])
+    merged.sort(key=lambda m: grid.rank_key(m[0], m[1]))
+    ok = [m for m in merged if m[1] is not None]
+    failed = [m for m in merged if m[1] is None]
     rows = [["rank", *JOURNAL_HEADER]]
     rows.extend([rank, key, repr(psnr), err] for rank, (key, psnr, err) in enumerate(ok, 1))
     rows.extend(["", key, "", err] for key, _, err in failed)

@@ -94,10 +94,14 @@ def grid_search(
     return rank_results(results)
 
 
+def rank_key(config_key: str, val_psnr: float | None) -> tuple:
+    """Sort key of the ranking: successful runs by PSNR descending, ties by
+    config key, then failed runs (PSNR None) by config key."""
+    if val_psnr is None:
+        return (1, 0.0, config_key)
+    return (0, -val_psnr, config_key)
+
+
 def rank_results(results: list[GridResult]) -> list[GridResult]:
     """Successful runs by PSNR descending (ties by config key), failures last."""
-    ok = [r for r in results if r.val_psnr is not None]
-    failed = [r for r in results if r.val_psnr is None]
-    ok.sort(key=lambda r: (-r.val_psnr, r.config.key()))
-    failed.sort(key=lambda r: r.config.key())
-    return ok + failed
+    return sorted(results, key=lambda r: rank_key(r.config.key(), r.val_psnr))

@@ -294,11 +294,12 @@ def _undo_trim_b(g: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
 
 
 def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
-    """Batched float64 forward over [C=1, B, n, h, w]; one GEMM per layer.
+    """Batched float64 forward over [C=1, B, n, h, w]; used by the training
+    loop and batched validation.
 
-    Mathematically identical to mapping _forward_cached over the batch (a
-    parity test pins the two paths to each other); used by the training
-    loop and batched validation for speed.
+    It runs the same ops engine as the per-sample _forward_cached (whose ops
+    are that engine at B = 1), on the whole batch at once and without the
+    float32 cast after each layer.
     """
     caches = []
     h = xs
@@ -485,16 +486,19 @@ def _pack_tensor(t: Tensor) -> bytes:
     return head + t.data.astype("<f4").tobytes()
 
 
+def _read(fmt: str, buf: bytes, off: int, what: str) -> tuple[tuple, int]:
+    """Unpack ``fmt`` at ``off``; a buffer too short for it is a ValueError
+    naming ``what`` was being read."""
+    size = struct.calcsize(fmt)
+    if off + size > len(buf):
+        raise ValueError(f"checkpoint truncated in {what}")
+    return struct.unpack_from(fmt, buf, off), off + size
+
+
 def _unpack_tensor(buf: bytes, off: int) -> tuple[Tensor, int]:
-    if off + 1 > len(buf):
-        raise ValueError("checkpoint truncated in tensor header")
-    (ndim,) = struct.unpack_from("<B", buf, off)
-    off += 1
-    if off + 4 * ndim > len(buf):
-        raise ValueError("checkpoint truncated in tensor shape")
-    shape = struct.unpack_from(f"<{ndim}I", buf, off)
-    off += 4 * ndim
-    count = int(np.prod(shape))
+    (ndim,), off = _read("<B", buf, off, "tensor header")
+    shape, off = _read(f"<{ndim}I", buf, off, "tensor shape")
+    count = math.prod(shape)
     if off + 4 * count > len(buf):
         raise ValueError("checkpoint truncated in tensor payload")
     data = np.frombuffer(buf, dtype="<f4", count=count, offset=off).reshape(shape)
@@ -528,24 +532,19 @@ def serialize_params(params: ModelParams) -> bytes:
 
 
 def deserialize_params(buf: bytes) -> ModelParams:
+    """Parse a checkpoint; a malformed, truncated or over-long buffer raises
+    ValueError."""
     if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (version,), off = _read("<I", buf, len(CHECKPOINT_MAGIC), "version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    n, l, k, r, epochs, batch, patch = struct.unpack_from("<7I", buf, off)
-    off += 28
-    seed, lr = struct.unpack_from("<Qd", buf, off)
-    off += 16
-    (nf,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    filters = struct.unpack_from(f"<{nf}I", buf, off)
-    off += 4 * nf
+    (n, l, k, r, epochs, batch, patch), off = _read("<7I", buf, off, "config")
+    (seed, lr), off = _read("<Qd", buf, off, "config")
+    (nf,), off = _read("<I", buf, off, "filter count")
+    filters, off = _read(f"<{nf}I", buf, off, "filters")
     cfg = ModelConfig(n, l, filters, k, r, lr, seed, epochs, batch, patch)
-    (n_layers,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (n_layers,), off = _read("<I", buf, off, "layer count")
     plan = _layer_plan(cfg)
     if n_layers != len(plan):
         raise ValueError(f"checkpoint has {n_layers} layers, config implies {len(plan)}")

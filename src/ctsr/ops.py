@@ -1,25 +1,34 @@
 """Forward and backward passes for the network's operations.
 
-Convolution and its transpose are computed by flattening sliding windows
-into a column matrix and multiplying (im2col + GEMM).  All accumulation
-happens in float64 regardless of the storage dtype; outputs are cast back
-to the input dtype, so float32 tensors get stable sums and a float64 input
-(used by the gradient-check harness) stays float64 end to end.
+One engine computes every convolution and transposed convolution, on
+float64 arrays in channel-major batch layout [C, B, D, H, W]; the public
+per-sample ops (``conv3d_forward`` and friends) run it with B = 1 on
+float32 tensors and cast the result back to float32.  All accumulation is
+in float64, so training, validation and inference share the same sums.
 
-Gradients are hand-derived adjoints of the forward definitions:
+* Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM,
+  with the column matrix kept for the backward pass.
+* Conv with few output channels (the final 1-channel conv at the upsampled
+  resolution): kn2row (Anderson et al., "Low-memory GEMM-based convolution
+  algorithms for deep neural networks", arXiv:1709.03395).  One GEMM
+  multiplies a group of kernel taps into the padded input, and each tap's
+  shifted window of the product is added into the output; the backward
+  builds the tap-shifted gradient once per group for d_w and d_x.
+* Transposed conv: the sub-pixel view of a strided deconv (Shi et al.,
+  ESPCN, arXiv:1609.05158).  With the kernel zero-padded to a multiple of
+  the stride, every kernel offset deposits one dense block into a phase
+  grid; for k == stride that is a single copy, with no scatter loop.
 
-* conv backward scatters ``W^T @ d_out`` columns back onto the padded input;
-* deconv backward gathers windows of the (re-embedded) output gradient,
-  which is itself a strided convolution.
-
-The transposed convolution here is the exact adjoint of the convolution
-with identical geometry: a conv weight block [C_out, C_in, k1, k2, k3]
+Gradients are hand-derived adjoints of the forward definitions.  The
+transposed convolution is the exact adjoint of the convolution with
+identical geometry: a conv weight block [C_out, C_in, k1, k2, k3]
 reinterpreted as [C_in', C_out', k1, k2, k3] (same memory) satisfies
 <conv(x), y> == <x, deconv(y)> for zero bias.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -104,59 +113,6 @@ class LayerGrads:
     d_input: Tensor
 
 
-def _pad3(x: np.ndarray, padding: tuple[int, int, int]) -> np.ndarray:
-    if padding == (0, 0, 0):
-        return x
-    p1, p2, p3 = padding
-    return np.pad(x, ((0, 0), (p1, p1), (p2, p2), (p3, p3)))
-
-
-def _gather_columns(
-    padded: np.ndarray,
-    kernel: tuple[int, int, int],
-    stride: tuple[int, int, int],
-    n_positions: tuple[int, int, int],
-) -> np.ndarray:
-    """Column matrix [C*k1*k2*k3, N] of strided windows, in float64.
-
-    Column order is (c, i, j, k) to match a reshaped weight block; position
-    order is row-major over the output grid.
-    """
-    c = padded.shape[0]
-    win = sliding_window_view(padded, kernel, axis=(1, 2, 3))
-    win = win[:, :: stride[0], :: stride[1], :: stride[2]]
-    win = win[:, : n_positions[0], : n_positions[1], : n_positions[2]]
-    # [C, D', H', W', k1, k2, k3] -> [C, k1, k2, k3, D', H', W']
-    # order='C' materializes the gather in one pass so the reshape is free
-    win = win.transpose(0, 4, 5, 6, 1, 2, 3).astype(np.float64, order="C")
-    n = n_positions[0] * n_positions[1] * n_positions[2]
-    return win.reshape(c * kernel[0] * kernel[1] * kernel[2], n)
-
-
-def _scatter_columns(
-    cols: np.ndarray,
-    channels: int,
-    padded_spatial: tuple[int, int, int],
-    kernel: tuple[int, int, int],
-    stride: tuple[int, int, int],
-    n_positions: tuple[int, int, int],
-) -> np.ndarray:
-    """Adjoint of _gather_columns: accumulate columns back onto a zero array."""
-    k1, k2, k3 = kernel
-    s1, s2, s3 = stride
-    d1, d2, d3 = n_positions
-    grid = cols.reshape(channels, k1, k2, k3, d1, d2, d3)
-    out = np.zeros((channels,) + padded_spatial, dtype=np.float64)
-    for i, j, k in product(range(k1), range(k2), range(k3)):
-        out[
-            :,
-            i : i + s1 * d1 : s1,
-            j : j + s2 * d2 : s2,
-            k : k + s3 * d3 : s3,
-        ] += grid[:, i, j, k]
-    return out
-
-
 def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool) -> None:
     if x.ndim != 4:
         raise ValueError(f"input must be [C, D, H, W], got shape {x.shape}")
@@ -172,104 +128,21 @@ def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool) -> 
         raise ValueError(f"bias shape {bias.shape} != ({geom.out_channels},)")
 
 
-def _conv3d_raw(x, weights, bias, geom: ConvGeometry) -> np.ndarray:
-    _check_conv_args(x, weights, bias, geom, transposed=False)
-    out_sp = geom.conv_output_shape(x.shape[1:])
-    cols = _gather_columns(_pad3(x, geom.padding), geom.kernel, geom.stride, out_sp)
-    wmat = weights.reshape(geom.out_channels, -1).astype(np.float64)
-    out = wmat @ cols
-    if bias is not None:
-        out += bias.astype(np.float64)[:, None]
-    return out.reshape((geom.out_channels,) + out_sp).astype(x.dtype)
-
-
-def _conv3d_backward_raw(x, weights, geom: ConvGeometry, d_out):
-    _check_conv_args(x, weights, None, geom, transposed=False)
-    out_sp = geom.conv_output_shape(x.shape[1:])
-    if d_out.shape != (geom.out_channels,) + out_sp:
-        raise ValueError(
-            f"d_output shape {d_out.shape} != forward output {(geom.out_channels,) + out_sp}"
-        )
-    padded = _pad3(x, geom.padding)
-    cols = _gather_columns(padded, geom.kernel, geom.stride, out_sp)
-    g = d_out.reshape(geom.out_channels, -1).astype(np.float64)
-    d_b = g.sum(axis=1)
-    d_w = g @ cols.T
-    d_cols = weights.reshape(geom.out_channels, -1).astype(np.float64).T @ g
-    d_pad = _scatter_columns(
-        d_cols, geom.in_channels, padded.shape[1:], geom.kernel, geom.stride, out_sp
-    )
-    p1, p2, p3 = geom.padding
-    d1, d2, d3 = x.shape[1:]
-    d_x = d_pad[:, p1 : p1 + d1, p2 : p2 + d2, p3 : p3 + d3]
-    return (
-        d_w.reshape(weights.shape).astype(x.dtype),
-        d_b.astype(x.dtype),
-        d_x.astype(x.dtype),
-    )
-
-
-def _deconv3d_raw(x, weights, bias, geom: ConvGeometry) -> np.ndarray:
-    _check_conv_args(x, weights, bias, geom, transposed=True)
-    out_sp = geom.deconv_output_shape(x.shape[1:])
-    k1, k2, k3 = geom.kernel
-    s1, s2, s3 = geom.stride
-    in_sp = x.shape[1:]
-    full_sp = tuple((n - 1) * s + k for n, s, k in zip(in_sp, geom.stride, geom.kernel))
-    xmat = x.reshape(geom.in_channels, -1).astype(np.float64)
-    wmat = weights.reshape(geom.in_channels, -1).astype(np.float64)
-    deposits = (wmat.T @ xmat).reshape((geom.out_channels, k1, k2, k3) + in_sp)
-    full = np.zeros((geom.out_channels,) + full_sp, dtype=np.float64)
-    for i, j, k in product(range(k1), range(k2), range(k3)):
-        full[
-            :,
-            i : i + s1 * in_sp[0] : s1,
-            j : j + s2 * in_sp[1] : s2,
-            k : k + s3 * in_sp[2] : s3,
-        ] += deposits[:, i, j, k]
-    p1, p2, p3 = geom.padding
-    out = full[:, p1 : p1 + out_sp[0], p2 : p2 + out_sp[1], p3 : p3 + out_sp[2]]
-    if bias is not None:
-        out = out + bias.astype(np.float64)[:, None, None, None]
-    return out.astype(x.dtype)
-
-
-def _deconv3d_backward_raw(x, weights, geom: ConvGeometry, d_out):
-    _check_conv_args(x, weights, None, geom, transposed=True)
-    out_sp = geom.deconv_output_shape(x.shape[1:])
-    if d_out.shape != (geom.out_channels,) + out_sp:
-        raise ValueError(
-            f"d_output shape {d_out.shape} != forward output {(geom.out_channels,) + out_sp}"
-        )
-    in_sp = x.shape[1:]
-    full_sp = tuple((n - 1) * s + k for n, s, k in zip(in_sp, geom.stride, geom.kernel))
-    p1, p2, p3 = geom.padding
-    d_full = np.zeros((geom.out_channels,) + full_sp, dtype=np.float64)
-    d_full[:, p1 : p1 + out_sp[0], p2 : p2 + out_sp[1], p3 : p3 + out_sp[2]] = d_out
-    d_b = d_out.reshape(geom.out_channels, -1).astype(np.float64).sum(axis=1)
-    # windows of d_full at each deposit site: exactly one per input position
-    cols = _gather_columns(d_full, geom.kernel, geom.stride, in_sp)
-    xmat = x.reshape(geom.in_channels, -1).astype(np.float64)
-    d_w = xmat @ cols.T
-    d_x = weights.reshape(geom.in_channels, -1).astype(np.float64) @ cols
-    return (
-        d_w.reshape(weights.shape).astype(x.dtype),
-        d_b.astype(x.dtype),
-        d_x.reshape(x.shape).astype(x.dtype),
-    )
+def _check_d_output(d_out, out_shape) -> None:
+    if d_out.shape != out_shape:
+        raise ValueError(f"d_output shape {d_out.shape} != forward output {out_shape}")
 
 
 # ---------------------------------------------------------------------------
-# Batched twins of the raw ops, used by the training loop.
+# The engine.
 #
-# Arrays are float64 in channel-major batch layout [C, B, D, H, W] so that a
-# whole mini-batch shares one GEMM per layer per direction.  Each function
-# computes exactly the per-sample math above; a parity test holds the two
-# paths together.
+# Arrays are float64 in channel-major batch layout [C, B, D, H, W], so that a
+# whole mini-batch shares each GEMM; the public ops further down run it with
+# B = 1.
 # ---------------------------------------------------------------------------
 
 
-def _pad3_b(x: np.ndarray, padding: tuple[int, int, int]) -> np.ndarray:
+def _pad_b(x: np.ndarray, padding: tuple[int, int, int]) -> np.ndarray:
     if padding == (0, 0, 0):
         return x
     p1, p2, p3 = padding
@@ -277,17 +150,23 @@ def _pad3_b(x: np.ndarray, padding: tuple[int, int, int]) -> np.ndarray:
 
 
 def _gather_columns_b(padded, kernel, stride, n_positions) -> np.ndarray:
-    """[C, B, Dp, Hp, Wp] -> columns [C*k1*k2*k3, B*N], float64."""
+    """[C, B, Dp, Hp, Wp] -> columns [C*k1*k2*k3, B*N], float64.
+
+    Row order is (c, i, j, k) to match a reshaped weight block; column order
+    is row-major over (batch, output grid).
+    """
     c, b = padded.shape[:2]
     win = sliding_window_view(padded, kernel, axis=(2, 3, 4))
     win = win[:, :, :: stride[0], :: stride[1], :: stride[2]]
     win = win[:, :, : n_positions[0], : n_positions[1], : n_positions[2]]
+    # order='C' materializes the gather in one pass so the reshape is free
     win = win.transpose(0, 5, 6, 7, 1, 2, 3, 4).astype(np.float64, order="C")
     n = b * n_positions[0] * n_positions[1] * n_positions[2]
     return win.reshape(c * kernel[0] * kernel[1] * kernel[2], n)
 
 
 def _scatter_columns_b(cols, channels, batch, padded_spatial, kernel, stride, n_positions):
+    """Adjoint of _gather_columns_b: accumulate columns onto a zero array."""
     k1, k2, k3 = kernel
     s1, s2, s3 = stride
     d1, d2, d3 = n_positions
@@ -304,147 +183,270 @@ def _scatter_columns_b(cols, channels, batch, padded_spatial, kernel, stride, n_
     return out
 
 
-# few-output-channel layers (the final smoothing conv) skip im2col: the
-# column matrix would be k1*k2*k3 times the activation size at the upsampled
-# resolution, far more traffic than accumulating one GEMM per kernel tap
+# Few-output-channel layers (the final smoothing conv) skip im2col: its column
+# matrix would be k1*k2*k3 times the activation, which is largest at the
+# upsampled resolution.  They use kn2row instead.
 _DIRECT_MAX_COUT = 4
 
 
-def _tap_slices(i, j, k, stride, out_sp):
-    s1, s2, s3 = stride
+def _kn2row_slabs(padded, geom: ConvGeometry, out_sp):
+    """kn2row tap groups: (depth tap i, in-plane taps [(j, k), ...], slab).
+
+    ``slab`` [C_in, B*D'*Hp*Wp] holds the padded input at the depth planes
+    that depth tap i reads (a view when those are all of them).  A group
+    stacks at most C_in // C_out taps, so its kn2row block
+    [taps*C_out, B*D'*Hp*Wp] is never larger than the slab it is computed
+    from.  Taps come in (i, j, k) order.
+    """
+    s1 = geom.stride[0]
+    k1, k2, k3 = geom.kernel
+    plane = list(product(range(k2), range(k3)))
+    per = max(1, geom.in_channels // geom.out_channels)
+    for i in range(k1):
+        slab = np.ascontiguousarray(padded[:, :, i : i + s1 * (out_sp[0] - 1) + 1 : s1])
+        for t0 in range(0, len(plane), per):
+            yield i, plane[t0 : t0 + per], slab
+
+
+def _plane_slices(j, k, stride, out_sp):
+    """In-plane window of tap (j, k) on a padded grid, for every output."""
     return (
-        slice(i, i + s1 * out_sp[0], s1),
-        slice(j, j + s2 * out_sp[1], s2),
-        slice(k, k + s3 * out_sp[2], s3),
+        slice(j, j + stride[1] * (out_sp[1] - 1) + 1, stride[1]),
+        slice(k, k + stride[2] * (out_sp[2] - 1) + 1, stride[2]),
     )
+
+
+def _conv_cache(xs, geom: ConvGeometry, out_sp):
+    """What the conv backward reads of the input: the im2col column matrix
+    of a wide layer, the padded input of a few-output-channel one."""
+    padded = _pad_b(xs, geom.padding)
+    if geom.out_channels > _DIRECT_MAX_COUT:
+        return "cols", _gather_columns_b(padded, geom.kernel, geom.stride, out_sp)
+    return "padded", padded
 
 
 def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
-    """Returns (out [C_out, B, *out_sp], cache-for-backward)."""
+    """Returns (out [C_out, B, *out_sp], cache-for-backward).
+
+    Wide layers multiply the im2col column matrix.  Few-output-channel
+    layers use kn2row (Anderson et al., arXiv:1709.03395): one
+    [taps*C_out, C_in] @ [C_in, N_padded] GEMM per tap group, then each
+    tap's shifted window of the product is added into the output.
+    """
     out_sp = geom.conv_output_shape(xs.shape[2:])
+    c_out, c_in = geom.out_channels, geom.in_channels
     batch = xs.shape[1]
-    padded = _pad3_b(xs, geom.padding)
-    if geom.out_channels <= _DIRECT_MAX_COUT:
-        out = np.zeros((geom.out_channels, batch) + out_sp)
-        for i, j, k in product(*(range(kk) for kk in geom.kernel)):
-            z1, z2, z3 = _tap_slices(i, j, k, geom.stride, out_sp)
-            tap = np.ascontiguousarray(padded[:, :, z1, z2, z3]).reshape(
-                geom.in_channels, -1
-            )
-            out += (w64[:, :, i, j, k] @ tap).reshape(out.shape)
-        out += b64[:, None, None, None, None]
-        return out, ("padded", padded)
-    cols = _gather_columns_b(padded, geom.kernel, geom.stride, out_sp)
-    out = w64.reshape(geom.out_channels, -1) @ cols
-    out += b64[:, None]
-    return out.reshape((geom.out_channels, batch) + out_sp), ("cols", cols)
+    kind, data = cache = _conv_cache(xs, geom, out_sp)
+    if kind == "cols":
+        out = w64.reshape(c_out, -1) @ data
+        out += b64[:, None]
+        return out.reshape((c_out, batch) + out_sp), cache
+    out = np.zeros((c_out, batch) + out_sp)
+    for i, taps, slab in _kn2row_slabs(data, geom, out_sp):
+        j, k = np.array(taps).T
+        wt = w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, c_in)
+        y = (wt @ slab.reshape(c_in, -1)).reshape((len(taps), c_out) + slab.shape[1:])
+        for t, (j, k) in enumerate(taps):
+            out += y[(t, ...) + _plane_slices(j, k, geom.stride, out_sp)]
+    out += b64[:, None, None, None, None]
+    return out, cache
 
 
 def _conv_bwd_b(cache, w64, geom: ConvGeometry, g, in_spatial, need_dx: bool):
+    """(d_w, d_b, d_xs) of _conv_fwd_b for output gradient g [C_out, B, *out_sp].
+
+    The kn2row backward builds, per tap group, the gradient shifted to every
+    tap's offset on the padded grid, Gs [taps*C_out, N_padded], and takes
+    d_w = Gs @ X^T and d_padded = W^T @ Gs from it.
+    """
     kind, data = cache
-    gm = g.reshape(geom.out_channels, -1)
+    c_out, c_in = geom.out_channels, geom.in_channels
+    gm = g.reshape(c_out, -1)
     d_b = gm.sum(axis=1)
     batch = g.shape[1]
     out_sp = g.shape[2:]
-    p1, p2, p3 = geom.padding
-    d1, d2, d3 = in_spatial
-    if kind == "padded":
-        padded = data
-        d_w = np.empty((geom.out_channels, geom.in_channels) + geom.kernel)
-        d_pad = np.zeros_like(padded) if need_dx else None
-        for i, j, k in product(*(range(kk) for kk in geom.kernel)):
-            z1, z2, z3 = _tap_slices(i, j, k, geom.stride, out_sp)
-            tap = np.ascontiguousarray(padded[:, :, z1, z2, z3]).reshape(
-                geom.in_channels, -1
+    pad_sp = tuple(n + 2 * p for n, p in zip(in_spatial, geom.padding))
+    crop = tuple(slice(p, p + n) for p, n in zip(geom.padding, in_spatial))
+    if kind == "cols":
+        d_w = (gm @ data.T).reshape((c_out, c_in) + geom.kernel)
+        d_xs = None
+        if need_dx:
+            d_cols = w64.reshape(c_out, -1).T @ gm
+            d_pad = _scatter_columns_b(
+                d_cols, c_in, batch, pad_sp, geom.kernel, geom.stride, out_sp
             )
-            d_w[:, :, i, j, k] = gm @ tap.T
-            if need_dx:
-                d_pad[:, :, z1, z2, z3] += (w64[:, :, i, j, k].T @ gm).reshape(
-                    (geom.in_channels, batch) + out_sp
-                )
-        d_xs = (
-            d_pad[:, :, p1 : p1 + d1, p2 : p2 + d2, p3 : p3 + d3] if need_dx else None
-        )
+            d_xs = d_pad[(slice(None), slice(None)) + crop]
         return d_w, d_b, d_xs
-    cols = data
-    d_w = (gm @ cols.T).reshape((geom.out_channels, geom.in_channels) + geom.kernel)
-    d_xs = None
-    if need_dx:
-        d_cols = w64.reshape(geom.out_channels, -1).T @ gm
-        pad_sp = tuple(n + 2 * p for n, p in zip(in_spatial, geom.padding))
-        d_pad = _scatter_columns_b(
-            d_cols, geom.in_channels, batch, pad_sp, geom.kernel, geom.stride, out_sp
+    d_w = np.empty((c_out, c_in) + geom.kernel)
+    d_pad = None
+    s1 = geom.stride[0]
+    for i, taps, slab in _kn2row_slabs(data, geom, out_sp):
+        gs = np.zeros((len(taps), c_out) + slab.shape[1:])
+        for t, (j, k) in enumerate(taps):
+            gs[(t, ...) + _plane_slices(j, k, geom.stride, out_sp)] = g
+        gs = gs.reshape(len(taps) * c_out, -1)
+        j, k = np.array(taps).T
+        d_w[:, :, i, j, k] = (
+            (gs @ slab.reshape(c_in, -1).T).reshape(len(taps), c_out, c_in).transpose(1, 2, 0)
         )
-        d_xs = d_pad[:, :, p1 : p1 + d1, p2 : p2 + d2, p3 : p3 + d3]
+        if need_dx:
+            wt = w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, c_in)
+            d_slab = (wt.T @ gs).reshape(slab.shape)
+            if d_pad is None and slab.shape == data.shape:
+                d_pad = d_slab  # the first group's slab spans the whole padded input
+            else:
+                if d_pad is None:
+                    d_pad = np.zeros(data.shape)
+                d_pad[:, :, i : i + s1 * (out_sp[0] - 1) + 1 : s1] += d_slab
+    d_xs = d_pad[(slice(None), slice(None)) + crop] if need_dx else None
     return d_w, d_b, d_xs
+
+
+# A deposit block [C_out, s1, s2, s3, B, D, H, W] <-> its place in the phase
+# grid, [C_out, B, D, s1, H, s2, W, s3].
+_TO_GRID = (0, 4, 5, 1, 6, 2, 7, 3)
+_TO_DEPOSIT = (0, 3, 5, 7, 1, 2, 4, 6)
+
+
+def _phases(geom: ConvGeometry, xs_shape):
+    """Sub-pixel view of a stride-s deconv (Shi et al., ESPCN, arXiv:1609.05158).
+
+    With the kernel zero-padded to m = ceil(k/s) strides per axis, tap
+    s*q + a of input voxel n lands on output s*(n + q) + a.  The deposits
+    [C_out, m1, s1, m2, s2, m3, s3, B, D, H, W] of offset q therefore form
+    one dense block of the phase grid
+    [C_out, B, D+m1-1, s1, H+m2-1, s2, W+m3-1, s3], whose 5-D view
+    [C_out, B, (D+m1-1)*s1, ...] holds the uncropped output.
+
+    Returns (m, deposit shape, phase-grid shape, [(q, q's block index)],
+    index of the padding-cropped output in the 5-D view).
+    """
+    in_sp = xs_shape[2:]
+    m = tuple(-(-k // s) for k, s in zip(geom.kernel, geom.stride))
+    deposits, grid = (geom.out_channels,), (geom.out_channels, xs_shape[1])
+    for n, mm, s in zip(in_sp, m, geom.stride):
+        deposits += (mm, s)
+        grid += (n + mm - 1, s)
+    blocks = []
+    for q in product(*(range(mm) for mm in m)):
+        index = (slice(None), slice(None))
+        for qq, n in zip(q, in_sp):
+            index += (slice(qq, qq + n), slice(None))
+        blocks.append((q, index))
+    out_sp = geom.deconv_output_shape(in_sp)
+    crop = (slice(None), slice(None)) + tuple(
+        slice(p, p + o) for p, o in zip(geom.padding, out_sp)
+    )
+    return m, deposits + tuple(xs_shape[1:]), grid, blocks, crop
+
+
+def _flat(grid):
+    """5-D [C, B, D', H', W'] view shape of an 8-D phase grid."""
+    return grid[:2] + (grid[2] * grid[3], grid[4] * grid[5], grid[6] * grid[7])
+
+
+def _padded_kernel(w64, m, stride) -> np.ndarray:
+    """[C_in, C_out, k1, k2, k3] zero-padded to m*s taps per axis and
+    flattened to [C_in, C_out*m1*s1*m2*s2*m3*s3]."""
+    k1, k2, k3 = w64.shape[2:]
+    wp = np.zeros(w64.shape[:2] + tuple(mm * s for mm, s in zip(m, stride)))
+    wp[:, :, :k1, :k2, :k3] = w64
+    return wp.reshape(w64.shape[0], -1)
 
 
 def _deconv_fwd_b(xs, w64, b64, geom: ConvGeometry):
-    out_sp = geom.deconv_output_shape(xs.shape[2:])
-    k1, k2, k3 = geom.kernel
-    s1, s2, s3 = geom.stride
-    batch = xs.shape[1]
-    in_sp = xs.shape[2:]
-    full_sp = tuple((n - 1) * s + k for n, s, k in zip(in_sp, geom.stride, geom.kernel))
-    deposits = (w64.reshape(geom.in_channels, -1).T @ xs.reshape(geom.in_channels, -1))
-    deposits = deposits.reshape((geom.out_channels, k1, k2, k3, batch) + in_sp)
-    full = np.zeros((geom.out_channels, batch) + full_sp, dtype=np.float64)
-    for i, j, k in product(range(k1), range(k2), range(k3)):
-        full[
-            :,
-            :,
-            i : i + s1 * in_sp[0] : s1,
-            j : j + s2 * in_sp[1] : s2,
-            k : k + s3 * in_sp[2] : s3,
-        ] += deposits[:, i, j, k]
-    p1, p2, p3 = geom.padding
-    out = full[:, :, p1 : p1 + out_sp[0], p2 : p2 + out_sp[1], p3 : p3 + out_sp[2]]
-    return out + b64[:, None, None, None, None]
+    """Transposed conv by phases: one deposit GEMM with the zero-padded
+    kernel, then one dense block add per kernel offset.  A kernel that fits
+    in the stride (k <= s, as k == r) has a single offset, whose block is
+    placed, bias added, in one copy."""
+    m, dep_shape, grid, blocks, crop = _phases(geom, xs.shape)
+    dep = _padded_kernel(w64, m, geom.stride).T @ xs.reshape(geom.in_channels, -1)
+    dep = dep.reshape(dep_shape)
+    if len(blocks) == 1:
+        full = np.empty(grid)
+        bias = b64.reshape((-1,) + (1,) * 7)
+        np.add(dep[:, 0, :, 0, :, 0].transpose(_TO_GRID), bias, out=full)
+        return full.reshape(_flat(grid))[crop]
+    full = np.zeros(grid)
+    for (q1, q2, q3), index in blocks:
+        full[index] += dep[:, q1, :, q2, :, q3].transpose(_TO_GRID)
+    return full.reshape(_flat(grid))[crop] + b64[:, None, None, None, None]
 
 
 def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
-    batch = xs.shape[1]
-    in_sp = xs.shape[2:]
-    out_sp = g.shape[2:]
-    full_sp = tuple((n - 1) * s + k for n, s, k in zip(in_sp, geom.stride, geom.kernel))
-    p1, p2, p3 = geom.padding
-    d_full = np.zeros((geom.out_channels, batch) + full_sp, dtype=np.float64)
-    d_full[:, :, p1 : p1 + out_sp[0], p2 : p2 + out_sp[1], p3 : p3 + out_sp[2]] = g
+    """(d_w, d_b, d_xs) of _deconv_fwd_b: the blocks of g's phase grid are
+    gathered into deposit-shaped columns, which meet the input (d_w) and the
+    zero-padded kernel (d_xs) in one GEMM each."""
+    m, dep_shape, grid, blocks, crop = _phases(geom, xs.shape)
+    if g.shape[2:] == _flat(grid)[2:]:  # the output fills the grid (k == s, p == 0)
+        d_full = g.reshape(grid)
+    else:
+        d_full = np.zeros(grid)
+        d_full.reshape(_flat(grid))[crop] = g
+    cols = np.empty(dep_shape)
+    for (q1, q2, q3), index in blocks:
+        cols[:, q1, :, q2, :, q3] = d_full[index].transpose(_TO_DEPOSIT)
+    cols = cols.reshape(math.prod(dep_shape[:7]), -1)
     d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
-    cols_d = _gather_columns_b(d_full, geom.kernel, geom.stride, in_sp)
-    d_w = (xs.reshape(geom.in_channels, -1) @ cols_d.T).reshape(
-        (geom.in_channels, geom.out_channels) + geom.kernel
-    )
+    k1, k2, k3 = geom.kernel
+    d_w = (xs.reshape(geom.in_channels, -1) @ cols.T).reshape(
+        (geom.in_channels, geom.out_channels) + tuple(mm * s for mm, s in zip(m, geom.stride))
+    )[:, :, :k1, :k2, :k3]
     d_xs = None
     if need_dx:
-        d_xs = (w64.reshape(geom.in_channels, -1) @ cols_d).reshape(xs.shape)
+        d_xs = (_padded_kernel(w64, m, geom.stride) @ cols).reshape(xs.shape)
     return d_w, d_b, d_xs
+
+
+# ---------------------------------------------------------------------------
+# Public per-sample ops: the engine at B = 1, on [C, D, H, W] float32 tensors.
+# ---------------------------------------------------------------------------
+
+
+def _batch1(t: Tensor) -> np.ndarray:
+    """[C, D, H, W] float32 tensor -> [C, 1, D, H, W] float64 engine array."""
+    return t.data.astype(np.float64)[:, None]
+
+
+def _f64(t: Tensor) -> np.ndarray:
+    return t.data.astype(np.float64)
 
 
 def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometry) -> Tensor:
     """out[co, n, h, w] = bias[co] + sum_{ci,i,j,k} W[co,ci,i,j,k] *
     padded_x[ci, s1*n + i, s2*h + j, s3*w + k]."""
-    return Tensor(_conv3d_raw(x.data, weights.data, bias.data, geom))
+    _check_conv_args(x.data, weights.data, bias.data, geom, transposed=False)
+    out, _ = _conv_fwd_b(_batch1(x), _f64(weights), _f64(bias), geom)
+    return Tensor(out[:, 0])
 
 
 def conv3d_backward(
     x: Tensor, weights: Tensor, geom: ConvGeometry, d_output: Tensor
 ) -> LayerGrads:
-    d_w, d_b, d_x = _conv3d_backward_raw(x.data, weights.data, geom, d_output.data)
-    return LayerGrads(Tensor(d_w), Tensor(d_b), Tensor(d_x))
+    _check_conv_args(x.data, weights.data, None, geom, transposed=False)
+    _check_d_output(d_output, (geom.out_channels,) + geom.conv_output_shape(x.shape[1:]))
+    xs = _batch1(x)
+    cache = _conv_cache(xs, geom, d_output.shape[1:])
+    d_w, d_b, d_x = _conv_bwd_b(
+        cache, _f64(weights), geom, _batch1(d_output), xs.shape[2:], True
+    )
+    return LayerGrads(Tensor(d_w), Tensor(d_b), Tensor(d_x[:, 0]))
 
 
 def deconv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometry) -> Tensor:
     """Transposed convolution: input voxel (n, h, w) deposits value * W into
     the output block starting at (s1*n - p1, s2*h - p2, s3*w - p3); overlaps sum."""
-    return Tensor(_deconv3d_raw(x.data, weights.data, bias.data, geom))
+    _check_conv_args(x.data, weights.data, bias.data, geom, transposed=True)
+    return Tensor(_deconv_fwd_b(_batch1(x), _f64(weights), _f64(bias), geom)[:, 0])
 
 
 def deconv3d_backward(
     x: Tensor, weights: Tensor, geom: ConvGeometry, d_output: Tensor
 ) -> LayerGrads:
-    d_w, d_b, d_x = _deconv3d_backward_raw(x.data, weights.data, geom, d_output.data)
-    return LayerGrads(Tensor(d_w), Tensor(d_b), Tensor(d_x))
+    _check_conv_args(x.data, weights.data, None, geom, transposed=True)
+    _check_d_output(d_output, (geom.out_channels,) + geom.deconv_output_shape(x.shape[1:]))
+    d_w, d_b, d_x = _deconv_bwd_b(_batch1(x), _f64(weights), geom, _batch1(d_output), True)
+    return LayerGrads(Tensor(d_w), Tensor(d_b), Tensor(d_x[:, 0]))
 
 
 def relu_forward(x: Tensor) -> Tensor:

@@ -1,10 +1,12 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
 
 from ctsr import grid
 from ctsr.cli import main
+from ctsr.config import load_run_config
 from ctsr.model import load_checkpoint
 from ctsr.pipeline import gen_synthetic
 from ctsr.volume import load_volume, save_volume
@@ -145,6 +147,18 @@ class TestInferEvaluate:
         assert main(["infer", str(trained), str(path), "--out", str(tmp_path / "x.svol")]) == 3
         assert "depth" in capsys.readouterr().err
 
+    def test_infer_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"3DECNN\0" + struct.pack("<I", 1))  # magic + version only
+        assert ckpt.stat().st_size == 11
+        lr_path = tmp_path / "lr.svol"
+        save_volume(gen_synthetic("spheres", (16, 16, 16), seed=1), lr_path)
+        code = main(["infer", str(ckpt), str(lr_path), "--out", str(tmp_path / "sr.svol")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "truncated" in err
+        assert not (tmp_path / "sr.svol").exists()
+
     def test_evaluate_reports(self, tmp_path, data_dir, trained, capsys):
         lr_dir = tmp_path / "lr"
         main(["simulate", str(data_dir), "--out", str(lr_dir), "--scale", "2"])
@@ -283,6 +297,36 @@ class TestGridsearch:
         assert main(["gridsearch", "--config", str(cfg_path)]) == 3
         assert str(journal_path) in capsys.readouterr().err
         assert not (run_dir / "gridsearch_results.csv").exists()
+
+
+    def test_results_file_ranks_like_rank_results(self, tmp_path, data_dir):
+        # every combination already journaled, so the results file is ranked
+        # from the journal alone: ok, tied and failed rows in scrambled order
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_feature_depths = 1,3\ngrid_kernels = 1,3,5\ngrid_epochs = 1\n")
+        run = load_run_config(cfg_path, grid=True)
+        space = grid.GridSpace(run.grid_feature_depths, run.grid_conv_layers,
+                               run.grid_filter_configs, run.grid_kernels)
+        configs = space.combinations(run.model)
+        outcomes = [(20.0, ""), (None, "RuntimeError: a"), (25.5, ""), (20.0, ""),
+                    (None, "ValueError: b"), (11.25, "")]
+        run_dir.mkdir()
+        journal = [["config", "val_psnr", "error"]] + [
+            [cfg.key(), "" if psnr is None else repr(psnr), err]
+            for cfg, (psnr, err) in zip(configs, outcomes)
+        ]
+        with open(run_dir / "gridsearch_journal.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(journal)
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        rows = _read_csv(run_dir / "gridsearch_results.csv")[1:]
+        ranked = grid.rank_results(
+            [grid.GridResult(cfg, psnr, err) for cfg, (psnr, err) in zip(configs, outcomes)]
+        )
+        assert [row[1] for row in rows] == [r.config.key() for r in ranked]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4", "", ""]
+        assert [row[2] for row in rows[:4]] == ["25.5", "20.0", "20.0", "11.25"]
+        assert rows[1][1] < rows[2][1]  # the tie goes to the smaller key
 
 
 class TestCliSurface:

@@ -209,6 +209,19 @@ class TestPairedTTest:
             paired_t_test([1.0, 2.0], [1.0])
 
 
+    def test_p_values_match_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = Rng(77)
+        for n in (2, 3, 5, 12, 40):
+            for shift in (0.0, 0.05, 0.3, 1.0):
+                x = rng.next_floats(n)
+                y = x - shift + 0.2 * (rng.next_floats(n) - 0.5)
+                ours = paired_t_test(x.tolist(), y.tolist())
+                ref = stats.ttest_rel(x, y)
+                assert ours.t_statistic == pytest.approx(ref.statistic, rel=1e-9, abs=1e-12)
+                assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-12)
+
+
 class TestAggregate:
     def test_single_sample_convention(self):
         agg = aggregate([SliceSample("s0", 20.0, 0.9)])

@@ -433,6 +433,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             deserialize_params(blob[:-5])
 
+    def test_every_proper_prefix_is_value_error(self):
+        blob = serialize_params(build_model(ModelConfig(**TINY_CFG), Rng(65)))
+        for end in range(len(blob)):
+            with pytest.raises(ValueError, match="truncated|magic"):
+                deserialize_params(blob[:end])
+
     def test_trailing_garbage(self):
         params = build_model(ModelConfig(**TINY_CFG), Rng(64))
         with pytest.raises(ValueError, match="trailing"):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import inspect
+
+from ctsr import model, ops
 from ctsr.ops import (
     ConvGeometry,
     LayerGrads,
-    _conv3d_backward_raw,
-    _conv3d_raw,
-    _deconv3d_backward_raw,
-    _deconv3d_raw,
+    _conv_bwd_b,
+    _conv_fwd_b,
+    _deconv_bwd_b,
+    _deconv_fwd_b,
     _mse_raw,
     conv3d_backward,
     conv3d_forward,
@@ -42,6 +45,29 @@ def random_conv_case(rng, max_channels=3, max_kernel=3, strides=(1, 2)):
     w = _rand((co, ci) + ks, rng)
     b = _rand((co,), rng)
     return geom, x, w, b
+
+
+# The engine at B = 1 on float64 [C, D, H, W] arrays, for checks that need
+# more precision than the float32 public ops keep.
+
+
+def _conv_f64(x, w, b, geom):
+    return _conv_fwd_b(x[:, None], w, b, geom)[0][:, 0]
+
+
+def _conv_bwd_f64(x, w, geom, d_out):
+    _, cache = _conv_fwd_b(x[:, None], w, np.zeros(geom.out_channels), geom)
+    d_w, d_b, d_x = _conv_bwd_b(cache, w, geom, d_out[:, None], x.shape[1:], True)
+    return d_w, d_b, d_x[:, 0]
+
+
+def _deconv_f64(x, w, b, geom):
+    return _deconv_fwd_b(x[:, None], w, b, geom)[:, 0]
+
+
+def _deconv_bwd_f64(x, w, geom, d_out):
+    d_w, d_b, d_x = _deconv_bwd_b(x[:, None], w, geom, d_out[:, None], True)
+    return d_w, d_b, d_x[:, 0]
 
 
 class TestConvGeometry:
@@ -86,10 +112,7 @@ class TestConvForward:
         rng = Rng(2024)
         for _ in range(25):
             geom, x, w, b = random_conv_case(rng)
-            got = _conv3d_raw(
-                x.data.astype(np.float64), w.data.astype(np.float64),
-                b.data.astype(np.float64), geom,
-            )
+            got = conv3d_forward(x, w, b, geom).data
             ref = conv3d_loops(x.data, w.data, b.data, geom.stride, geom.padding)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-6
@@ -139,10 +162,7 @@ class TestDeconvForward:
             )
             b = _rand((dg.out_channels,), rng)
             y = _rand((geom.out_channels,) + geom.conv_output_shape(x.shape[1:]), rng)
-            got = _deconv3d_raw(
-                y.data.astype(np.float64), w.data.astype(np.float64),
-                b.data.astype(np.float64), dg,
-            )
+            got = deconv3d_forward(y, w, b, dg).data
             ref = deconv3d_scatter_loops(y.data, w.data, b.data, dg.stride, dg.padding)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-6
@@ -210,11 +230,11 @@ class TestBackwardGradients:
                 )
                 x = _rand((geom.in_channels, 3, 3, 3), rng)
                 b = _rand((geom.out_channels,), rng)
-                fwd_raw = _deconv3d_raw
-                bwd_raw = _deconv3d_backward_raw
+                fwd_raw = _deconv_f64
+                bwd_raw = _deconv_bwd_f64
             else:
-                fwd_raw = _conv3d_raw
-                bwd_raw = _conv3d_backward_raw
+                fwd_raw = _conv_f64
+                bwd_raw = _conv_bwd_f64
             x64 = x.data.astype(np.float64)
             w64 = w.data.astype(np.float64)
             b64 = b.data.astype(np.float64)
@@ -237,12 +257,172 @@ class TestBackwardGradients:
                            dtype=np.float32)),
         )
         fd_w = central_difference(
-            lambda v: _conv3d_raw(x.data.astype(np.float64), v,
-                                  b.data.astype(np.float64) * 0, geom).sum(),
+            lambda v: _conv_f64(x.data.astype(np.float64), v,
+                                np.zeros(geom.out_channels), geom).sum(),
             w.data.astype(np.float64), 1e-4,
         )
         scale = max(np.abs(fd_w).max(), 1.0)
         assert np.abs(grads.d_weights.data - fd_w).max() / scale <= 1e-3
+
+
+def _f64_array(shape, rng):
+    return 2.0 * rng.next_floats(int(np.prod(shape))).reshape(shape) - 1.0
+
+
+def _conv_engine_case(rng, path):
+    """Random conv geometry on one engine path, with a batch of two.
+
+    "kn2row": C_out <= 4 and more in-plane taps than one kn2row group holds
+    (C_in // C_out of them); "im2col": C_out > 4.
+    """
+    u = [int(v) for v in rng.next_u64(14)]
+    if path == "kn2row":
+        co = 1 + u[0] % ops._DIRECT_MAX_COUT
+        ci = co + u[1] % (co + 1)  # groups of one or two taps
+        ks = (1 + u[2] % 3, 2 + u[3] % 2, 2 + u[4] % 2)
+    else:
+        co = ops._DIRECT_MAX_COUT + 1 + u[0] % 3
+        ci = 1 + u[1] % 3
+        ks = tuple(1 + u[2 + i] % 3 for i in range(3))
+    ss = tuple(1 + u[5 + i] % 2 for i in range(3))
+    ps = tuple(min(u[8 + i] % 2, (k - 1) // 2) for i, k in zip(range(3), ks))
+    outs = tuple(1 + u[11 + i] % 3 for i in range(3))
+    ins = tuple((o - 1) * s + k - 2 * p for o, s, k, p in zip(outs, ss, ks, ps))
+    geom = ConvGeometry(ci, co, ks, ss, ps)
+    x = _f64_array((ci, 2) + ins, rng)
+    w = _f64_array((co, ci) + ks, rng)
+    b = _f64_array((co,), rng)
+    return geom, x, w, b
+
+
+def _deconv_engine_case(rng, kind):
+    """Random deconv geometry whose kernel is smaller than ("k<r"), equal
+    to ("k=r") or larger than ("k>r") the stride on every axis, with a
+    stride above one and nonzero padding on every axis, and a batch of two."""
+    u = [int(v) for v in rng.next_u64(14)]
+    ss = tuple(2 + u[i] % 2 for i in range(3))
+    if kind == "k<r":
+        ks = tuple(1 + u[3 + i] % (s - 1) for i, s in enumerate(ss))
+    elif kind == "k=r":
+        ks = ss
+    else:
+        ks = tuple(s + 1 + u[3 + i] % 2 for i, s in enumerate(ss))
+    ins = tuple(2 + u[6 + i] % 2 for i in range(3))
+    # the largest padding is the one that leaves an output extent of one
+    ps = tuple(
+        min(1 + u[9 + i] % 2, ((n - 1) * s + k - 1) // 2)
+        for i, (n, s, k) in enumerate(zip(ins, ss, ks))
+    )
+    geom = ConvGeometry(1 + u[12] % 3, 1 + u[13] % 3, ks, ss, ps)
+    x = _f64_array((geom.in_channels, 2) + ins, rng)
+    w = _f64_array((geom.in_channels, geom.out_channels) + ks, rng)
+    b = _f64_array((geom.out_channels,), rng)
+    return geom, x, w, b
+
+
+def _per_sample(oracle, x, w, b, geom):
+    return np.stack(
+        [oracle(x[:, n], w, b, geom.stride, geom.padding) for n in range(x.shape[1])], axis=1
+    )
+
+
+def _close(got, ref, tol=1e-12):
+    assert got.shape == ref.shape
+    return np.abs(got - ref).max() <= tol * max(np.abs(ref).max(), 1.0)
+
+
+class TestBatchedEngine:
+    """The batched engine against the loop-nest oracles, path by path."""
+
+    @pytest.mark.parametrize("path", ["kn2row", "im2col"])
+    def test_conv_matches_loop_nest_oracle(self, path):
+        rng = Rng(900 if path == "kn2row" else 901)
+        for _ in range(12):
+            geom, x, w, b = _conv_engine_case(rng, path)
+            if path == "kn2row":
+                assert geom.out_channels <= ops._DIRECT_MAX_COUT
+                per_group = max(1, geom.in_channels // geom.out_channels)
+                assert geom.kernel[1] * geom.kernel[2] > per_group, "several tap groups"
+            else:
+                assert geom.out_channels > ops._DIRECT_MAX_COUT
+            out, _ = _conv_fwd_b(x, w, b, geom)
+            assert _close(out, _per_sample(conv3d_loops, x, w, b, geom))
+
+    @pytest.mark.parametrize("kind", ["k<r", "k=r", "k>r"])
+    def test_deconv_matches_scatter_oracle(self, kind):
+        rng = Rng({"k<r": 910, "k=r": 911, "k>r": 912}[kind])
+        for _ in range(8):
+            geom, x, w, b = _deconv_engine_case(rng, kind)
+            if kind == "k<r":
+                assert all(k < s for k, s in zip(geom.kernel, geom.stride))
+            elif kind == "k=r":
+                assert geom.kernel == geom.stride
+            else:
+                assert all(k > s for k, s in zip(geom.kernel, geom.stride))
+            assert min(geom.stride) > 1 and min(geom.padding) > 0
+            out = _deconv_fwd_b(x, w, b, geom)
+            assert _close(out, _per_sample(deconv3d_scatter_loops, x, w, b, geom))
+
+    @pytest.mark.parametrize("op", ["kn2row", "im2col", "k<r", "k=r", "k>r"])
+    def test_backward_is_adjoint_and_matches_finite_differences(self, op):
+        rng = Rng(920 + ["kn2row", "im2col", "k<r", "k=r", "k>r"].index(op))
+        for _ in range(4):
+            if op in ("kn2row", "im2col"):
+                geom, x, w, _ = _conv_engine_case(rng, op)
+
+                def fwd(wv, xv):
+                    return _conv_fwd_b(xv, wv, np.zeros(geom.out_channels), geom)[0]
+
+                y = _f64_array(fwd(w, x).shape, rng)
+                _, cache = _conv_fwd_b(x, w, np.zeros(geom.out_channels), geom)
+                d_w, d_b, d_x = _conv_bwd_b(cache, w, geom, y, x.shape[2:], True)
+            else:
+                geom, x, w, _ = _deconv_engine_case(rng, op)
+
+                def fwd(wv, xv):
+                    return _deconv_fwd_b(xv, wv, np.zeros(geom.out_channels), geom)
+
+                y = _f64_array(fwd(w, x).shape, rng)
+                d_w, d_b, d_x = _deconv_bwd_b(x, w, geom, y, True)
+            # <op(x), y> == <x, op_bwd(y)>
+            lhs = float(np.sum(fwd(w, x) * y))
+            rhs = float(np.sum(x * d_x))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+            assert np.allclose(d_b, y.reshape(geom.out_channels, -1).sum(axis=1), rtol=1e-12)
+            # <op(x; w), y> is linear in w, so central differences are exact
+            # up to rounding
+            fd_w = central_difference(lambda v: float(np.sum(fwd(v, x) * y)), w, 1e-3)
+            assert _close(d_w, fd_w, tol=1e-9)
+
+    def test_kn2row_without_dx_leaves_weights_gradient_alone(self):
+        geom, x, w, b = _conv_engine_case(Rng(930), "kn2row")
+        out, cache = _conv_fwd_b(x, w, b, geom)
+        g = _f64_array(out.shape, Rng(931))
+        d_w, d_b, d_x = _conv_bwd_b(cache, w, geom, g, x.shape[2:], False)
+        ref = _conv_bwd_b(cache, w, geom, g, x.shape[2:], True)
+        assert d_x is None
+        assert np.array_equal(d_w, ref[0]) and np.array_equal(d_b, ref[1])
+
+
+class TestTracingContract:
+    """benchmarks/tracing.py binds these parameters by name to attribute
+    each call to a layer and count its FLOPs; a rename would silently zero
+    the benchmark's per-layer metrics."""
+
+    @pytest.mark.parametrize(
+        "fn, names",
+        [
+            (ops._conv_fwd_b, {"xs", "geom"}),
+            (ops._conv_bwd_b, {"geom", "g", "need_dx"}),
+            (ops._deconv_fwd_b, {"xs", "geom"}),
+            (ops._deconv_bwd_b, {"xs", "geom", "g", "need_dx"}),
+            (model.conv3d_forward, {"x", "geom"}),
+            (model.deconv3d_forward, {"x", "geom"}),
+        ],
+        ids=lambda v: getattr(v, "__name__", ""),
+    )
+    def test_traced_parameter_names(self, fn, names):
+        assert names <= set(inspect.signature(fn).parameters)
 
 
 class TestRelu:
