@@ -1,22 +1,21 @@
 """Forward and backward passes for the network's operations.
 
 One engine computes every convolution and transposed convolution, on
-float64 arrays in channel-major batch layout [C, B, D, H, W]; the public
+float64 arrays in channel-major batch layout [C, B, D, H, W].  The public
 per-sample ops (``conv3d_forward`` and friends) run it with B = 1 on
-float32 tensors and cast the result back to float32.  All accumulation is
-in float64, so training, validation and inference share the same sums.
+float32 tensors and cast the result back to float32, so training,
+validation and inference share the same float64 sums.
 
-* Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM,
-  with the column matrix kept for the backward pass.
-* Conv with few output channels (the final 1-channel conv at the upsampled
-  resolution): kn2row (Anderson et al., "Low-memory GEMM-based convolution
-  algorithms for deep neural networks", arXiv:1709.03395).  One GEMM
-  multiplies a group of kernel taps into the padded input, and each tap's
-  shifted window of the product is added into the output; the backward
-  builds the tap-shifted gradient once per group for d_w and d_x.
+* Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM.
+* Conv with fewer (the final 1-channel conv at the upsampled resolution):
+  kn2row (Anderson et al., "Low-memory GEMM-based convolution algorithms
+  for deep neural networks", arXiv:1709.03395).  One GEMM multiplies a
+  group of kernel taps into the padded input and each tap's shifted window
+  of the product is added into the output; the backward builds the
+  tap-shifted gradient once per group for both d_w and d_x.
 * Transposed conv: the sub-pixel view of a strided deconv (Shi et al.,
   ESPCN, arXiv:1609.05158).  With the kernel zero-padded to a multiple of
-  the stride, every kernel offset deposits one dense block into a phase
+  the stride, each kernel offset deposits one dense block into a phase
   grid; for k == stride that is a single copy, with no scatter loop.
 
 Gradients are hand-derived adjoints of the forward definitions.  The
@@ -113,7 +112,7 @@ class LayerGrads:
     d_input: Tensor
 
 
-def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool) -> None:
+def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool, d_out=None):
     if x.ndim != 4:
         raise ValueError(f"input must be [C, D, H, W], got shape {x.shape}")
     if transposed:
@@ -126,11 +125,11 @@ def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool) -> 
         raise ValueError(f"input has {x.shape[0]} channels, geometry says {geom.in_channels}")
     if bias is not None and bias.shape != (geom.out_channels,):
         raise ValueError(f"bias shape {bias.shape} != ({geom.out_channels},)")
-
-
-def _check_d_output(d_out, out_shape) -> None:
-    if d_out.shape != out_shape:
-        raise ValueError(f"d_output shape {d_out.shape} != forward output {out_shape}")
+    if d_out is not None:
+        shape = geom.deconv_output_shape if transposed else geom.conv_output_shape
+        out_shape = (geom.out_channels,) + shape(x.shape[1:])
+        if d_out.shape != out_shape:
+            raise ValueError(f"d_output shape {d_out.shape} != forward output {out_shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +166,18 @@ def _gather_columns_b(padded, kernel, stride, n_positions) -> np.ndarray:
 
 def _scatter_columns_b(cols, channels, batch, padded_spatial, kernel, stride, n_positions):
     """Adjoint of _gather_columns_b: accumulate columns onto a zero array."""
-    k1, k2, k3 = kernel
-    s1, s2, s3 = stride
-    d1, d2, d3 = n_positions
-    grid = cols.reshape(channels, k1, k2, k3, batch, d1, d2, d3)
+    grid = cols.reshape((channels,) + kernel + (batch,) + n_positions)
     out = np.zeros((channels, batch) + padded_spatial, dtype=np.float64)
-    for i, j, k in product(range(k1), range(k2), range(k3)):
-        out[
-            :,
-            :,
-            i : i + s1 * d1 : s1,
-            j : j + s2 * d2 : s2,
-            k : k + s3 * d3 : s3,
-        ] += grid[:, i, j, k]
+    for tap in product(*(range(k) for k in kernel)):
+        window = _window(tap, stride, n_positions)
+        out[(slice(None), slice(None)) + window] += grid[(slice(None),) + tap]
     return out
+
+
+def _window(tap, stride, n_positions):
+    """Per axis, the slice of a padded grid that kernel tap ``tap`` reads
+    for every one of ``n_positions`` outputs."""
+    return tuple(slice(t, t + s * n, s) for t, s, n in zip(tap, stride, n_positions))
 
 
 # Few-output-channel layers (the final smoothing conv) skip im2col: its column
@@ -189,14 +186,16 @@ def _scatter_columns_b(cols, channels, batch, padded_spatial, kernel, stride, n_
 _DIRECT_MAX_COUT = 4
 
 
-def _kn2row_slabs(padded, geom: ConvGeometry, out_sp):
-    """kn2row tap groups: (depth tap i, in-plane taps [(j, k), ...], slab).
+def _kn2row_groups(padded, w64, geom: ConvGeometry, out_sp):
+    """kn2row tap groups, in (i, j, k) tap order: (depth tap i, the group's
+    in-plane taps as index arrays j and k, their stacked weights
+    wt [taps*C_out, C_in], slab).
 
-    ``slab`` [C_in, B*D'*Hp*Wp] holds the padded input at the depth planes
-    that depth tap i reads (a view when those are all of them).  A group
-    stacks at most C_in // C_out taps, so its kn2row block
+    ``slab`` [C_in, B, D', Hp, Wp] holds the padded input at the D' depth
+    planes that depth tap i reads (a view when those are all of them).  A
+    group stacks at most C_in // C_out taps, so its kn2row block
     [taps*C_out, B*D'*Hp*Wp] is never larger than the slab it is computed
-    from.  Taps come in (i, j, k) order.
+    from.
     """
     s1 = geom.stride[0]
     k1, k2, k3 = geom.kernel
@@ -205,15 +204,9 @@ def _kn2row_slabs(padded, geom: ConvGeometry, out_sp):
     for i in range(k1):
         slab = np.ascontiguousarray(padded[:, :, i : i + s1 * (out_sp[0] - 1) + 1 : s1])
         for t0 in range(0, len(plane), per):
-            yield i, plane[t0 : t0 + per], slab
-
-
-def _plane_slices(j, k, stride, out_sp):
-    """In-plane window of tap (j, k) on a padded grid, for every output."""
-    return (
-        slice(j, j + stride[1] * (out_sp[1] - 1) + 1, stride[1]),
-        slice(k, k + stride[2] * (out_sp[2] - 1) + 1, stride[2]),
-    )
+            j, k = np.array(plane[t0 : t0 + per]).T
+            wt = w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, geom.in_channels)
+            yield i, j, k, wt, slab
 
 
 def _conv_cache(xs, geom: ConvGeometry, out_sp):
@@ -242,12 +235,10 @@ def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
         out += b64[:, None]
         return out.reshape((c_out, batch) + out_sp), cache
     out = np.zeros((c_out, batch) + out_sp)
-    for i, taps, slab in _kn2row_slabs(data, geom, out_sp):
-        j, k = np.array(taps).T
-        wt = w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, c_in)
-        y = (wt @ slab.reshape(c_in, -1)).reshape((len(taps), c_out) + slab.shape[1:])
-        for t, (j, k) in enumerate(taps):
-            out += y[(t, ...) + _plane_slices(j, k, geom.stride, out_sp)]
+    for _, j, k, wt, slab in _kn2row_groups(data, w64, geom, out_sp):
+        y = (wt @ slab.reshape(c_in, -1)).reshape((len(j), c_out) + slab.shape[1:])
+        for t in range(len(j)):
+            out += y[(t, ...) + _window((j[t], k[t]), geom.stride[1:], out_sp[1:])]
     out += b64[:, None, None, None, None]
     return out, cache
 
@@ -266,7 +257,9 @@ def _conv_bwd_b(cache, w64, geom: ConvGeometry, g, in_spatial, need_dx: bool):
     batch = g.shape[1]
     out_sp = g.shape[2:]
     pad_sp = tuple(n + 2 * p for n, p in zip(in_spatial, geom.padding))
-    crop = tuple(slice(p, p + n) for p, n in zip(geom.padding, in_spatial))
+    crop = (slice(None), slice(None)) + tuple(
+        slice(p, p + n) for p, n in zip(geom.padding, in_spatial)
+    )
     if kind == "cols":
         d_w = (gm @ data.T).reshape((c_out, c_in) + geom.kernel)
         d_xs = None
@@ -275,22 +268,20 @@ def _conv_bwd_b(cache, w64, geom: ConvGeometry, g, in_spatial, need_dx: bool):
             d_pad = _scatter_columns_b(
                 d_cols, c_in, batch, pad_sp, geom.kernel, geom.stride, out_sp
             )
-            d_xs = d_pad[(slice(None), slice(None)) + crop]
+            d_xs = d_pad[crop]
         return d_w, d_b, d_xs
     d_w = np.empty((c_out, c_in) + geom.kernel)
     d_pad = None
     s1 = geom.stride[0]
-    for i, taps, slab in _kn2row_slabs(data, geom, out_sp):
-        gs = np.zeros((len(taps), c_out) + slab.shape[1:])
-        for t, (j, k) in enumerate(taps):
-            gs[(t, ...) + _plane_slices(j, k, geom.stride, out_sp)] = g
-        gs = gs.reshape(len(taps) * c_out, -1)
-        j, k = np.array(taps).T
+    for i, j, k, wt, slab in _kn2row_groups(data, w64, geom, out_sp):
+        gs = np.zeros((len(j), c_out) + slab.shape[1:])
+        for t in range(len(j)):
+            gs[(t, ...) + _window((j[t], k[t]), geom.stride[1:], out_sp[1:])] = g
+        gs = gs.reshape(len(j) * c_out, -1)
         d_w[:, :, i, j, k] = (
-            (gs @ slab.reshape(c_in, -1).T).reshape(len(taps), c_out, c_in).transpose(1, 2, 0)
+            (gs @ slab.reshape(c_in, -1).T).reshape(len(j), c_out, c_in).transpose(1, 2, 0)
         )
         if need_dx:
-            wt = w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, c_in)
             d_slab = (wt.T @ gs).reshape(slab.shape)
             if d_pad is None and slab.shape == data.shape:
                 d_pad = d_slab  # the first group's slab spans the whole padded input
@@ -298,7 +289,7 @@ def _conv_bwd_b(cache, w64, geom: ConvGeometry, g, in_spatial, need_dx: bool):
                 if d_pad is None:
                     d_pad = np.zeros(data.shape)
                 d_pad[:, :, i : i + s1 * (out_sp[0] - 1) + 1 : s1] += d_slab
-    d_xs = d_pad[(slice(None), slice(None)) + crop] if need_dx else None
+    d_xs = d_pad[crop] if need_dx else None
     return d_w, d_b, d_xs
 
 
@@ -312,14 +303,13 @@ def _phases(geom: ConvGeometry, xs_shape):
     """Sub-pixel view of a stride-s deconv (Shi et al., ESPCN, arXiv:1609.05158).
 
     With the kernel zero-padded to m = ceil(k/s) strides per axis, tap
-    s*q + a of input voxel n lands on output s*(n + q) + a.  The deposits
-    [C_out, m1, s1, m2, s2, m3, s3, B, D, H, W] of offset q therefore form
-    one dense block of the phase grid
-    [C_out, B, D+m1-1, s1, H+m2-1, s2, W+m3-1, s3], whose 5-D view
-    [C_out, B, (D+m1-1)*s1, ...] holds the uncropped output.
+    s*q + a of input voxel n lands on output s*(n + q) + a: the deposits
+    [C_out, m1, s1, m2, s2, m3, s3, B, D, H, W] of offset q form one dense
+    block of the phase grid [C_out, B, D+m1-1, s1, H+m2-1, s2, W+m3-1, s3].
 
-    Returns (m, deposit shape, phase-grid shape, [(q, q's block index)],
-    index of the padding-cropped output in the 5-D view).
+    Returns m, the deposit and phase-grid shapes, (q, q's block index) for
+    every offset, and a function giving the padding-cropped output view
+    [C_out, B, *out_sp] of a phase-grid array.
     """
     in_sp = xs_shape[2:]
     m = tuple(-(-k // s) for k, s in zip(geom.kernel, geom.stride))
@@ -333,16 +323,15 @@ def _phases(geom: ConvGeometry, xs_shape):
         for qq, n in zip(q, in_sp):
             index += (slice(qq, qq + n), slice(None))
         blocks.append((q, index))
-    out_sp = geom.deconv_output_shape(in_sp)
+    flat = grid[:2] + tuple(n * s for n, s in zip(grid[2::2], grid[3::2]))
     crop = (slice(None), slice(None)) + tuple(
-        slice(p, p + o) for p, o in zip(geom.padding, out_sp)
+        slice(p, p + o) for p, o in zip(geom.padding, geom.deconv_output_shape(in_sp))
     )
-    return m, deposits + tuple(xs_shape[1:]), grid, blocks, crop
 
+    def output(full):
+        return full.reshape(flat)[crop]
 
-def _flat(grid):
-    """5-D [C, B, D', H', W'] view shape of an 8-D phase grid."""
-    return grid[:2] + (grid[2] * grid[3], grid[4] * grid[5], grid[6] * grid[7])
+    return m, deposits + tuple(xs_shape[1:]), grid, blocks, output
 
 
 def _padded_kernel(w64, m, stride) -> np.ndarray:
@@ -359,30 +348,30 @@ def _deconv_fwd_b(xs, w64, b64, geom: ConvGeometry):
     kernel, then one dense block add per kernel offset.  A kernel that fits
     in the stride (k <= s, as k == r) has a single offset, whose block is
     placed, bias added, in one copy."""
-    m, dep_shape, grid, blocks, crop = _phases(geom, xs.shape)
+    m, dep_shape, grid, blocks, output = _phases(geom, xs.shape)
     dep = _padded_kernel(w64, m, geom.stride).T @ xs.reshape(geom.in_channels, -1)
     dep = dep.reshape(dep_shape)
     if len(blocks) == 1:
         full = np.empty(grid)
         bias = b64.reshape((-1,) + (1,) * 7)
         np.add(dep[:, 0, :, 0, :, 0].transpose(_TO_GRID), bias, out=full)
-        return full.reshape(_flat(grid))[crop]
+        return output(full)
     full = np.zeros(grid)
     for (q1, q2, q3), index in blocks:
         full[index] += dep[:, q1, :, q2, :, q3].transpose(_TO_GRID)
-    return full.reshape(_flat(grid))[crop] + b64[:, None, None, None, None]
+    return output(full) + b64[:, None, None, None, None]
 
 
 def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _deconv_fwd_b: the blocks of g's phase grid are
     gathered into deposit-shaped columns, which meet the input (d_w) and the
     zero-padded kernel (d_xs) in one GEMM each."""
-    m, dep_shape, grid, blocks, crop = _phases(geom, xs.shape)
-    if g.shape[2:] == _flat(grid)[2:]:  # the output fills the grid (k == s, p == 0)
+    m, dep_shape, grid, blocks, output = _phases(geom, xs.shape)
+    if g.size == math.prod(grid):  # the output fills the grid (k == s, p == 0)
         d_full = g.reshape(grid)
     else:
         d_full = np.zeros(grid)
-        d_full.reshape(_flat(grid))[crop] = g
+        output(d_full)[...] = g
     cols = np.empty(dep_shape)
     for (q1, q2, q3), index in blocks:
         cols[:, q1, :, q2, :, q3] = d_full[index].transpose(_TO_DEPOSIT)
@@ -423,8 +412,7 @@ def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometry)
 def conv3d_backward(
     x: Tensor, weights: Tensor, geom: ConvGeometry, d_output: Tensor
 ) -> LayerGrads:
-    _check_conv_args(x.data, weights.data, None, geom, transposed=False)
-    _check_d_output(d_output, (geom.out_channels,) + geom.conv_output_shape(x.shape[1:]))
+    _check_conv_args(x.data, weights.data, None, geom, False, d_output.data)
     xs = _batch1(x)
     cache = _conv_cache(xs, geom, d_output.shape[1:])
     d_w, d_b, d_x = _conv_bwd_b(
@@ -443,8 +431,7 @@ def deconv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometr
 def deconv3d_backward(
     x: Tensor, weights: Tensor, geom: ConvGeometry, d_output: Tensor
 ) -> LayerGrads:
-    _check_conv_args(x.data, weights.data, None, geom, transposed=True)
-    _check_d_output(d_output, (geom.out_channels,) + geom.deconv_output_shape(x.shape[1:]))
+    _check_conv_args(x.data, weights.data, None, geom, True, d_output.data)
     d_w, d_b, d_x = _deconv_bwd_b(_batch1(x), _f64(weights), geom, _batch1(d_output), True)
     return LayerGrads(Tensor(d_w), Tensor(d_b), Tensor(d_x[:, 0]))
 

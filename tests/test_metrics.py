@@ -208,7 +208,6 @@ class TestPairedTTest:
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [1.0])
 
-
     def test_p_values_match_scipy(self):
         stats = pytest.importorskip("scipy.stats")
         rng = Rng(77)

@@ -298,7 +298,8 @@ def _conv_engine_case(rng, path):
 def _deconv_engine_case(rng, kind):
     """Random deconv geometry whose kernel is smaller than ("k<r"), equal
     to ("k=r") or larger than ("k>r") the stride on every axis, with a
-    stride above one and nonzero padding on every axis, and a batch of two."""
+    stride above one and nonzero padding on every axis, and a batch of two.
+    "k=r,p=0" is the paper's case: kernel equal to the stride, no padding."""
     u = [int(v) for v in rng.next_u64(14)]
     ss = tuple(2 + u[i] % 2 for i in range(3))
     if kind == "k<r":
@@ -313,6 +314,8 @@ def _deconv_engine_case(rng, kind):
         min(1 + u[9 + i] % 2, ((n - 1) * s + k - 1) // 2)
         for i, (n, s, k) in enumerate(zip(ins, ss, ks))
     )
+    if kind == "k=r,p=0":  # the output fills the phase grid exactly
+        ks, ps = ss, (0, 0, 0)
     geom = ConvGeometry(1 + u[12] % 3, 1 + u[13] % 3, ks, ss, ps)
     x = _f64_array((geom.in_channels, 2) + ins, rng)
     w = _f64_array((geom.in_channels, geom.out_channels) + ks, rng)
@@ -363,9 +366,9 @@ class TestBatchedEngine:
             out = _deconv_fwd_b(x, w, b, geom)
             assert _close(out, _per_sample(deconv3d_scatter_loops, x, w, b, geom))
 
-    @pytest.mark.parametrize("op", ["kn2row", "im2col", "k<r", "k=r", "k>r"])
+    @pytest.mark.parametrize("op", ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0"])
     def test_backward_is_adjoint_and_matches_finite_differences(self, op):
-        rng = Rng(920 + ["kn2row", "im2col", "k<r", "k=r", "k>r"].index(op))
+        rng = Rng(920 + ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0"].index(op))
         for _ in range(4):
             if op in ("kn2row", "im2col"):
                 geom, x, w, _ = _conv_engine_case(rng, op)
