@@ -1,7 +1,7 @@
+import inspect
+
 import numpy as np
 import pytest
-
-import inspect
 
 from ctsr import model, ops
 from ctsr.ops import (
