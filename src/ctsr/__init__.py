@@ -7,12 +7,11 @@ evaluation harness, driven by a small CLI.
 
 __version__ = "0.1.0"
 
-from .ops import ConvGeometry, LayerGrads
+from .ops import ConvGeometry
 from .tensor import NonFiniteError, Rng, Tensor
 
 __all__ = [
     "ConvGeometry",
-    "LayerGrads",
     "NonFiniteError",
     "Rng",
     "Tensor",

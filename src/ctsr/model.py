@@ -24,22 +24,14 @@ import math
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics, ops
-from .ops import (
-    ConvGeometry,
-    LayerGrads,
-    conv3d_backward,
-    conv3d_forward,
-    deconv3d_backward,
-    deconv3d_forward,
-    relu_backward,
-    relu_forward,
-    sgd_step,
-)
+from .ops import ConvGeometry, sgd_step
+# not called here; benchmarks/tracing.py wraps them (see TestTracingContract)
+from .ops import conv3d_forward, deconv3d_forward  # noqa: F401
 from .tensor import NonFiniteError, Rng, Tensor, derive_seed, uniform_init, zeros
 from .volume import Volume
 
@@ -199,26 +191,6 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     return ModelParams(cfg, layers)
 
 
-def _apply_trim(z: Tensor, trim: tuple[int, int]) -> Tensor:
-    th, tw = trim
-    if th == 0 and tw == 0:
-        return z
-    a = z.data
-    if th > 0:
-        a = a[:, :, :-th, :]
-    elif th < 0:
-        a = np.pad(a, ((0, 0), (0, 0), (0, -th), (0, 0)))
-    if tw > 0:
-        a = a[:, :, :, :-tw]
-    elif tw < 0:
-        a = np.pad(a, ((0, 0), (0, 0), (0, 0), (0, -tw)))
-    return Tensor(a)
-
-
-def _undo_trim(g: Tensor, trim: tuple[int, int]) -> Tensor:
-    return _apply_trim(g, (-trim[0], -trim[1]))
-
-
 def _check_patch(params: ModelParams, patch: Tensor) -> None:
     n = params.config.feature_depth
     if len(patch.shape) != 4 or patch.shape[0] != 1 or patch.shape[1] != n:
@@ -227,54 +199,9 @@ def _check_patch(params: ModelParams, patch: Tensor) -> None:
         )
 
 
-def _forward_cached(params: ModelParams, patch: Tensor):
-    """Forward pass keeping (layer input, pre-activation) for backprop."""
-    _check_patch(params, patch)
-    caches = []
-    h = patch
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        if layer.kind == "conv":
-            z = conv3d_forward(h, layer.weights, layer.bias, layer.geom)
-        else:
-            z = deconv3d_forward(h, layer.weights, layer.bias, layer.geom)
-            z = _apply_trim(z, layer.trim_hw)
-        if i < last:
-            caches.append((h, z))
-            h = relu_forward(z)
-        else:
-            caches.append((h, None))
-            h = z
-    return h, caches
-
-
-def forward(params: ModelParams, lr_patch: Tensor) -> Tensor:
-    """Super-resolve one window of n low-res slices into a single slice
-    of shape [1, 1, h*scale, w*scale]."""
-    out, _ = _forward_cached(params, lr_patch)
-    return out
-
-
-def _backward(params: ModelParams, caches, d_out: Tensor) -> list[LayerGrads]:
-    grads: list[LayerGrads | None] = [None] * len(params.layers)
-    g = d_out
-    for i in reversed(range(len(params.layers))):
-        layer = params.layers[i]
-        x_in, pre_act = caches[i]
-        if pre_act is not None:
-            g = relu_backward(pre_act, g)
-        if layer.kind == "conv":
-            lg = conv3d_backward(x_in, layer.weights, layer.geom, g)
-        else:
-            g = _undo_trim(g, layer.trim_hw)
-            lg = deconv3d_backward(x_in, layer.weights, layer.geom, g)
-        grads[i] = lg
-        g = lg.d_input
-    return grads
-
-
-def _apply_trim_b(z: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
-    """Batched-layout ([C, B, D, H, W]) version of the deconv trim."""
+def _apply_trim(z: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
+    """The deconv trim of a [C, B, D, H, W] array: rows/cols cut from the
+    bottom/right (negative: zero rows/cols appended)."""
     th, tw = trim
     if th == 0 and tw == 0:
         return z
@@ -289,17 +216,18 @@ def _apply_trim_b(z: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
     return z
 
 
-def _undo_trim_b(g: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
-    return _apply_trim_b(g, (-trim[0], -trim[1]))
+def _undo_trim(g: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
+    return _apply_trim(g, (-trim[0], -trim[1]))
 
 
 def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
-    """Batched float64 forward over [C=1, B, n, h, w]; used by the training
-    loop and batched validation.
+    """Forward over a [C=1, B, n, h, w] batch, the one driver of the stack.
 
-    It runs the same ops engine as the per-sample _forward_cached (whose ops
-    are that engine at B = 1), on the whole batch at once and without the
-    float32 cast after each layer.
+    The engine computes in float64 and each layer's output is stored in the
+    dtype of ``xs``: training and validation pass float64, and ``forward``
+    passes its float32 patch, so inference rounds to float32 after every
+    layer.  A layer whose stored output is not finite raises
+    NonFiniteError naming it (ReLU would turn a -inf into a silent zero).
     """
     caches = []
     h = xs
@@ -312,11 +240,22 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
             z, conv_cache = ops._conv_fwd_b(h, w64, b64, layer.geom)
         else:
             z = ops._deconv_fwd_b(h, w64, b64, layer.geom)
-            z = _apply_trim_b(z, layer.trim_hw)
+            z = _apply_trim(z, layer.trim_hw)
+        z = z.astype(xs.dtype, copy=False)
+        if not np.isfinite(z).all():
+            raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
             caches.append((h, z if i < last else None, conv_cache, w64))
         h = np.maximum(z, 0.0) if i < last else z
     return h, caches
+
+
+def forward(params: ModelParams, lr_patch: Tensor) -> Tensor:
+    """Super-resolve one window of n low-res slices into a single slice
+    of shape [1, 1, h*scale, w*scale]."""
+    _check_patch(params, lr_patch)
+    out, _ = _forward_batch(params, lr_patch.data[:, None], keep_caches=False)
+    return Tensor(out[:, 0])
 
 
 def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
@@ -334,7 +273,7 @@ def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
                 conv_cache, w64, layer.geom, g, x_in.shape[2:], need_dx
             )
         else:
-            g = _undo_trim_b(g, layer.trim_hw)
+            g = _undo_trim(g, layer.trim_hw)
             d_w, d_b, d_x = ops._deconv_bwd_b(x_in, w64, layer.geom, g, need_dx)
         grads[i] = (d_w, d_b)
         g = d_x
@@ -393,11 +332,7 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
                 pair_sq.extend(_pair_sq_sums(diff))
                 if cfg.lr > 0:
                     d_out = (2.0 / diff.size) * diff
-                    acc = _backward_batch(params, caches, d_out)
-                    step_grads = [
-                        LayerGrads(Tensor(w), Tensor(b), Tensor([0.0])) for w, b in acc
-                    ]
-                    sgd_step(params, step_grads, cfg.lr)
+                    sgd_step(params, _backward_batch(params, caches, d_out), cfg.lr)
             except NonFiniteError as err:
                 raise NonFiniteError(
                     f"training diverged at epoch {epoch}, batch {batch_no}: {err}"

@@ -1,10 +1,11 @@
-"""Forward and backward passes for the network's operations.
+"""The network's convolution engine: forward and backward passes.
 
 One engine computes every convolution and transposed convolution, on
-float64 arrays in channel-major batch layout [C, B, D, H, W].  The public
-per-sample ops (``conv3d_forward`` and friends) run it with B = 1 on
-float32 tensors and cast the result back to float32, so training,
-validation and inference share the same float64 sums.
+float64 arrays in channel-major batch layout [C, B, D, H, W]; the model
+drives it directly for training, validation and inference.  The public
+ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only wrappers
+that run it with B = 1 on float32 [C, D, H, W] tensors and cast the
+result back to float32.
 
 * Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM.
 * Conv with fewer (the final 1-channel conv at the upsampled resolution):
@@ -103,16 +104,7 @@ class ConvGeometry:
         return tuple(out)
 
 
-@dataclass
-class LayerGrads:
-    """Gradients of one layer: same shapes as weights, bias, and input."""
-
-    d_weights: Tensor
-    d_bias: Tensor
-    d_input: Tensor
-
-
-def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool, d_out=None):
+def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool):
     if x.ndim != 4:
         raise ValueError(f"input must be [C, D, H, W], got shape {x.shape}")
     if transposed:
@@ -123,13 +115,8 @@ def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool, d_o
         raise ValueError(f"weights shape {weights.shape} != expected {expect_w}")
     if x.shape[0] != geom.in_channels:
         raise ValueError(f"input has {x.shape[0]} channels, geometry says {geom.in_channels}")
-    if bias is not None and bias.shape != (geom.out_channels,):
+    if bias.shape != (geom.out_channels,):
         raise ValueError(f"bias shape {bias.shape} != ({geom.out_channels},)")
-    if d_out is not None:
-        shape = geom.deconv_output_shape if transposed else geom.conv_output_shape
-        out_shape = (geom.out_channels,) + shape(x.shape[1:])
-        if d_out.shape != out_shape:
-            raise ValueError(f"d_output shape {d_out.shape} != forward output {out_shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +375,8 @@ def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
 
 
 # ---------------------------------------------------------------------------
-# Public per-sample ops: the engine at B = 1, on [C, D, H, W] float32 tensors.
+# Public per-sample forward ops: the engine at B = 1, on [C, D, H, W] float32
+# tensors.
 # ---------------------------------------------------------------------------
 
 
@@ -409,18 +397,6 @@ def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometry)
     return Tensor(out[:, 0])
 
 
-def conv3d_backward(
-    x: Tensor, weights: Tensor, geom: ConvGeometry, d_output: Tensor
-) -> LayerGrads:
-    _check_conv_args(x.data, weights.data, None, geom, False, d_output.data)
-    xs = _batch1(x)
-    cache = _conv_cache(xs, geom, d_output.shape[1:])
-    d_w, d_b, d_x = _conv_bwd_b(
-        cache, _f64(weights), geom, _batch1(d_output), xs.shape[2:], True
-    )
-    return LayerGrads(Tensor(d_w), Tensor(d_b), Tensor(d_x[:, 0]))
-
-
 def deconv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometry) -> Tensor:
     """Transposed convolution: input voxel (n, h, w) deposits value * W into
     the output block starting at (s1*n - p1, s2*h - p2, s3*w - p3); overlaps sum."""
@@ -428,55 +404,14 @@ def deconv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometr
     return Tensor(_deconv_fwd_b(_batch1(x), _f64(weights), _f64(bias), geom)[:, 0])
 
 
-def deconv3d_backward(
-    x: Tensor, weights: Tensor, geom: ConvGeometry, d_output: Tensor
-) -> LayerGrads:
-    _check_conv_args(x.data, weights.data, None, geom, True, d_output.data)
-    d_w, d_b, d_x = _deconv_bwd_b(_batch1(x), _f64(weights), geom, _batch1(d_output), True)
-    return LayerGrads(Tensor(d_w), Tensor(d_b), Tensor(d_x[:, 0]))
-
-
-def relu_forward(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, 0))
-
-
-def relu_backward(x: Tensor, d_out: Tensor) -> Tensor:
-    """Subgradient at 0 is 0: gradient passes only where x > 0."""
-    if x.shape != d_out.shape:
-        raise ValueError(f"relu_backward: shape mismatch {x.shape} vs {d_out.shape}")
-    return Tensor(np.where(x.data > 0, d_out.data, 0))
-
-
-def _mse_raw(pred, target, num_samples):
-    diff = pred.astype(np.float64) - target.astype(np.float64)
-    denom = float(pred.size if num_samples is None else num_samples)
-    loss = float(np.sum(diff * diff) / denom)
-    return loss, ((2.0 / denom) * diff).astype(pred.dtype)
-
-
-def mse_loss(pred: Tensor, target: Tensor, num_samples: int | None = None):
-    """Squared-error loss and its gradient w.r.t. pred.
-
-    With ``num_samples`` given, loss = (1/num_samples) * sum(diff^2): the
-    per-sample squared error summed over pixels and averaged over samples.
-    With ``num_samples=None`` (the training default), the divisor is the
-    total element count, i.e. the mean squared error over all elements,
-    which keeps gradient magnitudes independent of patch size.
-    """
-    if pred.shape != target.shape:
-        raise ValueError(f"mse_loss: shape mismatch {pred.shape} vs {target.shape}")
-    if num_samples is not None and num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    loss, d = _mse_raw(pred.data, target.data, num_samples)
-    return loss, Tensor(d)
-
-
 def sgd_step(params, grads, lr: float) -> None:
     """In-place w -= lr*dw, b -= lr*db over every layer of ``params``.
 
     ``params`` is a ModelParams-like object exposing ``layers`` with
-    ``weights`` and ``bias`` tensors; ``grads`` is the matching LayerGrads
-    sequence.  Non-finite gradients abort with the offending layer named.
+    ``weights`` and ``bias`` tensors; ``grads`` is the matching sequence of
+    (d_w, d_b) arrays.  They are cast to float32, the parameters' dtype,
+    before use, and a gradient that is not finite there aborts with the
+    offending layer named.
     """
     if not np.isfinite(lr) or lr <= 0:
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
@@ -485,14 +420,16 @@ def sgd_step(params, grads, lr: float) -> None:
     if len(layers) != len(grads):
         raise ValueError(f"{len(grads)} gradient sets for {len(layers)} layers")
     f32lr = np.float32(lr)
-    for idx, (layer, g) in enumerate(zip(layers, grads)):
-        if g.d_weights.shape != layer.weights.shape or g.d_bias.shape != layer.bias.shape:
+    for idx, (layer, (d_w, d_b)) in enumerate(zip(layers, grads)):
+        d_w = np.asarray(d_w, dtype=np.float32)
+        d_b = np.asarray(d_b, dtype=np.float32)
+        if d_w.shape != layer.weights.shape or d_b.shape != layer.bias.shape:
             raise ValueError(
-                f"layer {idx}: gradient shapes {g.d_weights.shape}/{g.d_bias.shape} "
+                f"layer {idx}: gradient shapes {d_w.shape}/{d_b.shape} "
                 f"do not match parameters {layer.weights.shape}/{layer.bias.shape}"
             )
-        if not (np.isfinite(g.d_weights.data).all() and np.isfinite(g.d_bias.data).all()):
+        if not (np.isfinite(d_w).all() and np.isfinite(d_b).all()):
             raise NonFiniteError(f"non-finite gradient in layer {idx}")
         w, b = layer.weights.data, layer.bias.data
-        np.subtract(w, f32lr * g.d_weights.data, out=w)
-        np.subtract(b, f32lr * g.d_bias.data, out=b)
+        np.subtract(w, f32lr * d_w, out=w)
+        np.subtract(b, f32lr * d_b, out=b)

@@ -1,9 +1,8 @@
 """Dense float32 tensors on contiguous numpy buffers, plus a seeded RNG.
 
-Tensors are row-major (last extent varies fastest) and hold 32-bit floats.
-Reductions accumulate in 64-bit: ``reduce_sum``/``reduce_mean``/``dot`` use
-exact correctly-rounded summation (math.fsum), which is deterministic on
-every platform and independent of association order.
+Tensors are row-major (last extent varies fastest), hold 32-bit floats and
+reject NaN and Inf on construction.  They are values passed between the
+modules; the arithmetic is done on their numpy buffers.
 
 The random generator is SplitMix64 used in counter mode: output ``i`` of a
 stream seeded with ``s`` is ``mix64(s + (i + 1) * 0x9E3779B97F4A7C15)`` with
@@ -23,7 +22,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 class NonFiniteError(ValueError):
-    """A NaN or Inf reached a public tensor operation."""
+    """A NaN or Inf reached a tensor, a layer output, a gradient or a loss."""
 
 
 def validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -39,10 +38,6 @@ def validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
     if count > np.iinfo(np.intp).max:
         raise ValueError(f"element count {count} overflows the platform index range")
     return tuple(int(e) for e in extents)
-
-
-def element_count(shape: Sequence[int]) -> int:
-    return math.prod(validate_shape(shape))
 
 
 class Tensor:
@@ -87,15 +82,6 @@ class Tensor:
 
     def reshape(self, shape: Sequence[int]) -> Tensor:
         return Tensor(self._data.reshape(validate_shape(shape)))
-
-    def __add__(self, other: Tensor) -> Tensor:
-        return add(self, other)
-
-    def __sub__(self, other: Tensor) -> Tensor:
-        return sub(self, other)
-
-    def __mul__(self, other: Tensor) -> Tensor:
-        return mul(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -178,45 +164,3 @@ def uniform_init(shape: Sequence[int], lo: float, hi: float, rng: Rng) -> Tensor
     top = np.float32(hi)
     vals = np.where(vals >= top, np.nextafter(top, np.float32(lo)), vals)
     return Tensor(vals.reshape(extents))
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return Tensor(a.data + b.data)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return Tensor(a.data - b.data)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    return Tensor(a.data * b.data)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    if not math.isfinite(s):
-        raise NonFiniteError(f"scale factor must be finite, got {s}")
-    return Tensor(a.data * np.float32(s))
-
-
-def reduce_sum(a: Tensor) -> float:
-    return math.fsum(a.data.ravel().astype(np.float64))
-
-
-def reduce_mean(a: Tensor) -> float:
-    return reduce_sum(a) / a.size
-
-
-def dot(a: Tensor, b: Tensor) -> float:
-    """Inner product; float32*float32 products are exact in float64, and fsum
-    rounds their sum correctly, so the result is the exactly-rounded dot."""
-    _check_same_shape(a, b, "dot")
-    prods = a.data.ravel().astype(np.float64) * b.data.ravel().astype(np.float64)
-    return math.fsum(prods)

@@ -4,8 +4,11 @@ Each case trains a small fixed-seed model on a fixed synthetic volume and
 super-resolves a fixed LR volume.  The checkpoint checksum and the CRC32 of
 the ``infer_volume`` output were recorded before the conv engine was
 rewritten (kn2row few-output-channel conv, sub-pixel deconv, per-sample ops
-as B=1 wrappers) and must still hold after it: a kernel change that moves
-any weight or output by one float32 ULP fails here.  The values hold for
+as B=1 wrappers) and held through it and through the move to one model
+driver (``forward`` as the batched forward at B=1, rounding to float32
+after every layer; ``sgd_step`` on plain gradient arrays).  A kernel or
+driver change that moves any weight or output by one float32 ULP fails
+here.  The values hold for
 one and for two BLAS threads (OpenBLAS 0.3.31, x86-64 Haswell kernels); a
 BLAS whose GEMM sums in another order may need them re-recorded.
 

@@ -1,23 +1,11 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ctsr.tensor import (
     NonFiniteError,
     Rng,
     Tensor,
-    add,
     derive_seed,
-    dot,
-    element_count,
-    mul,
-    reduce_mean,
-    reduce_sum,
-    scale,
-    sub,
     uniform_init,
     validate_shape,
     zeros,
@@ -25,11 +13,6 @@ from ctsr.tensor import (
 
 
 class TestShape:
-    def test_element_count(self):
-        assert element_count([2, 3]) == 6
-        assert element_count([1]) == 1
-        assert element_count([2, 2, 2, 2, 2]) == 32
-
     @pytest.mark.parametrize("bad", [[], [0], [2, -1], [2.5], [3, 0, 4]])
     def test_invalid_shapes(self, bad):
         with pytest.raises(ValueError):
@@ -65,54 +48,6 @@ class TestTensor:
             Tensor([1.0, float("nan")])
         with pytest.raises(NonFiniteError):
             Tensor([float("inf"), 0.0])
-
-    def test_elementwise(self):
-        assert add(Tensor([1, 2]), Tensor([3, 4])).tolist() == [4.0, 6.0]
-        x = Tensor([1.5, -2.25, 3.0])
-        assert sub(x, x).tolist() == [0.0, 0.0, 0.0]
-        assert mul(Tensor([2, 3]), Tensor([4, 5])).tolist() == [8.0, 15.0]
-
-    def test_elementwise_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            add(Tensor([1, 2]), Tensor([1, 2, 3]))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            dot(Tensor([1, 2]), Tensor([[1.0], [2.0]]))
-
-    def test_scale(self):
-        assert scale(Tensor([1, -2]), 0.5).tolist() == [0.5, -1.0]
-        x = Tensor([1.25, -7.5])
-        assert scale(x, 1.0) == x
-        assert scale(x, 0.0) == zeros([2])
-        with pytest.raises(NonFiniteError):
-            scale(x, float("nan"))
-
-    def test_reductions(self):
-        assert reduce_sum(Tensor([1, 2, 3])) == 6.0
-        assert reduce_mean(Tensor([1, 2, 3])) == 2.0
-        assert dot(Tensor([1, 2]), Tensor([3, 4])) == 11.0
-
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=30))
-    def test_dot_self_nonnegative(self, vals):
-        x = Tensor(vals)
-        d = dot(x, x)
-        assert d >= 0
-        assert (d == 0) == all(v == 0 for v in vals)
-
-    @given(
-        st.lists(st.integers(-1000, 1000), min_size=1, max_size=20),
-        st.lists(st.integers(-1000, 1000), min_size=1, max_size=20),
-    )
-    def test_add_commutative_on_integers(self, a_vals, b_vals):
-        n = min(len(a_vals), len(b_vals))
-        a = Tensor(a_vals[:n])
-        b = Tensor(b_vals[:n])
-        assert add(a, b) == add(b, a)
-
-    def test_add_associative_on_integers(self):
-        rng = Rng(3)
-        vals = (rng.next_floats(3 * 50) * 200 - 100).astype(np.int64)
-        a, b, c = (Tensor(vals[i * 50 : (i + 1) * 50]) for i in range(3))
-        assert add(add(a, b), c) == add(a, add(b, c))
 
 
 class TestRng:
