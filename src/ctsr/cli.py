@@ -2,7 +2,10 @@
 
 Every command is deterministic given its config and seed, writes outputs
 atomically (temp file + rename), and uses distinct exit codes: 0 success,
-2 config error, 3 data error, 4 numeric failure.
+2 config error, 3 data error (any missing or unreadable input file, named in
+the message), 4 numeric failure.  Every CSV report is written by one writer
+(`_write_csv`, RFC 4180 quoting), and every input file is read through one
+reader (`_read_input`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from . import grid, metrics, model, pipeline, resample
 from .config import ConfigError, RunConfig, load_run_config
 from .tensor import NonFiniteError, Tensor
-from .volume import Volume, VolumeFormatError, load_volume, serialize_volume
+from .volume import Volume, load_volume, serialize_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,10 +46,29 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, text.encode("utf-8"))
 
 
-def _load_svol(path: Path) -> Volume:
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _write_csv(path: Path, rows) -> None:
+    _atomic_write_text(path, _csv_text(rows))
+
+
+def _read_input(path: Path, load, what: str):
+    """``load(path)``; a missing file or a ValueError from ``load`` (a bad
+    format, a non-finite value) is a DataError naming the path."""
     if not path.is_file():
-        raise DataError(f"volume file not found: {path}")
-    return load_volume(path)
+        raise DataError(f"{what} not found: {path}")
+    try:
+        return load(path)
+    except ValueError as err:
+        raise DataError(f"bad {what} {path}: {err}") from err
+
+
+def _load_svol(path: Path) -> Volume:
+    return _read_input(path, load_volume, "volume file")
 
 
 def _scan_dir(data_dir: Path) -> list[tuple[str, Path]]:
@@ -64,16 +86,16 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        rows = ["scan_id,hr_path,lr_path,scale"]
+        rows = [["scan_id", "hr_path", "lr_path", "scale"]]
         for scan_id, hr_path in scans:
             vol = _load_svol(hr_path)
             lr = resample.downsample_axial(vol, args.scale)
             lr_path = out_dir / f"{scan_id}_lr.svol"
             _atomic_write(lr_path, serialize_volume(lr))
             written.append(lr_path)
-            rows.append(f"{scan_id},{hr_path},{lr_path},{args.scale}")
+            rows.append([scan_id, hr_path, lr_path, args.scale])
         manifest = out_dir / "manifest.csv"
-        _atomic_write_text(manifest, "\n".join(rows) + "\n")
+        _write_csv(manifest, rows)
         written.append(manifest)
     except Exception:
         for path in written:
@@ -122,25 +144,19 @@ def cmd_train(args) -> int:
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "model.ckpt", model.serialize_params(params))
-    lines = ["epoch,train_loss,val_psnr,wall_time_s"]
+    rows = [["epoch", "train_loss", "val_psnr", "wall_time_s"]]
     for i, (loss, psnr, wt) in enumerate(
         zip(report.train_losses, report.val_psnrs, report.wall_times)
     ):
-        lines.append(f"{i},{loss!r},{psnr!r},{wt:.3f}")
-    _atomic_write_text(out_dir / "train_report.csv", "\n".join(lines) + "\n")
+        rows.append([i, loss, psnr, f"{wt:.3f}"])
+    _write_csv(out_dir / "train_report.csv", rows)
     print(f"final validation PSNR: {report.val_psnrs[-1]:.4f} dB")
     print(f"checkpoint: {out_dir / 'model.ckpt'}")
     return EXIT_OK
 
 
 def cmd_infer(args) -> int:
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.is_file():
-        raise DataError(f"checkpoint not found: {ckpt_path}")
-    try:
-        params = model.load_checkpoint(ckpt_path)
-    except ValueError as err:
-        raise DataError(f"bad checkpoint {ckpt_path}: {err}") from err
+    params = _read_input(Path(args.checkpoint), model.load_checkpoint, "checkpoint")
     vol = _load_svol(Path(args.lr_volume))
     n = params.config.feature_depth
     if vol.shape[0] < n:
@@ -165,7 +181,7 @@ def _slice_metrics(method: str, vol: Volume, hr: Volume):
         p = metrics.psnr(a, b, 1.0)
         s = metrics.ssim(a, b)
         slice_id = f"{i:04d}"
-        rows.append((slice_id, method, p, s))
+        rows.append([slice_id, method, p, s])
         samples.append(metrics.SliceSample(slice_id, p, s))
     return rows, samples
 
@@ -185,11 +201,11 @@ def cmd_evaluate(args) -> int:
             raise DataError(
                 f"method {name!r} volume {vol.shape} does not match HR {hr.shape}"
             )
-    all_rows = []
+    metric_rows = [["slice_id", "method", "psnr_db", "ssim"]]
     per_method = {}
     for name, vol in methods:
         rows, samples = _slice_metrics(name, vol, hr)
-        all_rows.extend(rows)
+        metric_rows.extend(rows)
         per_method[name] = samples
         agg = metrics.aggregate(samples)
         note = (
@@ -201,7 +217,7 @@ def cmd_evaluate(args) -> int:
             f"{name}: PSNR {agg.psnr_mean:.4f} +/- {agg.psnr_sd:.4f} dB, "
             f"SSIM {agg.ssim_mean:.4f} +/- {agg.ssim_sd:.4f}{note}"
         )
-    ttest_rows = []
+    ttest_rows = [["method_a", "method_b", "metric", "mean_diff", "t", "df", "p_two_sided"]]
     for (name_a, _), (name_b, _) in combinations(methods, 2):
         sa, sb = per_method[name_a], per_method[name_b]
         finite = [
@@ -213,19 +229,20 @@ def cmd_evaluate(args) -> int:
         if dropped:
             print(f"warning: {dropped} slice pair(s) with infinite PSNR excluded "
                   f"from the {name_a} vs {name_b} t-test")
+        tests = []
         if len(finite) >= 2:
-            ttest_rows.append(
-                (name_a, name_b, "psnr",
-                 metrics.paired_t_test([p[0] for p in finite], [p[1] for p in finite]))
-            )
-        ttest_rows.append(
-            (name_a, name_b, "ssim",
-             metrics.paired_t_test([s.ssim for s in sa], [s.ssim for s in sb]))
+            tests.append(("psnr", metrics.paired_t_test(*zip(*finite))))
+        tests.append(
+            ("ssim", metrics.paired_t_test([s.ssim for s in sa], [s.ssim for s in sb]))
+        )
+        ttest_rows.extend(
+            [name_a, name_b, metric, r.mean_diff, r.t_statistic, r.degrees_of_freedom, r.p_value]
+            for metric, r in tests
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out_dir / "metrics.csv", metrics.format_metrics_csv(all_rows))
-    _atomic_write_text(out_dir / "ttests.csv", metrics.format_ttest_csv(ttest_rows))
+    _write_csv(out_dir / "metrics.csv", metric_rows)
+    _write_csv(out_dir / "ttests.csv", ttest_rows)
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'ttests.csv'}")
     return EXIT_OK
 
@@ -258,12 +275,6 @@ def _read_journal(path: Path) -> dict[str, tuple[float | None, str]]:
     return entries
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_gridsearch(args) -> int:
     run = load_run_config(args.config, grid=True)
     if args.seed is not None:
@@ -291,14 +302,14 @@ def cmd_gridsearch(args) -> int:
         journal_path.write_text(_csv_text([JOURNAL_HEADER]), encoding="utf-8", newline="")
 
     def journal_append(result: grid.GridResult) -> None:
-        psnr_s = "" if result.val_psnr is None else repr(result.val_psnr)
-        row = [result.config.key(), psnr_s, result.error or ""]
+        # the csv module writes a float with repr and None as an empty field
+        row = [result.config.key(), result.val_psnr, result.error or ""]
         with open(journal_path, "a", newline="", encoding="utf-8") as fh:
             fh.write(_csv_text([row]))
             fh.flush()
 
     budget = run.grid_epochs if run.grid_epochs > 0 else None
-    fresh = grid.grid_search(
+    grid.grid_search(
         space,
         run.model,
         train_vols,
@@ -307,17 +318,17 @@ def cmd_gridsearch(args) -> int:
         skip_keys=set(journal),
         on_result=journal_append,
     )
-    merged: list[tuple[str, float | None, str]] = [
-        (r.config.key(), r.val_psnr, r.error or "") for r in fresh
-    ]
-    merged.extend((key, psnr, err) for key, (psnr, err) in journal.items())
-    merged.sort(key=lambda m: grid.rank_key(m[0], m[1]))
+    # the journal holds every combination, resumed or fresh
+    merged = sorted(
+        ((key, psnr, err) for key, (psnr, err) in _read_journal(journal_path).items()),
+        key=lambda m: grid.rank_key(m[0], m[1]),
+    )
     ok = [m for m in merged if m[1] is not None]
     failed = [m for m in merged if m[1] is None]
     rows = [["rank", *JOURNAL_HEADER]]
-    rows.extend([rank, key, repr(psnr), err] for rank, (key, psnr, err) in enumerate(ok, 1))
+    rows.extend([rank, key, psnr, err] for rank, (key, psnr, err) in enumerate(ok, 1))
     rows.extend(["", key, "", err] for key, _, err in failed)
-    _atomic_write_text(out_dir / "gridsearch_results.csv", _csv_text(rows))
+    _write_csv(out_dir / "gridsearch_results.csv", rows)
     for rank, (key, psnr, _) in enumerate(ok[:5], 1):
         print(f"#{rank}  {key}  val PSNR {psnr:.4f} dB")
     print(f"wrote {out_dir / 'gridsearch_results.csv'}")
@@ -336,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("in_dir", help="directory of high-resolution .svol files")
     p.add_argument("--out", required=True, help="output directory for LR volumes")
     p.add_argument("--scale", type=int, default=3, help="downsampling factor (default 3)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; degradation is deterministic")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a model from a config file")
@@ -376,7 +385,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, VolumeFormatError, OSError) as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteError as err:

@@ -7,7 +7,7 @@ single pass instead of one error per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import ModelConfig
@@ -75,26 +75,8 @@ def _parse_filter_configs(raw: str, key: str, problems: list[str]) -> list[tuple
     return configs
 
 
-_MODEL_DEFAULTS = {
-    "feature_depth": "5",
-    "conv_layers": "3",
-    "filters": "64,64,32,32,1",
-    "kernel": "3",
-    "scale": "3",
-    "lr": "1e-3",
-    "seed": "0",
-    "epochs": "30",
-    "batch_size": "16",
-    "patch_hw": "32",
-}
-
-_GRID_DEFAULTS = {
-    "grid_feature_depths": "",
-    "grid_conv_layers": "",
-    "grid_filter_configs": "",
-    "grid_kernels": "",
-    "grid_epochs": "0",
-}
+# a model key's parser is picked by the type of its ModelConfig default
+_PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_ints}
 
 
 @dataclass
@@ -116,9 +98,12 @@ def load_run_config(path, *, grid: bool = False) -> RunConfig:
     every unknown key, missing key, bad value, and model-invariant violation."""
     values = parse_config_file(path)
     problems: list[str] = []
-    known = {"data_dir", "out_dir", "val_pair_cap"} | set(_MODEL_DEFAULTS)
+    model_fields = fields(ModelConfig)
+    known = {"data_dir", "out_dir"} | {f.name for f in model_fields}
     if grid:
-        known |= set(_GRID_DEFAULTS)
+        known |= {f.name for f in fields(RunConfig) if f.name.startswith("grid_")}
+    else:
+        known.add("val_pair_cap")
     for key in sorted(values):
         if key not in known:
             problems.append(f"unknown key {key!r}")
@@ -127,34 +112,22 @@ def load_run_config(path, *, grid: bool = False) -> RunConfig:
             problems.append(f"missing required key {req!r}")
 
     def get(key: str) -> str:
-        default = _MODEL_DEFAULTS.get(key, _GRID_DEFAULTS.get(key, ""))
-        return values.get(key, default)
+        return values.get(key, "")
 
     value_problems: list[str] = []
-    model = ModelConfig(
-        feature_depth=_parse_int(get("feature_depth"), "feature_depth", value_problems),
-        conv_layers=_parse_int(get("conv_layers"), "conv_layers", value_problems),
-        filters=_parse_ints(get("filters"), "filters", value_problems) or (1,),
-        kernel=_parse_int(get("kernel"), "kernel", value_problems),
-        scale=_parse_int(get("scale"), "scale", value_problems),
-        lr=_parse_float(get("lr"), "lr", value_problems),
-        seed=_parse_int(get("seed"), "seed", value_problems),
-        epochs=_parse_int(get("epochs"), "epochs", value_problems),
-        batch_size=_parse_int(get("batch_size"), "batch_size", value_problems),
-        patch_hw=_parse_int(get("patch_hw"), "patch_hw", value_problems),
-    )
+    model = ModelConfig(**{
+        f.name: _PARSERS[type(f.default)](values[f.name], f.name, value_problems)
+        for f in model_fields
+        if f.name in values
+    })
     problems.extend(value_problems)
     if not value_problems:
         # values parsed; report every model-invariant violation too
         problems.extend(model.problems())
-    val_cap = _parse_int(values.get("val_pair_cap", "0"), "val_pair_cap", problems)
-    if val_cap < 0:
-        problems.append(f"val_pair_cap: must be >= 0, got {val_cap}")
     cfg = RunConfig(
         data_dir=values.get("data_dir", ""),
         out_dir=values.get("out_dir", ""),
         model=model,
-        val_pair_cap=val_cap,
     )
     if grid:
         cfg.grid_feature_depths = list(
@@ -169,7 +142,11 @@ def load_run_config(path, *, grid: bool = False) -> RunConfig:
         cfg.grid_kernels = list(
             _parse_ints(get("grid_kernels"), "grid_kernels", problems)
         ) or [model.kernel]
-        cfg.grid_epochs = _parse_int(get("grid_epochs"), "grid_epochs", problems)
+        cfg.grid_epochs = _parse_int(values.get("grid_epochs", "0"), "grid_epochs", problems)
+    else:
+        cfg.val_pair_cap = _parse_int(values.get("val_pair_cap", "0"), "val_pair_cap", problems)
+        if cfg.val_pair_cap < 0:
+            problems.append(f"val_pair_cap: must be >= 0, got {cfg.val_pair_cap}")
     if problems:
         raise ConfigError(problems)
     return cfg

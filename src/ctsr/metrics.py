@@ -234,27 +234,3 @@ def _sample_sd(values: list[float]) -> float:
     m = float(np.mean(values))
     return float(np.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1)))
 
-
-def _fmt(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-def format_metrics_csv(rows: Sequence[tuple[str, str, float, float]]) -> str:
-    """Rows of (slice_id, method, psnr_db, ssim) as CSV text."""
-    lines = ["slice_id,method,psnr_db,ssim"]
-    for slice_id, method, p, s in rows:
-        lines.append(f"{slice_id},{method},{_fmt(p)},{_fmt(s)}")
-    return "\n".join(lines) + "\n"
-
-
-def format_ttest_csv(
-    rows: Sequence[tuple[str, str, str, TTestResult]]
-) -> str:
-    """Rows of (method_a, method_b, metric, result) as CSV text."""
-    lines = ["method_a,method_b,metric,mean_diff,t,df,p_two_sided"]
-    for a, b, metric, r in rows:
-        lines.append(
-            f"{a},{b},{metric},{_fmt(r.mean_diff)},{_fmt(r.t_statistic)},"
-            f"{r.degrees_of_freedom},{_fmt(r.p_value)}"
-        )
-    return "\n".join(lines) + "\n"

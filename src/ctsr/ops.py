@@ -409,9 +409,10 @@ def sgd_step(params, grads, lr: float) -> None:
 
     ``params`` is a ModelParams-like object exposing ``layers`` with
     ``weights`` and ``bias`` tensors; ``grads`` is the matching sequence of
-    (d_w, d_b) arrays.  They are cast to float32, the parameters' dtype,
-    before use, and a gradient that is not finite there aborts with the
-    offending layer named.
+    (d_w, d_b) arrays.  Every layer's gradients are cast to float32, the
+    parameters' dtype, and checked before the first update, so a gradient
+    that is not finite there aborts with the offending layer named and
+    leaves every parameter unchanged.
     """
     if not np.isfinite(lr) or lr <= 0:
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
@@ -419,7 +420,7 @@ def sgd_step(params, grads, lr: float) -> None:
     grads = list(grads)
     if len(layers) != len(grads):
         raise ValueError(f"{len(grads)} gradient sets for {len(layers)} layers")
-    f32lr = np.float32(lr)
+    checked = []
     for idx, (layer, (d_w, d_b)) in enumerate(zip(layers, grads)):
         d_w = np.asarray(d_w, dtype=np.float32)
         d_b = np.asarray(d_b, dtype=np.float32)
@@ -430,6 +431,9 @@ def sgd_step(params, grads, lr: float) -> None:
             )
         if not (np.isfinite(d_w).all() and np.isfinite(d_b).all()):
             raise NonFiniteError(f"non-finite gradient in layer {idx}")
+        checked.append((layer, d_w, d_b))
+    f32lr = np.float32(lr)
+    for layer, d_w, d_b in checked:
         w, b = layer.weights.data, layer.bias.data
         np.subtract(w, f32lr * d_w, out=w)
         np.subtract(b, f32lr * d_b, out=b)

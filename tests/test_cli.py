@@ -4,12 +4,14 @@ import struct
 import numpy as np
 import pytest
 
-from ctsr import grid
+from ctsr import grid, metrics
 from ctsr.cli import main
 from ctsr.config import load_run_config
-from ctsr.model import load_checkpoint
+from ctsr.model import ModelConfig, load_checkpoint
 from ctsr.pipeline import gen_synthetic
-from ctsr.volume import load_volume, save_volume
+from ctsr.resample import bicubic_upsample
+from ctsr.tensor import Tensor
+from ctsr.volume import Volume, load_volume, save_volume, serialize_volume
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +94,8 @@ class TestTrain:
     def test_lr_zero_flat_loss(self, tmp_path, data_dir):
         cfg_path, run_dir = _train_config(tmp_path, data_dir, lr="0")
         assert main(["train", "--config", str(cfg_path)]) == 0
-        lines = (run_dir / "train_report.csv").read_text().splitlines()[1:]
-        losses = [line.split(",")[1] for line in lines]
+        rows = _read_csv(run_dir / "train_report.csv")[1:]
+        losses = [row[1] for row in rows]
         assert losses[0] == losses[1]
 
     def test_missing_data_dir_no_partial_checkpoint(self, tmp_path, data_dir):
@@ -138,9 +140,6 @@ class TestInferEvaluate:
 
     def test_infer_incompatible_volume(self, tmp_path, trained, capsys):
         thin = gen_synthetic("spheres", (16, 24, 24), seed=9)
-        from ctsr.tensor import Tensor
-        from ctsr.volume import Volume
-
         thin2 = Volume(Tensor(thin.data.data[:2]), thin.spacing)
         path = tmp_path / "thin.svol"
         save_volume(thin2, path)
@@ -167,8 +166,6 @@ class TestInferEvaluate:
         sr_path = tmp_path / "sr.svol"
         main(["infer", str(trained), str(lr_path), "--out", str(sr_path)])
         # bicubic baseline on the same LR volume
-        from ctsr.resample import bicubic_upsample
-
         bic = bicubic_upsample(load_volume(lr_path), 2)
         bic_path = tmp_path / "bic.svol"
         save_volume(bic, bic_path)
@@ -179,15 +176,27 @@ class TestInferEvaluate:
             "--out", str(out_dir),
         ])
         assert code == 0
-        metrics_lines = (out_dir / "metrics.csv").read_text().splitlines()
-        assert metrics_lines[0] == "slice_id,method,psnr_db,ssim"
-        assert len(metrics_lines) == 1 + 2 * 16  # two methods x 16 slices
-        tt_lines = (out_dir / "ttests.csv").read_text().splitlines()
-        assert tt_lines[0] == "method_a,method_b,metric,mean_diff,t,df,p_two_sided"
-        assert len(tt_lines) == 3  # psnr + ssim rows for the one pair
-        psnr_row = tt_lines[1].split(",")
+        metrics_rows = _read_csv(out_dir / "metrics.csv")
+        assert metrics_rows[0] == ["slice_id", "method", "psnr_db", "ssim"]
+        assert len(metrics_rows) == 1 + 2 * 16  # two methods x 16 slices
+        # every PSNR field reads back bit for bit as the value metrics.psnr gave
+        hr = load_volume(hr_path).data.data
+        psnrs = {}
+        for name, path in (("sr", sr_path), ("bicubic", bic_path)):
+            vol = load_volume(path).data.data
+            psnrs[name] = [metrics.psnr(Tensor(vol[i]), Tensor(hr[i]), 1.0) for i in range(16)]
+        for slice_id, method, psnr_db, _ in metrics_rows[1:]:
+            assert float(psnr_db) == psnrs[method][int(slice_id)]
+        tt_rows = _read_csv(out_dir / "ttests.csv")
+        assert tt_rows[0] == ["method_a", "method_b", "metric", "mean_diff", "t", "df",
+                              "p_two_sided"]
+        assert len(tt_rows) == 3  # psnr + ssim rows for the one pair
+        psnr_row = tt_rows[1]
         assert psnr_row[:3] == ["sr", "bicubic", "psnr"]
         assert int(psnr_row[5]) == 15  # df = slices - 1
+        expected = metrics.paired_t_test(psnrs["sr"], psnrs["bicubic"])
+        assert float(psnr_row[3]) == expected.mean_diff
+        assert float(psnr_row[6]) == expected.p_value
 
     def test_evaluate_self_comparison_excludes_inf(self, tmp_path, data_dir, capsys):
         hr_path = sorted(data_dir.glob("*.svol"))[0]
@@ -200,8 +209,8 @@ class TestInferEvaluate:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "excluded" in stdout
-        lines = (out_dir / "metrics.csv").read_text().splitlines()[1:]
-        assert all(line.split(",")[2] == "inf" for line in lines)
+        rows = _read_csv(out_dir / "metrics.csv")[1:]
+        assert all(row[2] == "inf" for row in rows)
 
     def test_evaluate_dimension_mismatch(self, tmp_path, data_dir, capsys):
         hr_path = sorted(data_dir.glob("*.svol"))[0]
@@ -213,6 +222,73 @@ class TestInferEvaluate:
             "--out", str(tmp_path / "rep"),
         ])
         assert code == 3
+
+    def test_evaluate_nan_volume_is_data_error(self, tmp_path, data_dir, capsys):
+        hr_path = sorted(data_dir.glob("*.svol"))[0]
+        nan_path = tmp_path / "nan.svol"
+        # one NaN voxel: the last float32 of the payload
+        nan_path.write_bytes(hr_path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        code = main([
+            "evaluate", "--hr", str(hr_path), "--method", f"m={nan_path}",
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert code == 3
+        assert str(nan_path) in capsys.readouterr().err
+
+    def test_evaluate_truncated_volume_is_data_error(self, tmp_path, data_dir, capsys):
+        hr_path = sorted(data_dir.glob("*.svol"))[0]
+        short_path = tmp_path / "short.svol"
+        short_path.write_bytes(hr_path.read_bytes()[:-1])
+        code = main([
+            "evaluate", "--hr", str(hr_path), "--method", f"m={short_path}",
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(short_path) in err and "payload" in err
+
+
+class TestCsvReports:
+    def test_every_csv_round_trips(self, tmp_path, data_dir):
+        # a comma in the directory, a comma and a quote in the method names
+        out = tmp_path / "lr,out"
+        assert main(["simulate", str(data_dir), "--out", str(out), "--scale", "2"]) == 0
+        hr_paths = sorted(data_dir.glob("*.svol"))
+        lr_path = out / "scan0_lr.svol"
+        bic_path = out / "bic.svol"
+        bic_path.write_bytes(serialize_volume(bicubic_upsample(load_volume(lr_path), 2)))
+        names = ["a,b", 'q"uote']
+        assert main([
+            "evaluate", "--hr", str(hr_paths[0]),
+            "--method", f"{names[0]}={bic_path}", "--method", f"{names[1]}={hr_paths[1]}",
+            "--out", str(out),
+        ]) == 0
+        reports = {path.name: _read_csv(path) for path in out.glob("*.csv")}
+        assert sorted(reports) == ["manifest.csv", "metrics.csv", "ttests.csv"]
+        for rows in reports.values():
+            assert all(len(row) == len(rows[0]) for row in rows)
+        manifest = reports["manifest.csv"][1:]
+        assert [row[1] for row in manifest] == [str(p) for p in hr_paths]
+        assert [row[2] for row in manifest] == [str(out / f"{p.stem}_lr.svol") for p in hr_paths]
+        assert {row[1] for row in reports["metrics.csv"][1:]} == set(names)
+        assert [row[:3] for row in reports["ttests.csv"][1:]] == [
+            [*names, "psnr"], [*names, "ssim"]
+        ]
+
+
+class TestConfig:
+    def test_defaults_are_model_config(self, tmp_path):
+        path = tmp_path / "min.cfg"
+        path.write_text(f"data_dir = {tmp_path}\nout_dir = {tmp_path / 'run'}\n")
+        assert load_run_config(path).model == ModelConfig()
+
+    def test_val_pair_cap_is_unknown_in_grid_mode(self, tmp_path, data_dir, capsys):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, val_pair_cap=4)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 3\ngrid_epochs = 1\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 2
+        assert "unknown key 'val_pair_cap'" in capsys.readouterr().err
+        assert not run_dir.exists()
 
 
 class TestGridsearch:

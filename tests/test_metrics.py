@@ -7,8 +7,6 @@ from ctsr.metrics import (
     SliceSample,
     _gaussian_window,
     aggregate,
-    format_metrics_csv,
-    format_ttest_csv,
     paired_t_test,
     psnr,
     regularized_incomplete_beta,
@@ -261,17 +259,3 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
-
-class TestCsvFormats:
-    def test_metrics_header_and_rows(self):
-        text = format_metrics_csv([("0001", "bicubic", 30.5, 0.91)])
-        lines = text.splitlines()
-        assert lines[0] == "slice_id,method,psnr_db,ssim"
-        assert lines[1] == "0001,bicubic,30.5,0.91"
-
-    def test_ttest_header(self):
-        r = paired_t_test([2.0, 4.0, 6.0], [1.0, 2.0, 3.0])
-        text = format_ttest_csv([("sr", "bicubic", "psnr", r)])
-        lines = text.splitlines()
-        assert lines[0] == "method_a,method_b,metric,mean_diff,t,df,p_two_sided"
-        assert lines[1].startswith("sr,bicubic,psnr,2.0,")

@@ -486,6 +486,13 @@ class TestSgdStep:
         with pytest.raises(NonFiniteError, match="layer 1"):
             sgd_step(_ParamsStub(layers), grads, 0.1)
 
+    def test_nonfinite_gradient_updates_no_layer(self):
+        layers = [_LayerStub(Tensor([1.0]), Tensor([0.0])) for _ in range(2)]
+        grads = [_grads([1.0], [0.0]), _grads([np.nan], [0.0])]
+        with pytest.raises(NonFiniteError, match="layer 1"):
+            sgd_step(_ParamsStub(layers), grads, 0.5)
+        assert layers[0].weights.data[0] == 1.0
+
     def test_rejects_bad_lr_and_shapes(self):
         layer = _LayerStub(Tensor([1.0]), Tensor([0.0]))
         with pytest.raises(ValueError):
