@@ -201,6 +201,11 @@ def cmd_evaluate(args) -> int:
             raise DataError(
                 f"method {name!r} volume {vol.shape} does not match HR {hr.shape}"
             )
+    if len(methods) > 1 and hr.shape[0] < 2:
+        raise DataError(
+            f"HR volume {args.hr} has {hr.shape[0]} slice; comparing methods "
+            f"takes a paired t-test over at least 2 slices"
+        )
     metric_rows = [["slice_id", "method", "psnr_db", "ssim"]]
     per_method = {}
     for name, vol in methods:

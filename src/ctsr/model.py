@@ -16,6 +16,10 @@ The transposed convolution uses padding (k-s)//2 when k >= s; any leftover
 off-by-one (k-s odd) is trimmed from the bottom/right, and a kernel smaller
 than the stride is compensated by appending zero rows/columns, so the
 in-plane output is exactly input*s for every legal configuration.
+
+Weights, biases, training pairs and ``forward``'s input and output are plain
+float32 arrays, checked finite where values enter: volumes, checkpoints,
+weight initialization, and each layer output and gradient.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import metrics, ops
 from .ops import ConvGeometry, sgd_step
 # not called here; benchmarks/tracing.py wraps them (see TestTracingContract)
 from .ops import conv3d_forward, deconv3d_forward  # noqa: F401
-from .tensor import NonFiniteError, Rng, Tensor, derive_seed, uniform_init, zeros
+from .tensor import NonFiniteError, Rng, Tensor, derive_seed, uniform_init
 from .volume import Volume
 
 CHECKPOINT_MAGIC = b"3DECNN\0"
@@ -110,8 +114,8 @@ class ModelConfig:
 @dataclass
 class Layer:
     kind: str  # "conv" | "deconv"
-    weights: Tensor
-    bias: Tensor
+    weights: np.ndarray  # float32, owned and updated in place by sgd_step
+    bias: np.ndarray  # float32 [C_out]
     geom: ConvGeometry
     # rows/cols removed from the bottom/right after a deconv (negative: zero
     # rows/cols appended instead) so the in-plane output is exactly input*s
@@ -126,8 +130,8 @@ class ModelParams:
     def checksum(self) -> int:
         crc = 0
         for layer in self.layers:
-            crc = zlib.crc32(layer.weights.data.tobytes(), crc)
-            crc = zlib.crc32(layer.bias.data.tobytes(), crc)
+            crc = zlib.crc32(layer.weights.tobytes(), crc)
+            crc = zlib.crc32(layer.bias.tobytes(), crc)
         return crc
 
 
@@ -186,14 +190,14 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
             wshape = [geom.in_channels, geom.out_channels, k1, k2, k3]
         bound = np.sqrt(6.0 / (geom.in_channels * k1 * k2 * k3))
         weights = uniform_init(wshape, -bound, bound, rng)
-        bias = zeros([geom.out_channels])
+        bias = np.zeros(geom.out_channels, dtype=np.float32)
         layers.append(Layer(kind, weights, bias, geom, trim))
     return ModelParams(cfg, layers)
 
 
-def _check_patch(params: ModelParams, patch: Tensor) -> None:
+def _check_patch(params: ModelParams, patch: np.ndarray) -> None:
     n = params.config.feature_depth
-    if len(patch.shape) != 4 or patch.shape[0] != 1 or patch.shape[1] != n:
+    if patch.ndim != 4 or patch.shape[0] != 1 or patch.shape[1] != n:
         raise ValueError(
             f"patch shape {patch.shape} incompatible with model (expected [1, {n}, h, w])"
         )
@@ -233,8 +237,8 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
     h = xs
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        w64 = layer.weights.data.astype(np.float64)
-        b64 = layer.bias.data.astype(np.float64)
+        w64 = layer.weights.astype(np.float64)
+        b64 = layer.bias.astype(np.float64)
         conv_cache = None
         if layer.kind == "conv":
             z, conv_cache = ops._conv_fwd_b(h, w64, b64, layer.geom)
@@ -250,12 +254,14 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
     return h, caches
 
 
-def forward(params: ModelParams, lr_patch: Tensor) -> Tensor:
-    """Super-resolve one window of n low-res slices into a single slice
-    of shape [1, 1, h*scale, w*scale]."""
-    _check_patch(params, lr_patch)
-    out, _ = _forward_batch(params, lr_patch.data[:, None], keep_caches=False)
-    return Tensor(out[:, 0])
+def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
+    """Super-resolve one window [1, n, h, w] of low-res slices into a single
+    float32 slice [1, 1, h*scale, w*scale].  The input is cast to float32,
+    and every layer's output is rounded to float32."""
+    x = np.asarray(lr_patch, np.float32)
+    _check_patch(params, x)
+    out, _ = _forward_batch(params, x[:, None], keep_caches=False)
+    return out[:, 0]
 
 
 def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
@@ -323,8 +329,8 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
             batch_no = b0 // cfg.batch_size
             batch = [train_pairs[i] for i in order[b0 : b0 + cfg.batch_size]]
             # [B, 1, ...] stacked then moved to channel-major batch layout
-            xs = np.stack([p.lr_patch.data for p in batch]).transpose(1, 0, 2, 3, 4)
-            ys = np.stack([p.hr_slice.data for p in batch]).transpose(1, 0, 2, 3, 4)
+            xs = np.stack([p.lr_patch for p in batch]).transpose(1, 0, 2, 3, 4)
+            ys = np.stack([p.hr_slice for p in batch]).transpose(1, 0, 2, 3, 4)
             xs = xs.astype(np.float64)
             try:
                 out, caches = _forward_batch(params, xs, keep_caches=True)
@@ -354,10 +360,10 @@ def _validation_psnr(params: ModelParams, val_pairs, chunk_size: int = 16) -> fl
     vals = []
     for i in range(0, len(val_pairs), chunk_size):
         chunk = val_pairs[i : i + chunk_size]
-        xs = np.stack([p.lr_patch.data for p in chunk]).transpose(1, 0, 2, 3, 4)
+        xs = np.stack([p.lr_patch for p in chunk]).transpose(1, 0, 2, 3, 4)
         out, _ = _forward_batch(params, xs.astype(np.float64), keep_caches=False)
         for j, pair in enumerate(chunk):
-            p = metrics.psnr(Tensor(out[:, j]), pair.hr_slice, 1.0)
+            p = metrics.psnr(Tensor(out[:, j]), Tensor(pair.hr_slice), 1.0)
             if np.isfinite(p):
                 vals.append(p)
     return float(np.mean(vals)) if vals else float("inf")
@@ -404,21 +410,16 @@ def infer_volume(
         window = vol[idx]
         for oy in oys:
             for ox in oxs:
-                patch = Tensor(window[None, :, oy : oy + tile, ox : ox + tile])
-                sr = forward(params, patch)
-                out[c, oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += sr.data[
-                    0, 0
-                ]
+                sr = forward(params, window[None, :, oy : oy + tile, ox : ox + tile])
+                out[c, oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += sr[0, 0]
         out[c] /= weight
     dz, dy, dx = lr_volume.spacing
     return Volume(Tensor(np.clip(out, 0.0, 1.0)), (dz, dy / r, dx / r))
 
 
-def _pack_tensor(t: Tensor) -> bytes:
-    head = struct.pack("<B", len(t.shape)) + struct.pack(
-        f"<{len(t.shape)}I", *t.shape
-    )
-    return head + t.data.astype("<f4").tobytes()
+def _pack_tensor(a: np.ndarray) -> bytes:
+    head = struct.pack("<B", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
+    return head + a.astype("<f4").tobytes()
 
 
 def _read(fmt: str, buf: bytes, off: int, what: str) -> tuple[tuple, int]:
@@ -430,14 +431,17 @@ def _read(fmt: str, buf: bytes, off: int, what: str) -> tuple[tuple, int]:
     return struct.unpack_from(fmt, buf, off), off + size
 
 
-def _unpack_tensor(buf: bytes, off: int) -> tuple[Tensor, int]:
+def _unpack_tensor(buf: bytes, off: int) -> tuple[np.ndarray, int]:
+    """A packed array as a new float32 array; NaN or Inf raises NonFiniteError."""
     (ndim,), off = _read("<B", buf, off, "tensor header")
     shape, off = _read(f"<{ndim}I", buf, off, "tensor shape")
     count = math.prod(shape)
     if off + 4 * count > len(buf):
         raise ValueError("checkpoint truncated in tensor payload")
     data = np.frombuffer(buf, dtype="<f4", count=count, offset=off).reshape(shape)
-    return Tensor(data.copy()), off + 4 * count
+    if not np.isfinite(data).all():
+        raise NonFiniteError("checkpoint tensor contains NaN or Inf")
+    return data.astype(np.float32), off + 4 * count
 
 
 def serialize_params(params: ModelParams) -> bytes:
@@ -468,7 +472,7 @@ def serialize_params(params: ModelParams) -> bytes:
 
 def deserialize_params(buf: bytes) -> ModelParams:
     """Parse a checkpoint; a malformed, truncated or over-long buffer raises
-    ValueError."""
+    ValueError, and a NaN or Inf parameter NonFiniteError (a ValueError)."""
     if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
     (version,), off = _read("<I", buf, len(CHECKPOINT_MAGIC), "version")

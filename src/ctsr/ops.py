@@ -4,7 +4,7 @@ One engine computes every convolution and transposed convolution, on
 float64 arrays in channel-major batch layout [C, B, D, H, W]; the model
 drives it directly for training, validation and inference.  The public
 ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only wrappers
-that run it with B = 1 on float32 [C, D, H, W] tensors and cast the
+that run it with B = 1 on float32 [C, D, H, W] arrays and cast the
 result back to float32.
 
 * Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM.
@@ -35,7 +35,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError
 
 
 def _as_triple(v, name: str) -> tuple[int, int, int]:
@@ -376,43 +376,36 @@ def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
 
 # ---------------------------------------------------------------------------
 # Public per-sample forward ops: the engine at B = 1, on [C, D, H, W] float32
-# tensors.
+# arrays.
 # ---------------------------------------------------------------------------
 
 
-def _batch1(t: Tensor) -> np.ndarray:
-    """[C, D, H, W] float32 tensor -> [C, 1, D, H, W] float64 engine array."""
-    return t.data.astype(np.float64)[:, None]
-
-
-def _f64(t: Tensor) -> np.ndarray:
-    return t.data.astype(np.float64)
-
-
-def conv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometry) -> Tensor:
+def conv3d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, geom: ConvGeometry):
     """out[co, n, h, w] = bias[co] + sum_{ci,i,j,k} W[co,ci,i,j,k] *
     padded_x[ci, s1*n + i, s2*h + j, s3*w + k]."""
-    _check_conv_args(x.data, weights.data, bias.data, geom, transposed=False)
-    out, _ = _conv_fwd_b(_batch1(x), _f64(weights), _f64(bias), geom)
-    return Tensor(out[:, 0])
+    _check_conv_args(x, weights, bias, geom, transposed=False)
+    x64, w64, b64 = (a.astype(np.float64) for a in (x, weights, bias))
+    out, _ = _conv_fwd_b(x64[:, None], w64, b64, geom)
+    return out[:, 0].astype(np.float32)
 
 
-def deconv3d_forward(x: Tensor, weights: Tensor, bias: Tensor, geom: ConvGeometry) -> Tensor:
+def deconv3d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, geom: ConvGeometry):
     """Transposed convolution: input voxel (n, h, w) deposits value * W into
     the output block starting at (s1*n - p1, s2*h - p2, s3*w - p3); overlaps sum."""
-    _check_conv_args(x.data, weights.data, bias.data, geom, transposed=True)
-    return Tensor(_deconv_fwd_b(_batch1(x), _f64(weights), _f64(bias), geom)[:, 0])
+    _check_conv_args(x, weights, bias, geom, transposed=True)
+    x64, w64, b64 = (a.astype(np.float64) for a in (x, weights, bias))
+    return _deconv_fwd_b(x64[:, None], w64, b64, geom)[:, 0].astype(np.float32)
 
 
 def sgd_step(params, grads, lr: float) -> None:
     """In-place w -= lr*dw, b -= lr*db over every layer of ``params``.
 
     ``params`` is a ModelParams-like object exposing ``layers`` with
-    ``weights`` and ``bias`` tensors; ``grads`` is the matching sequence of
-    (d_w, d_b) arrays.  Every layer's gradients are cast to float32, the
-    parameters' dtype, and checked before the first update, so a gradient
-    that is not finite there aborts with the offending layer named and
-    leaves every parameter unchanged.
+    float32 ``weights`` and ``bias`` arrays, updated in place; ``grads`` is
+    the matching sequence of (d_w, d_b) arrays.  Every layer's gradients are
+    cast to float32, the parameters' dtype, and checked before the first
+    update, so a gradient that is not finite there aborts with the offending
+    layer named and leaves every parameter unchanged.
     """
     if not np.isfinite(lr) or lr <= 0:
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
@@ -434,6 +427,5 @@ def sgd_step(params, grads, lr: float) -> None:
         checked.append((layer, d_w, d_b))
     f32lr = np.float32(lr)
     for layer, d_w, d_b in checked:
-        w, b = layer.weights.data, layer.bias.data
-        np.subtract(w, f32lr * d_w, out=w)
-        np.subtract(b, f32lr * d_b, out=b)
+        np.subtract(layer.weights, f32lr * d_w, out=layer.weights)
+        np.subtract(layer.bias, f32lr * d_b, out=layer.bias)

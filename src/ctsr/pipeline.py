@@ -1,5 +1,6 @@
-"""Intensity normalization, fold splitting, training-pair extraction, and
-synthetic volume generation for desk-scale experiments."""
+"""Fold splitting, training-pair extraction, and synthetic volume generation
+for desk-scale experiments.  Training pairs are float32 arrays copied out of
+a ``Volume``, whose data was checked finite when it was built."""
 
 from __future__ import annotations
 
@@ -20,15 +21,6 @@ _TAG_FOLD = 11
 _TAG_SYNTH = 12
 
 SYNTHETIC_KINDS = ("spheres", "ramps", "shepp-logan")
-
-
-def normalize(raw: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi] then map affinely onto [0, 1]."""
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got lo={lo}, hi={hi}")
-    x = raw.data.astype(np.float64)
-    x = np.clip(x, lo, hi)
-    return Tensor((x - lo) / (hi - lo))
 
 
 @dataclass
@@ -64,8 +56,8 @@ def split_folds(scan_ids: list[str], seed: int) -> FoldAssignment:
 
 @dataclass
 class TrainingPair:
-    lr_patch: Tensor  # [1, n, patch, patch]
-    hr_slice: Tensor  # [1, 1, patch*r, patch*r]
+    lr_patch: np.ndarray  # float32 [1, n, patch, patch]
+    hr_slice: np.ndarray  # float32 [1, 1, patch*r, patch*r]
     provenance: tuple[str, int, tuple[int, int]]  # (scan, slice, patch origin)
 
 
@@ -103,11 +95,7 @@ def make_pairs(volume_hr: Volume, cfg: ModelConfig, scan_id: str = "") -> list[T
                     r * oy : r * (oy + patch),
                     r * ox : r * (ox + patch),
                 ]
-                pairs.append(
-                    TrainingPair(
-                        Tensor(lp.copy()), Tensor(hp.copy()), (scan_id, c, (oy, ox))
-                    )
-                )
+                pairs.append(TrainingPair(lp.copy(), hp.copy(), (scan_id, c, (oy, ox))))
     return pairs
 
 

@@ -1,8 +1,9 @@
-"""Dense float32 tensors on contiguous numpy buffers, plus a seeded RNG.
+"""The volume and image type, the seeded RNG and the finiteness error.
 
-Tensors are row-major (last extent varies fastest), hold 32-bit floats and
-reject NaN and Inf on construction.  They are values passed between the
-modules; the arithmetic is done on their numpy buffers.
+A ``Tensor`` is a contiguous row-major float32 numpy buffer that rejects NaN
+and Inf on construction.  It is the type of ``Volume.data`` and of the
+images ``metrics`` compares; inside the network, weights, biases, training
+pairs and activations are plain float32 numpy arrays.
 
 The random generator is SplitMix64 used in counter mode: output ``i`` of a
 stream seeded with ``s`` is ``mix64(s + (i + 1) * 0x9E3779B97F4A7C15)`` with
@@ -19,6 +20,7 @@ import numpy as np
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class NonFiniteError(ValueError):
@@ -41,19 +43,16 @@ def validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
 
 
 class Tensor:
-    """Immutable-by-convention float32 array.
+    """Read-only-by-convention float32 array.
 
-    Only the SGD update mutates a tensor in place (via ``data``); everything
-    else treats tensors as read-only values.  Construction rejects non-finite
-    values so NaN/Inf never propagate silently.
+    Construction rejects non-finite values so NaN/Inf never propagate
+    silently.
     """
 
     __slots__ = ("_data",)
 
-    def __init__(self, data, shape: Sequence[int] | None = None):
+    def __init__(self, data):
         arr = np.ascontiguousarray(data, dtype=np.float32)
-        if shape is not None:
-            arr = arr.reshape(validate_shape(shape))
         if arr.ndim == 0:
             arr = arr.reshape(1)
         validate_shape(arr.shape)
@@ -71,27 +70,8 @@ class Tensor:
 
     @property
     def data(self) -> np.ndarray:
-        """Underlying float32 buffer (do not mutate outside the optimizer)."""
+        """Underlying float32 buffer (do not mutate)."""
         return self._data
-
-    def tolist(self) -> list:
-        return self._data.tolist()
-
-    def copy(self) -> Tensor:
-        return Tensor(self._data.copy())
-
-    def reshape(self, shape: Sequence[int]) -> Tensor:
-        return Tensor(self._data.reshape(validate_shape(shape)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and bool(
-            np.array_equal(self._data, other._data)
-        )
-
-    def __hash__(self):
-        raise TypeError("Tensor is not hashable")
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -149,18 +129,16 @@ def derive_seed(seed: int, tag: int) -> int:
     return int(Rng._mix(state)[0])
 
 
-def zeros(shape: Sequence[int]) -> Tensor:
-    return Tensor(np.zeros(validate_shape(shape), dtype=np.float32))
-
-
-def uniform_init(shape: Sequence[int], lo: float, hi: float, rng: Rng) -> Tensor:
-    """I.i.d. uniform values in the half-open interval [lo, hi)."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
+def uniform_init(shape: Sequence[int], lo: float, hi: float, rng: Rng) -> np.ndarray:
+    """A new float32 array of i.i.d. uniform values in the half-open
+    interval [lo, hi).  Bounds that are not finite in float32 are rejected,
+    so every value is finite."""
+    if not -_F32_MAX <= lo < hi <= _F32_MAX:
+        raise ValueError(f"need float32-finite lo < hi, got lo={lo}, hi={hi}")
     extents = validate_shape(shape)
     u = rng.next_floats(math.prod(extents))
     vals = (lo + u * (hi - lo)).astype(np.float32)
     # float32 rounding can land exactly on hi; step those back to keep [lo, hi)
     top = np.float32(hi)
     vals = np.where(vals >= top, np.nextafter(top, np.float32(lo)), vals)
-    return Tensor(vals.reshape(extents))
+    return vals.reshape(extents)

@@ -7,10 +7,16 @@ import pytest
 from ctsr import grid, metrics
 from ctsr.cli import main
 from ctsr.config import load_run_config
-from ctsr.model import ModelConfig, load_checkpoint
+from ctsr.model import (
+    ModelConfig,
+    build_model,
+    deserialize_params,
+    load_checkpoint,
+    serialize_params,
+)
 from ctsr.pipeline import gen_synthetic
 from ctsr.resample import bicubic_upsample
-from ctsr.tensor import Tensor
+from ctsr.tensor import NonFiniteError, Rng, Tensor
 from ctsr.volume import Volume, load_volume, save_volume, serialize_volume
 
 
@@ -158,6 +164,22 @@ class TestInferEvaluate:
         assert str(ckpt) in err and "truncated" in err
         assert not (tmp_path / "sr.svol").exists()
 
+    def test_infer_nan_checkpoint_is_data_error(self, tmp_path, capsys):
+        cfg = ModelConfig(feature_depth=3, conv_layers=1, filters=(3, 3, 1), kernel=3, scale=2)
+        blob = serialize_params(build_model(cfg, Rng(0)))
+        # the last float32 of the payload is the final layer's bias
+        blob = blob[:-4] + np.float32(np.nan).tobytes()
+        with pytest.raises(NonFiniteError):
+            deserialize_params(blob)
+        ckpt = tmp_path / "nan.ckpt"
+        ckpt.write_bytes(blob)
+        lr_path = tmp_path / "lr.svol"
+        save_volume(gen_synthetic("spheres", (16, 16, 16), seed=1), lr_path)
+        code = main(["infer", str(ckpt), str(lr_path), "--out", str(tmp_path / "sr.svol")])
+        assert code == 3
+        assert str(ckpt) in capsys.readouterr().err
+        assert not (tmp_path / "sr.svol").exists()
+
     def test_evaluate_reports(self, tmp_path, data_dir, trained, capsys):
         lr_dir = tmp_path / "lr"
         main(["simulate", str(data_dir), "--out", str(lr_dir), "--scale", "2"])
@@ -211,6 +233,25 @@ class TestInferEvaluate:
         assert "excluded" in stdout
         rows = _read_csv(out_dir / "metrics.csv")[1:]
         assert all(row[2] == "inf" for row in rows)
+
+    def test_evaluate_one_slice_volume_is_data_error(self, tmp_path, capsys):
+        one = gen_synthetic("spheres", (16, 24, 24), seed=4)
+        hr_path, m_path = tmp_path / "a.svol", tmp_path / "b.svol"
+        save_volume(Volume(Tensor(one.data.data[:1]), one.spacing), hr_path)
+        save_volume(Volume(Tensor(one.data.data[1:2]), one.spacing), m_path)
+        out_dir = tmp_path / "rep"
+        code = main([
+            "evaluate", "--hr", str(hr_path),
+            "--method", f"m={m_path}", "--method", f"n={m_path}",
+            "--out", str(out_dir),
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert str(hr_path) in captured.err
+        assert captured.out == "" and not out_dir.exists()
+        # one method takes no t-test, so one slice is enough
+        assert main(["evaluate", "--hr", str(hr_path), "--method", f"m={m_path}",
+                     "--out", str(out_dir)]) == 0
 
     def test_evaluate_dimension_mismatch(self, tmp_path, data_dir, capsys):
         hr_path = sorted(data_dir.glob("*.svol"))[0]

@@ -6,15 +6,18 @@ the ``infer_volume`` output were recorded before the conv engine was
 rewritten (kn2row few-output-channel conv, sub-pixel deconv, per-sample ops
 as B=1 wrappers) and held through it and through the move to one model
 driver (``forward`` as the batched forward at B=1, rounding to float32
-after every layer; ``sgd_step`` on plain gradient arrays).  A kernel or
-driver change that moves any weight or output by one float32 ULP fails
-here.  The values hold for
-one and for two BLAS threads (OpenBLAS 0.3.31, x86-64 Haswell kernels); a
-BLAS whose GEMM sums in another order may need them re-recorded.
+after every layer; ``sgd_step`` on plain gradient arrays), and through the
+move of weights, biases, training pairs and ``forward``'s input and output
+from the ``Tensor`` wrapper to plain float32 arrays.  A kernel or driver
+change that moves any weight or output by one float32 ULP fails here.  The
+values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
+Haswell kernels); a BLAS whose GEMM sums in another order may need them
+re-recorded.
 
 * k=5/r=2: the deconv trims one row/column (k - r odd); the C_out=4 conv and
-  the final conv take the few-output-channel path with more taps than fit
-  one kn2row group; the first conv (C_out=8) takes the im2col path.
+  the final conv take the few-output-channel kn2row path with more taps
+  than fit one tap group; the first conv (C_out=8) takes the wide-layer
+  im2col path (column matrix plus one GEMM).
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
 """
@@ -26,7 +29,7 @@ import pytest
 
 from ctsr.model import ModelConfig, infer_volume, train
 from ctsr.pipeline import gen_synthetic, make_pairs
-from ctsr.tensor import Rng, uniform_init
+from ctsr.tensor import Rng, Tensor, uniform_init
 from ctsr.volume import Volume
 
 CASES = {
@@ -49,7 +52,7 @@ def _run(cfg_kwargs):
     cfg = ModelConfig(**cfg_kwargs)
     pairs = make_pairs(gen_synthetic("spheres", (16, 48, 48), seed=5), cfg, "g")
     params, report = train(cfg, pairs[:96:2], pairs[1:33:2])
-    lr_vol = Volume(uniform_init([5, 19, 14], 0, 1, Rng(6)))
+    lr_vol = Volume(Tensor(uniform_init([5, 19, 14], 0, 1, Rng(6))))
     sr = infer_volume(params, lr_vol)
     return params, report, sr
 

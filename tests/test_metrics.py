@@ -24,7 +24,7 @@ from oracles import (
 
 class TestPsnr:
     def test_identical_images_hit_sentinel(self):
-        a = uniform_init([8, 8], 0, 1, Rng(1))
+        a = Tensor(uniform_init([8, 8], 0, 1, Rng(1)))
         assert psnr(a, a, 1.0) == float("inf")
 
     def test_uniform_error_analytic(self):
@@ -34,8 +34,8 @@ class TestPsnr:
 
     def test_matches_two_line_oracle(self):
         rng = Rng(2)
-        a = uniform_init([12, 12], 0, 1, rng)
-        b = uniform_init([12, 12], 0, 1, rng)
+        a = Tensor(uniform_init([12, 12], 0, 1, rng))
+        b = Tensor(uniform_init([12, 12], 0, 1, rng))
         mse = float(
             np.mean((a.data.astype(np.float64) - b.data.astype(np.float64)) ** 2)
         )
@@ -44,14 +44,14 @@ class TestPsnr:
 
     def test_symmetry(self):
         rng = Rng(3)
-        a = uniform_init([10, 10], 0, 1, rng)
-        b = uniform_init([10, 10], 0, 1, rng)
+        a = Tensor(uniform_init([10, 10], 0, 1, rng))
+        b = Tensor(uniform_init([10, 10], 0, 1, rng))
         assert psnr(a, b, 1.0) == psnr(b, a, 1.0)
 
     def test_monotone_in_noise_amplitude(self):
         rng = Rng(4)
-        base = uniform_init([24, 24], 0.3, 0.7, rng)
-        noise = uniform_init([24, 24], -1, 1, rng)
+        base = Tensor(uniform_init([24, 24], 0.3, 0.7, rng))
+        noise = Tensor(uniform_init([24, 24], -1, 1, rng))
         values = []
         for amp in (0.01, 0.02, 0.05, 0.1):
             noisy = Tensor(base.data + np.float32(amp) * noise.data)
@@ -68,7 +68,7 @@ class TestPsnr:
 
 class TestSsim:
     def test_identical_nonconstant_is_one(self):
-        a = uniform_init([16, 16], 0, 1, Rng(5))
+        a = Tensor(uniform_init([16, 16], 0, 1, Rng(5)))
         assert ssim(a, a) == 1.0
 
     def test_identical_constants_are_one(self):
@@ -85,22 +85,22 @@ class TestSsim:
 
     def test_matches_per_window_oracle_on_random_images(self):
         rng = Rng(6)
-        a = uniform_init([14, 15], 0, 1, rng)
-        b = uniform_init([14, 15], 0, 1, rng)
+        a = Tensor(uniform_init([14, 15], 0, 1, rng))
+        b = Tensor(uniform_init([14, 15], 0, 1, rng))
         expected = ssim_windows_loops(a.data, b.data, _outer_window())
         assert ssim(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_by_one_in_magnitude(self):
         rng = Rng(7)
         for _ in range(10):
-            a = uniform_init([13, 13], 0, 1, rng)
-            b = uniform_init([13, 13], 0, 1, rng)
+            a = Tensor(uniform_init([13, 13], 0, 1, rng))
+            b = Tensor(uniform_init([13, 13], 0, 1, rng))
             assert abs(ssim(a, b)) <= 1.0
 
     def test_shift_both_images_invariant_shift_one_not(self):
         rng = Rng(8)
-        a = uniform_init([16, 16], 0.2, 0.6, rng)
-        noise = uniform_init([16, 16], -0.05, 0.05, rng)
+        a = Tensor(uniform_init([16, 16], 0.2, 0.6, rng))
+        noise = Tensor(uniform_init([16, 16], -0.05, 0.05, rng))
         b = Tensor(a.data + noise.data)  # correlated pair, high SSIM
         base = ssim(a, b)
         both = ssim(

@@ -94,11 +94,11 @@ class TestBuildModel:
         for layer in params.layers:
             k1, k2, k3 = layer.geom.kernel
             bound = np.sqrt(6.0 / (layer.geom.in_channels * k1 * k2 * k3))
-            assert np.abs(layer.weights.data).max() < bound
+            assert np.abs(layer.weights).max() < bound
             # scaling actually matters: most draws should exceed the naive
             # 1/sqrt(fan_in) bound
-            assert np.abs(layer.weights.data).max() > bound / np.sqrt(6.0)
-            assert np.all(layer.bias.data == 0.0)
+            assert np.abs(layer.weights).max() > bound / np.sqrt(6.0)
+            assert layer.bias.dtype == np.float32 and np.all(layer.bias == 0.0)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="invalid model config"):
@@ -127,10 +127,10 @@ class TestForward:
     def test_zero_input_gives_bias_response(self):
         cfg = ModelConfig(**PAPER_CFG)
         params = build_model(cfg, Rng(3))
-        zero = Tensor(np.zeros((1, 5, 8, 8), dtype=np.float32))
+        zero = np.zeros((1, 5, 8, 8), dtype=np.float32)
         out = forward(params, zero)
         # biases start at zero, so a zero input propagates to exactly zero
-        assert np.all(out.data == 0.0)
+        assert np.all(out == 0.0)
 
     def test_matches_manual_composition(self):
         cfg = ModelConfig(**PAPER_CFG)
@@ -143,8 +143,16 @@ class TestForward:
             else:
                 h = deconv3d_forward(h, layer.weights, layer.bias, layer.geom)
             if i < len(params.layers) - 1:
-                h = Tensor(np.maximum(h.data, np.float32(0)))
-        assert forward(params, x) == h
+                h = np.maximum(h, np.float32(0))
+        out = forward(params, x)
+        assert out.dtype == h.dtype == np.float32 and np.array_equal(out, h)
+
+    def test_float64_input_is_cast_to_float32(self):
+        params = build_model(ModelConfig(**PAPER_CFG), Rng(6))
+        x = uniform_init([1, 5, 9, 9], 0, 1, Rng(7))
+        out = forward(params, x.astype(np.float64))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, forward(params, x))
 
     def test_wrong_depth_rejected(self):
         params = build_model(ModelConfig(**PAPER_CFG), Rng(0))
@@ -179,8 +187,8 @@ class TestEndToEndGradient:
             layer.bias = uniform_init(layer.bias.shape, -0.1, 0.1, rng)
         eps = 1e-3
 
-        xs = x.data[:, None].astype(np.float64)
-        ys = y.data[:, None]
+        xs = x[:, None].astype(np.float64)
+        ys = y[:, None]
         out, caches = _forward_batch(params, xs, keep_caches=True)
         margin = min(np.abs(pre_act).min() for _, pre_act, _, _ in caches[:-1])
         assert margin > 2 * eps, f"evaluation point within {margin} of a ReLU kink"
@@ -189,8 +197,7 @@ class TestEndToEndGradient:
 
         def loss_with(layer_idx, which, values):
             saved = getattr(params.layers[layer_idx], which)
-            stub = Tensor(values.astype(np.float32))
-            setattr(params.layers[layer_idx], which, stub)
+            setattr(params.layers[layer_idx], which, values.astype(np.float32))
             try:
                 out2, _ = _forward_batch(params, xs, keep_caches=False)
                 return float(np.mean((out2 - ys) ** 2))
@@ -199,7 +206,7 @@ class TestEndToEndGradient:
 
         for idx, layer in enumerate(params.layers):
             for which, got in zip(("weights", "bias"), grads[idx]):
-                base = getattr(layer, which).data.astype(np.float64)
+                base = getattr(layer, which).astype(np.float64)
                 fd = central_difference(
                     lambda v, i=idx, w=which: loss_with(i, w, v), base, eps
                 )
@@ -307,17 +314,17 @@ class TestInferVolume:
     def test_tiling_with_whole_slice_matches_single_forward(self):
         params, cfg = self._trained_params()
         rng = Rng(51)
-        vol = Volume(uniform_init([5, 8, 8], 0, 1, rng))
+        vol = Volume(Tensor(uniform_init([5, 8, 8], 0, 1, rng)))
         out = infer_volume(params, vol, tile_hw=8)
         window = vol.data.data[[0, 1, 2]][None]
-        direct = forward(params, Tensor(window))
-        direct_clipped = np.clip(direct.data[0, 0].astype(np.float64), 0.0, 1.0)
+        direct = forward(params, window)
+        direct_clipped = np.clip(direct[0, 0].astype(np.float64), 0.0, 1.0)
         assert np.abs(out.data.data[1] - direct_clipped).max() <= 1e-6
 
     def test_overlapping_tiles_agree_with_whole_slice_in_interior(self):
         params, cfg = self._trained_params()
         rng = Rng(52)
-        vol = Volume(uniform_init([3, 16, 16], 0, 1, rng))
+        vol = Volume(Tensor(uniform_init([3, 16, 16], 0, 1, rng)))
         tiled = infer_volume(params, vol, tile_hw=12)
         whole = infer_volume(params, vol, tile_hw=16)
         r = cfg.scale
@@ -330,7 +337,7 @@ class TestInferVolume:
     def test_edge_windows_clamp_replicate(self):
         params, cfg = self._trained_params()
         rng = Rng(53)
-        vol = Volume(uniform_init([4, 8, 8], 0, 1, rng))
+        vol = Volume(Tensor(uniform_init([4, 8, 8], 0, 1, rng)))
         out = infer_volume(params, vol)
         assert out.shape[0] == 4  # slice count preserved
 
@@ -340,20 +347,20 @@ class TestInferVolume:
         params = build_model(ModelConfig(**TINY_CFG), Rng(56))
         for idx, value in ((0, 1e20), (1, -1e20)):
             shape = params.layers[idx].weights.shape
-            params.layers[idx].weights = Tensor(np.full(shape, value, dtype=np.float32))
+            params.layers[idx].weights = np.full(shape, value, dtype=np.float32)
         vol = Volume(Tensor(np.ones((3, 6, 6), dtype=np.float32)))
         with pytest.raises(NonFiniteError, match="layer 1"):
             infer_volume(params, vol)
 
     def test_volume_thinner_than_window_rejected(self):
         params, cfg = self._trained_params()
-        vol = Volume(uniform_init([2, 8, 8], 0, 1, Rng(54)))
+        vol = Volume(Tensor(uniform_init([2, 8, 8], 0, 1, Rng(54))))
         with pytest.raises(ValueError, match="depth"):
             infer_volume(params, vol)
 
     def test_spacing_refined_in_plane(self):
         params, cfg = self._trained_params()
-        vol = Volume(uniform_init([4, 8, 8], 0, 1, Rng(55)), (2.5, 1.4, 1.4))
+        vol = Volume(Tensor(uniform_init([4, 8, 8], 0, 1, Rng(55))), (2.5, 1.4, 1.4))
         out = infer_volume(params, vol)
         assert out.spacing == (2.5, 0.7, 0.7)
 
@@ -369,8 +376,8 @@ class TestCheckpoint:
         assert loaded.checksum() == params.checksum()
         for a, b in zip(loaded.layers, params.layers):
             assert a.kind == b.kind and a.geom == b.geom and a.trim_hw == b.trim_hw
-            assert np.array_equal(a.weights.data, b.weights.data)
-            assert np.array_equal(a.bias.data, b.bias.data)
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
 
     def test_serialization_deterministic(self):
         params = build_model(ModelConfig(**TINY_CFG), Rng(61))

@@ -14,7 +14,7 @@ from ctsr.ops import (
     deconv3d_forward,
     sgd_step,
 )
-from ctsr.tensor import NonFiniteError, Rng, Tensor, uniform_init, zeros
+from ctsr.tensor import NonFiniteError, Rng, uniform_init
 
 from oracles import central_difference, conv3d_loops, deconv3d_scatter_loops
 
@@ -23,8 +23,16 @@ def _rand(shape, rng, lo=-1.0, hi=1.0):
     return uniform_init(list(shape), lo, hi, rng)
 
 
+def _zeros(*shape):
+    return np.zeros(shape, dtype=np.float32)
+
+
+def _ones(*shape):
+    return np.ones(shape, dtype=np.float32)
+
+
 def random_conv_case(rng, max_channels=3, max_kernel=3, strides=(1, 2)):
-    """Random geometry plus tensors; extents chosen so deconv round-trips."""
+    """Random geometry plus float32 arrays; extents chosen so deconv round-trips."""
     u = rng.next_u64(13)
     ci = 1 + int(u[0] % max_channels)
     co = 1 + int(u[1] % max_channels)
@@ -88,36 +96,36 @@ class TestConvGeometry:
 
 class TestConvForward:
     def test_all_ones_cube(self):
-        x = Tensor(np.ones((1, 2, 2, 2), dtype=np.float32))
-        w = Tensor(np.ones((1, 1, 2, 2, 2), dtype=np.float32))
-        out = conv3d_forward(x, w, zeros([1]), ConvGeometry(1, 1, 2))
+        x = _ones(1, 2, 2, 2)
+        w = _ones(1, 1, 2, 2, 2)
+        out = conv3d_forward(x, w, _zeros(1), ConvGeometry(1, 1, 2))
         assert out.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == 8.0
+        assert out[0, 0, 0, 0] == 8.0
 
     def test_identity_kernel(self):
         rng = Rng(1)
         x = _rand((1, 3, 4, 5), rng)
-        w = Tensor(np.ones((1, 1, 1, 1, 1), dtype=np.float32))
-        out = conv3d_forward(x, w, zeros([1]), ConvGeometry(1, 1, 1))
-        assert out == x
+        w = _ones(1, 1, 1, 1, 1)
+        out = conv3d_forward(x, w, _zeros(1), ConvGeometry(1, 1, 1))
+        assert out.dtype == np.float32 and np.array_equal(out, x)
 
     def test_matches_loop_nest_oracle(self):
         rng = Rng(2024)
         for _ in range(25):
             geom, x, w, b = random_conv_case(rng)
-            got = conv3d_forward(x, w, b, geom).data
-            ref = conv3d_loops(x.data, w.data, b.data, geom.stride, geom.padding)
+            got = conv3d_forward(x, w, b, geom)
+            ref = conv3d_loops(x, w, b, geom.stride, geom.padding)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-6
 
     def test_shape_validation(self):
         g = ConvGeometry(2, 1, 3)
-        x = zeros([1, 4, 4, 4])
-        w = zeros([1, 2, 3, 3, 3])
+        x = _zeros(1, 4, 4, 4)
+        w = _zeros(1, 2, 3, 3, 3)
         with pytest.raises(ValueError, match="channels"):
-            conv3d_forward(x, w, zeros([1]), g)
+            conv3d_forward(x, w, _zeros(1), g)
         with pytest.raises(ValueError, match="weights shape"):
-            conv3d_forward(zeros([2, 4, 4, 4]), zeros([1, 2, 2, 3, 3]), zeros([1]), g)
+            conv3d_forward(_zeros(2, 4, 4, 4), _zeros(1, 2, 2, 3, 3), _zeros(1), g)
 
     def test_linearity(self):
         rng = Rng(5)
@@ -125,26 +133,26 @@ class TestConvForward:
         x = _rand((2, 4, 5, 5), rng)
         z = _rand((2, 4, 5, 5), rng)
         w = _rand((2, 2, 3, 3, 3), rng)
-        b0 = zeros([2])
-        lhs = conv3d_forward(Tensor(2.0 * x.data + 0.5 * z.data), w, b0, g)
-        rhs = 2.0 * conv3d_forward(x, w, b0, g).data + 0.5 * conv3d_forward(z, w, b0, g).data
-        assert np.abs(lhs.data - rhs).max() <= 1e-5 * max(1.0, np.abs(rhs).max())
+        b0 = _zeros(2)
+        lhs = conv3d_forward((2.0 * x + 0.5 * z).astype(np.float32), w, b0, g)
+        rhs = 2.0 * conv3d_forward(x, w, b0, g) + 0.5 * conv3d_forward(z, w, b0, g)
+        assert np.abs(lhs - rhs).max() <= 1e-5 * max(1.0, np.abs(rhs).max())
 
 
 class TestDeconvForward:
     def test_single_deposit(self):
-        x = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-        w = Tensor(np.ones((1, 1, 2, 2, 2), dtype=np.float32))
-        out = deconv3d_forward(x, w, zeros([1]), ConvGeometry(1, 1, 2, 2))
+        x = _ones(1, 1, 1, 1)
+        w = _ones(1, 1, 2, 2, 2)
+        out = deconv3d_forward(x, w, _zeros(1), ConvGeometry(1, 1, 2, 2))
         assert out.shape == (1, 2, 2, 2)
-        assert np.all(out.data == 1.0)
+        assert np.all(out == 1.0)
 
     def test_overlapping_deposits_sum(self):
-        x = Tensor(np.ones((1, 1, 1, 2), dtype=np.float32))
-        w = Tensor(np.ones((1, 1, 1, 1, 2), dtype=np.float32))
-        out = deconv3d_forward(x, w, zeros([1]), ConvGeometry(1, 1, (1, 1, 2), 1))
+        x = _ones(1, 1, 1, 2)
+        w = _ones(1, 1, 1, 1, 2)
+        out = deconv3d_forward(x, w, _zeros(1), ConvGeometry(1, 1, (1, 1, 2), 1))
         assert out.shape == (1, 1, 1, 3)
-        assert out.data[0, 0, 0].tolist() == [1.0, 2.0, 1.0]
+        assert out[0, 0, 0].tolist() == [1.0, 2.0, 1.0]
 
     def test_matches_scatter_oracle(self):
         rng = Rng(77)
@@ -155,8 +163,8 @@ class TestDeconvForward:
             )
             b = _rand((dg.out_channels,), rng)
             y = _rand((geom.out_channels,) + geom.conv_output_shape(x.shape[1:]), rng)
-            got = deconv3d_forward(y, w, b, dg).data
-            ref = deconv3d_scatter_loops(y.data, w.data, b.data, dg.stride, dg.padding)
+            got = deconv3d_forward(y, w, b, dg)
+            ref = deconv3d_scatter_loops(y, w, b, dg.stride, dg.padding)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-6
 
@@ -164,17 +172,17 @@ class TestDeconvForward:
         rng = Rng(31337)
         for _ in range(30):
             geom, x, w, _ = random_conv_case(rng)
-            cx = conv3d_forward(x, w, zeros([geom.out_channels]), geom)
+            cx = conv3d_forward(x, w, _zeros(geom.out_channels), geom)
             y = _rand(cx.shape, rng)
             dg = ConvGeometry(
                 geom.out_channels, geom.in_channels, geom.kernel, geom.stride, geom.padding
             )
-            dy = deconv3d_forward(y, w, zeros([geom.in_channels]), dg)
+            dy = deconv3d_forward(y, w, _zeros(geom.in_channels), dg)
             assert dy.shape == x.shape
-            lhs = np.dot(cx.data.ravel().astype(np.float64), y.data.ravel())
-            rhs = np.dot(x.data.ravel().astype(np.float64), dy.data.ravel())
+            lhs = np.dot(cx.ravel().astype(np.float64), y.ravel())
+            rhs = np.dot(x.ravel().astype(np.float64), dy.ravel())
             den = max(
-                float(np.linalg.norm(cx.data) * np.linalg.norm(y.data)), 1e-12
+                float(np.linalg.norm(cx) * np.linalg.norm(y)), 1e-12
             )
             assert abs(lhs - rhs) / den <= 1e-5
 
@@ -183,9 +191,9 @@ class TestDeconvForward:
         for k in (1, 2, 3):
             geom = ConvGeometry(1, 2, k)
             x = _rand((1, 4, 5, 6), rng)
-            mid = conv3d_forward(x, _rand((2, 1, k, k, k), rng), zeros([2]), geom)
+            mid = conv3d_forward(x, _rand((2, 1, k, k, k), rng), _zeros(2), geom)
             back = deconv3d_forward(
-                mid, _rand((2, 1, k, k, k), rng), zeros([1]),
+                mid, _rand((2, 1, k, k, k), rng), _zeros(1),
                 ConvGeometry(2, 1, k),
             )
             assert back.shape == x.shape
@@ -197,7 +205,7 @@ class TestBackwardGradients:
         geom, x, w, _ = random_conv_case(rng)
         out_shape = (geom.out_channels,) + geom.conv_output_shape(x.shape[1:])
         grads = _conv_bwd_f64(
-            x.data.astype(np.float64), w.data.astype(np.float64), geom, np.zeros(out_shape)
+            x.astype(np.float64), w.astype(np.float64), geom, np.zeros(out_shape)
         )
         for g in grads:
             assert np.all(g == 0)
@@ -228,9 +236,9 @@ class TestBackwardGradients:
             else:
                 fwd_raw = _conv_f64
                 bwd_raw = _conv_bwd_f64
-            x64 = x.data.astype(np.float64)
-            w64 = w.data.astype(np.float64)
-            b64 = b.data.astype(np.float64)
+            x64 = x.astype(np.float64)
+            w64 = w.astype(np.float64)
+            b64 = b.astype(np.float64)
             out = fwd_raw(x64, w64, b64, geom)
             d_out = np.ones_like(out)  # loss = sum(out)
             d_w, d_b, d_x = bwd_raw(x64, w64, geom, d_out)
@@ -385,7 +393,7 @@ class TestBatchedEngine:
 
 
 # Every (module, attribute) that benchmarks/tracing.py wraps, with the
-# argument names its wrapper binds: a layer's ConvGeometry and the tensors
+# argument names its wrapper binds: a layer's ConvGeometry and the arrays
 # that give its FLOPs, the config or params whose layer plan names the
 # layers, and the buffer whose bytes it counts.
 _TRACED = [
@@ -451,50 +459,54 @@ class _LayerStub:
         self.bias = bias
 
 
+def _f32(values):
+    return np.array(values, dtype=np.float32)
+
+
 def _grads(dw, db):
     return np.array(dw), np.array(db)
 
 
 class TestSgdStep:
     def test_zero_grads_keep_params(self):
-        layer = _LayerStub(Tensor([1.0, 2.0]), Tensor([0.5]))
-        before_w = layer.weights.data.copy()
+        layer = _LayerStub(_f32([1.0, 2.0]), _f32([0.5]))
+        before_w = layer.weights.copy()
         sgd_step(_ParamsStub([layer]), [_grads([0.0, 0.0], [0.0])], 0.1)
-        assert np.array_equal(layer.weights.data, before_w)
+        assert np.array_equal(layer.weights, before_w)
 
     def test_basic_update(self):
-        layer = _LayerStub(Tensor([1.0]), Tensor([0.0]))
+        layer = _LayerStub(_f32([1.0]), _f32([0.0]))
         sgd_step(_ParamsStub([layer]), [_grads([2.0], [0.0])], 0.1)
-        assert layer.weights.data[0] == pytest.approx(0.8)
+        assert layer.weights[0] == pytest.approx(0.8)
 
     def test_scalar_quadratic_step(self):
         # loss (w-3)^2 at w=0: dw = -6, one step at lr 0.1 lands on 0.6
-        layer = _LayerStub(Tensor([0.0]), Tensor([0.0]))
+        layer = _LayerStub(_f32([0.0]), _f32([0.0]))
         sgd_step(_ParamsStub([layer]), [_grads([-6.0], [0.0])], 0.1)
-        assert layer.weights.data[0] == pytest.approx(0.6)
+        assert layer.weights[0] == pytest.approx(0.6)
 
     def test_rejects_nonfinite_grads_naming_layer(self):
-        layer = _LayerStub(Tensor([1.0]), Tensor([0.0]))
+        layer = _LayerStub(_f32([1.0]), _f32([0.0]))
         with pytest.raises(NonFiniteError, match="layer 0"):
             sgd_step(_ParamsStub([layer]), [_grads([np.nan], [0.0])], 0.1)
 
     def test_rejects_gradient_that_overflows_float32(self):
         # 1e39 is finite in float64 but not in the parameters' float32
-        layers = [_LayerStub(Tensor([1.0]), Tensor([0.0])) for _ in range(2)]
+        layers = [_LayerStub(_f32([1.0]), _f32([0.0])) for _ in range(2)]
         grads = [_grads([0.0], [0.0]), _grads([1e39], [0.0])]
         assert np.isfinite(grads[1][0]).all()
         with pytest.raises(NonFiniteError, match="layer 1"):
             sgd_step(_ParamsStub(layers), grads, 0.1)
 
     def test_nonfinite_gradient_updates_no_layer(self):
-        layers = [_LayerStub(Tensor([1.0]), Tensor([0.0])) for _ in range(2)]
+        layers = [_LayerStub(_f32([1.0]), _f32([0.0])) for _ in range(2)]
         grads = [_grads([1.0], [0.0]), _grads([np.nan], [0.0])]
         with pytest.raises(NonFiniteError, match="layer 1"):
             sgd_step(_ParamsStub(layers), grads, 0.5)
-        assert layers[0].weights.data[0] == 1.0
+        assert layers[0].weights[0] == 1.0
 
     def test_rejects_bad_lr_and_shapes(self):
-        layer = _LayerStub(Tensor([1.0]), Tensor([0.0]))
+        layer = _LayerStub(_f32([1.0]), _f32([0.0]))
         with pytest.raises(ValueError):
             sgd_step(_ParamsStub([layer]), [_grads([1.0], [0.0])], 0.0)
         with pytest.raises(ValueError, match="layer 0"):

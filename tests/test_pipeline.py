@@ -7,33 +7,10 @@ from ctsr.pipeline import (
     TrainingPair,
     gen_synthetic,
     make_pairs,
-    normalize,
     split_folds,
 )
 from ctsr.tensor import Rng, Tensor, uniform_init
 from ctsr.volume import Volume
-
-
-class TestNormalize:
-    def test_ct_window_endpoints(self):
-        t = normalize(Tensor([-1000.0, 400.0]), -1000.0, 400.0)
-        assert t.tolist() == [0.0, 1.0]
-
-    def test_clamping_below_and_above(self):
-        t = normalize(Tensor([-1500.0, 900.0]), -1000.0, 400.0)
-        assert t.tolist() == [0.0, 1.0]
-
-    def test_midpoint(self):
-        t = normalize(Tensor([-300.0]), -1000.0, 400.0)
-        assert t.data[0] == pytest.approx(0.5)
-
-    def test_idempotent_on_unit_range(self):
-        x = uniform_init([32], 0, 1, Rng(1))
-        assert normalize(x, 0.0, 1.0) == x
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            normalize(Tensor([1.0]), 5.0, 5.0)
 
 
 class TestFolds:
@@ -84,51 +61,52 @@ def _cfg(**kw):
 
 class TestMakePairs:
     def test_single_depth_window(self):
-        vol = Volume(uniform_init([5, 24, 24], 0, 1, Rng(2)))
+        vol = Volume(Tensor(uniform_init([5, 24, 24], 0, 1, Rng(2))))
         pairs = make_pairs(vol, _cfg(), "scan0")
         assert len(pairs) == 1
         assert pairs[0].provenance == ("scan0", 2, (0, 0))
 
     def test_single_patch_grid(self):
         # LR slices 8x8 with patch 8 -> one patch per depth window
-        vol = Volume(uniform_init([7, 24, 24], 0, 1, Rng(3)))
+        vol = Volume(Tensor(uniform_init([7, 24, 24], 0, 1, Rng(3))))
         pairs = make_pairs(vol, _cfg(), "s")
         assert len(pairs) == 3  # depth windows centered at 2, 3, 4
 
     def test_shapes_and_alignment(self):
         cfg = _cfg(patch_hw=8)
-        vol = Volume(uniform_init([9, 48, 48], 0, 1, Rng(4)))
+        vol = Volume(Tensor(uniform_init([9, 48, 48], 0, 1, Rng(4))))
         pairs = make_pairs(vol, cfg, "s")
         for p in pairs:
             assert p.lr_patch.shape == (1, 5, 8, 8)
             assert p.hr_slice.shape == (1, 1, 24, 24)
+            assert p.lr_patch.dtype == p.hr_slice.dtype == np.float32
         # HR patch is the co-located crop of the center slice
         first = pairs[0]
         scan, c, (oy, ox) = first.provenance
         expected = vol.data.data[c, 3 * oy : 3 * (oy + 8), 3 * ox : 3 * (ox + 8)]
-        assert np.array_equal(first.hr_slice.data[0, 0], expected)
+        assert np.array_equal(first.hr_slice[0, 0], expected)
 
     def test_provenance_unique(self):
-        vol = Volume(uniform_init([9, 48, 48], 0, 1, Rng(5)))
+        vol = Volume(Tensor(uniform_init([9, 48, 48], 0, 1, Rng(5))))
         pairs = make_pairs(vol, _cfg(), "s")
         seen = [p.provenance for p in pairs]
         assert len(seen) == len(set(seen))
 
     def test_patch_stride_is_half_patch(self):
         cfg = _cfg(patch_hw=8)
-        vol = Volume(uniform_init([5, 72, 72], 0, 1, Rng(6)))
+        vol = Volume(Tensor(uniform_init([5, 72, 72], 0, 1, Rng(6))))
         pairs = make_pairs(vol, cfg, "s")
         origins = sorted({p.provenance[2] for p in pairs})
         ys = sorted({oy for oy, _ in origins})
         assert ys == [0, 4, 8, 12, 16]  # LR extent 24, patch 8, stride 4
 
     def test_too_thin_volume(self):
-        vol = Volume(uniform_init([3, 24, 24], 0, 1, Rng(7)))
+        vol = Volume(Tensor(uniform_init([3, 24, 24], 0, 1, Rng(7))))
         with pytest.raises(ValueError, match="depth"):
             make_pairs(vol, _cfg(), "s")
 
     def test_too_small_in_plane(self):
-        vol = Volume(uniform_init([5, 12, 12], 0, 1, Rng(8)))
+        vol = Volume(Tensor(uniform_init([5, 12, 12], 0, 1, Rng(8))))
         with pytest.raises(ValueError, match="patch"):
             make_pairs(vol, _cfg(patch_hw=16), "s")
 

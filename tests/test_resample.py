@@ -67,7 +67,7 @@ class TestDownsample:
         assert np.abs(out - bilinear).max() <= 1e-6
 
     def test_deterministic(self):
-        vol = Volume(uniform_init([3, 24, 24], 0, 1, Rng(5)))
+        vol = Volume(Tensor(uniform_init([3, 24, 24], 0, 1, Rng(5))))
         a = downsample_axial(vol, 2).data.data
         b = downsample_axial(vol, 2).data.data
         assert np.array_equal(a, b)
@@ -104,7 +104,7 @@ class TestUpsample:
             bicubic_upsample(_ramp_volume(), 1)
 
     def test_down_then_up_restores_extents(self):
-        vol = Volume(uniform_init([3, 48, 48], 0, 1, Rng(6)))
+        vol = Volume(Tensor(uniform_init([3, 48, 48], 0, 1, Rng(6))))
         round_trip = bicubic_upsample(downsample_axial(vol, 3), 3)
         assert round_trip.shape == vol.shape
 
@@ -123,7 +123,7 @@ class TestUpsample:
 
 class TestCenterCrop:
     def test_no_crop_when_divisible(self):
-        vol = Volume(uniform_init([2, 12, 12], 0, 1, Rng(7)))
+        vol = Volume(Tensor(uniform_init([2, 12, 12], 0, 1, Rng(7))))
         assert center_crop_to_multiple(vol, 3) is vol
 
     def test_crops_symmetrically(self):

@@ -13,7 +13,7 @@ from ctsr.volume import (
 
 
 def _random_volume(rng, dims=(3, 4, 5), spacing=(2.5, 0.7031, 0.7031)):
-    return Volume(uniform_init(list(dims), 0, 1, rng), spacing)
+    return Volume(Tensor(uniform_init(list(dims), 0, 1, rng)), spacing)
 
 
 class TestRoundTrip:
@@ -30,7 +30,7 @@ class TestRoundTrip:
         for trial in range(50):
             dims = tuple(1 + int(v % 6) for v in rng.next_u64(3))
             spacing = tuple(0.1 + 5.0 * f for f in rng.next_floats(3))
-            vol = Volume(uniform_init(list(dims), 0, 1, rng), spacing)
+            vol = Volume(Tensor(uniform_init(list(dims), 0, 1, rng)), spacing)
             back = deserialize_volume(serialize_volume(vol))
             assert back.spacing == vol.spacing
             assert np.array_equal(back.data.data, vol.data.data)
