@@ -232,6 +232,10 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
     passes its float32 patch, so inference rounds to float32 after every
     layer.  A layer whose stored output is not finite raises
     NonFiniteError naming it (ReLU would turn a -inf into a silent zero).
+
+    With ``keep_caches`` it also returns, per layer, all the backward reads:
+    the layer's input and float64 weights.  The next layer's input is the
+    ReLU mask, positive exactly where the pre-activation is.
     """
     caches = []
     h = xs
@@ -239,27 +243,29 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
     for i, layer in enumerate(params.layers):
         w64 = layer.weights.astype(np.float64)
         b64 = layer.bias.astype(np.float64)
-        conv_cache = None
         if layer.kind == "conv":
-            z, conv_cache = ops._conv_fwd_b(h, w64, b64, layer.geom)
+            z = ops._conv_fwd_b(h, w64, b64, layer.geom)
         else:
-            z = ops._deconv_fwd_b(h, w64, b64, layer.geom)
-            z = _apply_trim(z, layer.trim_hw)
-        z = z.astype(xs.dtype, copy=False)
+            z = _apply_trim(ops._deconv_fwd_b(h, w64, b64, layer.geom), layer.trim_hw)
+        with np.errstate(over="ignore"):  # a value beyond float32 fails the check below
+            z = z.astype(xs.dtype, copy=False)
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
-            caches.append((h, z if i < last else None, conv_cache, w64))
+            caches.append((h, w64))
         h = np.maximum(z, 0.0) if i < last else z
     return h, caches
 
 
 def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
     """Super-resolve one window [1, n, h, w] of low-res slices into a single
-    float32 slice [1, 1, h*scale, w*scale].  The input is cast to float32,
-    and every layer's output is rounded to float32."""
-    x = np.asarray(lr_patch, np.float32)
+    float32 slice [1, 1, h*scale, w*scale].  The input is cast to float32
+    and must be finite there; every layer's output is rounded to float32."""
+    with np.errstate(over="ignore"):  # a value beyond float32 fails the check below
+        x = np.asarray(lr_patch, np.float32)
     _check_patch(params, x)
+    if not np.isfinite(x).all():
+        raise NonFiniteError("non-finite input patch")
     out, _ = _forward_batch(params, x[:, None], keep_caches=False)
     return out[:, 0]
 
@@ -270,14 +276,12 @@ def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
     g = d_out
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
-        x_in, pre_act, conv_cache, w64 = caches[i]
-        if pre_act is not None:
-            g = np.where(pre_act > 0, g, 0.0)
+        x_in, w64 = caches[i]
+        if i + 1 < len(caches):  # the next layer's input is this one's ReLU mask
+            g = np.where(caches[i + 1][0] > 0, g, 0.0)
         need_dx = i > 0
         if layer.kind == "conv":
-            d_w, d_b, d_x = ops._conv_bwd_b(
-                conv_cache, w64, layer.geom, g, x_in.shape[2:], need_dx
-            )
+            d_w, d_b, d_x = ops._conv_bwd_b(x_in, w64, layer.geom, g, need_dx)
         else:
             g = _undo_trim(g, layer.trim_hw)
             d_w, d_b, d_x = ops._deconv_bwd_b(x_in, w64, layer.geom, g, need_dx)
@@ -333,12 +337,13 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
             ys = np.stack([p.hr_slice for p in batch]).transpose(1, 0, 2, 3, 4)
             xs = xs.astype(np.float64)
             try:
-                out, caches = _forward_batch(params, xs, keep_caches=True)
+                out, caches = _forward_batch(params, xs, keep_caches=cfg.lr > 0)
                 diff = out - ys
                 pair_sq.extend(_pair_sq_sums(diff))
                 if cfg.lr > 0:
                     d_out = (2.0 / diff.size) * diff
                     sgd_step(params, _backward_batch(params, caches, d_out), cfg.lr)
+                caches = None  # free this batch's activations before the next forward
             except NonFiniteError as err:
                 raise NonFiniteError(
                     f"training diverged at epoch {epoch}, batch {batch_no}: {err}"

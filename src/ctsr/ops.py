@@ -7,7 +7,9 @@ ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only wrappers
 that run it with B = 1 on float32 [C, D, H, W] arrays and cast the
 result back to float32.
 
-* Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM.
+* Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM
+  on one sample's columns at a time; the backward regathers the layer input
+  one tap group at a time, so no column matrix of a batch is ever built.
 * Conv with fewer (the final 1-channel conv at the upsampled resolution):
   kn2row (Anderson et al., "Low-memory GEMM-based convolution algorithms
   for deep neural networks", arXiv:1709.03395).  One GEMM multiplies a
@@ -151,16 +153,6 @@ def _gather_columns_b(padded, kernel, stride, n_positions) -> np.ndarray:
     return win.reshape(c * kernel[0] * kernel[1] * kernel[2], n)
 
 
-def _scatter_columns_b(cols, channels, batch, padded_spatial, kernel, stride, n_positions):
-    """Adjoint of _gather_columns_b: accumulate columns onto a zero array."""
-    grid = cols.reshape((channels,) + kernel + (batch,) + n_positions)
-    out = np.zeros((channels, batch) + padded_spatial, dtype=np.float64)
-    for tap in product(*(range(k) for k in kernel)):
-        window = _window(tap, stride, n_positions)
-        out[(slice(None), slice(None)) + window] += grid[(slice(None),) + tap]
-    return out
-
-
 def _window(tap, stride, n_positions):
     """Per axis, the slice of a padded grid that kernel tap ``tap`` reads
     for every one of ``n_positions`` outputs."""
@@ -196,71 +188,72 @@ def _kn2row_groups(padded, w64, geom: ConvGeometry, out_sp):
             yield i, j, k, wt, slab
 
 
-def _conv_cache(xs, geom: ConvGeometry, out_sp):
-    """What the conv backward reads of the input: the im2col column matrix
-    of a wide layer, the padded input of a few-output-channel one."""
-    padded = _pad_b(xs, geom.padding)
-    if geom.out_channels > _DIRECT_MAX_COUT:
-        return "cols", _gather_columns_b(padded, geom.kernel, geom.stride, out_sp)
-    return "padded", padded
-
-
 def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
-    """Returns (out [C_out, B, *out_sp], cache-for-backward).
+    """out [C_out, B, *out_sp] of the conv of xs [C_in, B, *in_sp].
 
-    Wide layers multiply the im2col column matrix.  Few-output-channel
-    layers use kn2row (Anderson et al., arXiv:1709.03395): one
+    Wide layers multiply the reshaped weight block by one sample's im2col
+    columns [C_in*k1*k2*k3, N] at a time.  Few-output-channel layers use
+    kn2row (Anderson et al., arXiv:1709.03395): one
     [taps*C_out, C_in] @ [C_in, N_padded] GEMM per tap group, then each
     tap's shifted window of the product is added into the output.
     """
     out_sp = geom.conv_output_shape(xs.shape[2:])
     c_out, c_in = geom.out_channels, geom.in_channels
     batch = xs.shape[1]
-    kind, data = cache = _conv_cache(xs, geom, out_sp)
-    if kind == "cols":
-        out = w64.reshape(c_out, -1) @ data
-        out += b64[:, None]
-        return out.reshape((c_out, batch) + out_sp), cache
-    out = np.zeros((c_out, batch) + out_sp)
-    for _, j, k, wt, slab in _kn2row_groups(data, w64, geom, out_sp):
-        y = (wt @ slab.reshape(c_in, -1)).reshape((len(j), c_out) + slab.shape[1:])
-        for t in range(len(j)):
-            out += y[(t, ...) + _window((j[t], k[t]), geom.stride[1:], out_sp[1:])]
+    padded = _pad_b(xs, geom.padding)
+    if c_out > _DIRECT_MAX_COUT:
+        out = np.empty((c_out, batch) + out_sp)
+        wm = w64.reshape(c_out, -1)
+        for n in range(batch):
+            cols = _gather_columns_b(padded[:, n : n + 1], geom.kernel, geom.stride, out_sp)
+            out[:, n] = (wm @ cols).reshape((c_out,) + out_sp)
+    else:
+        out = np.zeros((c_out, batch) + out_sp)
+        for _, j, k, wt, slab in _kn2row_groups(padded, w64, geom, out_sp):
+            y = (wt @ slab.reshape(c_in, -1)).reshape((len(j), c_out) + slab.shape[1:])
+            for t in range(len(j)):
+                out += y[(t, ...) + _window((j[t], k[t]), geom.stride[1:], out_sp[1:])]
     out += b64[:, None, None, None, None]
-    return out, cache
+    return out
 
 
-def _conv_bwd_b(cache, w64, geom: ConvGeometry, g, in_spatial, need_dx: bool):
-    """(d_w, d_b, d_xs) of _conv_fwd_b for output gradient g [C_out, B, *out_sp].
+def _conv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
+    """(d_w, d_b, d_xs) of _conv_fwd_b for input xs and output gradient
+    g [C_out, B, *out_sp].
 
+    The wide-layer backward takes groups of at most C_out // C_in taps, so
+    that their im2col rows X are no larger than g: d_w = G @ X^T, and each
+    tap's rows of W^T @ G are added onto its window of the padded d_xs.
     The kn2row backward builds, per tap group, the gradient shifted to every
     tap's offset on the padded grid, Gs [taps*C_out, N_padded], and takes
     d_w = Gs @ X^T and d_padded = W^T @ Gs from it.
     """
-    kind, data = cache
     c_out, c_in = geom.out_channels, geom.in_channels
     gm = g.reshape(c_out, -1)
     d_b = gm.sum(axis=1)
-    batch = g.shape[1]
     out_sp = g.shape[2:]
-    pad_sp = tuple(n + 2 * p for n, p in zip(in_spatial, geom.padding))
-    crop = (slice(None), slice(None)) + tuple(
-        slice(p, p + n) for p, n in zip(geom.padding, in_spatial)
-    )
-    if kind == "cols":
-        d_w = (gm @ data.T).reshape((c_out, c_in) + geom.kernel)
-        d_xs = None
-        if need_dx:
-            d_cols = w64.reshape(c_out, -1).T @ gm
-            d_pad = _scatter_columns_b(
-                d_cols, c_in, batch, pad_sp, geom.kernel, geom.stride, out_sp
-            )
-            d_xs = d_pad[crop]
-        return d_w, d_b, d_xs
+    padded = _pad_b(xs, geom.padding)
+    # the input's voxels within the padded grid
+    crop = (slice(None), slice(None)) + _window(geom.padding, (1, 1, 1), xs.shape[2:])
     d_w = np.empty((c_out, c_in) + geom.kernel)
     d_pad = None
+    if c_out > _DIRECT_MAX_COUT:
+        d_pad = np.zeros(padded.shape) if need_dx else None
+        taps = list(product(*(range(k) for k in geom.kernel)))
+        per = max(1, c_out // c_in)
+        for group in (taps[t0 : t0 + per] for t0 in range(0, len(taps), per)):
+            index = (slice(None), slice(None)) + tuple(np.array(group).T)
+            windows = [(slice(None), slice(None)) + _window(t, geom.stride, out_sp) for t in group]
+            cols = np.stack([padded[w] for w in windows], axis=1).reshape(len(group) * c_in, -1)
+            d_w[index] = (gm @ cols.T).reshape(c_out, c_in, len(group))
+            if need_dx:
+                wt = w64[index].reshape(c_out, -1)
+                d_cols = (wt.T @ gm).reshape((c_in, len(group)) + g.shape[1:])
+                for t, window in enumerate(windows):
+                    d_pad[window] += d_cols[:, t]
+        return d_w, d_b, d_pad[crop] if need_dx else None
     s1 = geom.stride[0]
-    for i, j, k, wt, slab in _kn2row_groups(data, w64, geom, out_sp):
+    for i, j, k, wt, slab in _kn2row_groups(padded, w64, geom, out_sp):
         gs = np.zeros((len(j), c_out) + slab.shape[1:])
         for t in range(len(j)):
             gs[(t, ...) + _window((j[t], k[t]), geom.stride[1:], out_sp[1:])] = g
@@ -270,14 +263,13 @@ def _conv_bwd_b(cache, w64, geom: ConvGeometry, g, in_spatial, need_dx: bool):
         )
         if need_dx:
             d_slab = (wt.T @ gs).reshape(slab.shape)
-            if d_pad is None and slab.shape == data.shape:
+            if d_pad is None and slab.shape == padded.shape:
                 d_pad = d_slab  # the first group's slab spans the whole padded input
             else:
                 if d_pad is None:
-                    d_pad = np.zeros(data.shape)
+                    d_pad = np.zeros(padded.shape)
                 d_pad[:, :, i : i + s1 * (out_sp[0] - 1) + 1 : s1] += d_slab
-    d_xs = d_pad[crop] if need_dx else None
-    return d_w, d_b, d_xs
+    return d_w, d_b, d_pad[crop] if need_dx else None
 
 
 # A deposit block [C_out, s1, s2, s3, B, D, H, W] <-> its place in the phase
@@ -385,8 +377,7 @@ def conv3d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, geom: C
     padded_x[ci, s1*n + i, s2*h + j, s3*w + k]."""
     _check_conv_args(x, weights, bias, geom, transposed=False)
     x64, w64, b64 = (a.astype(np.float64) for a in (x, weights, bias))
-    out, _ = _conv_fwd_b(x64[:, None], w64, b64, geom)
-    return out[:, 0].astype(np.float32)
+    return _conv_fwd_b(x64[:, None], w64, b64, geom)[:, 0].astype(np.float32)
 
 
 def deconv3d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, geom: ConvGeometry):
@@ -403,9 +394,10 @@ def sgd_step(params, grads, lr: float) -> None:
     ``params`` is a ModelParams-like object exposing ``layers`` with
     float32 ``weights`` and ``bias`` arrays, updated in place; ``grads`` is
     the matching sequence of (d_w, d_b) arrays.  Every layer's gradients are
-    cast to float32, the parameters' dtype, and checked before the first
-    update, so a gradient that is not finite there aborts with the offending
-    layer named and leaves every parameter unchanged.
+    cast to float32, the parameters' dtype, and its stepped values computed
+    and checked before the first write, so a gradient or step that is not
+    finite in float32 aborts with the offending layer named and leaves every
+    parameter unchanged.
     """
     if not np.isfinite(lr) or lr <= 0:
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
@@ -413,19 +405,22 @@ def sgd_step(params, grads, lr: float) -> None:
     grads = list(grads)
     if len(layers) != len(grads):
         raise ValueError(f"{len(grads)} gradient sets for {len(layers)} layers")
-    checked = []
+    f32lr = np.float32(lr)
+    stepped = []
     for idx, (layer, (d_w, d_b)) in enumerate(zip(layers, grads)):
-        d_w = np.asarray(d_w, dtype=np.float32)
-        d_b = np.asarray(d_b, dtype=np.float32)
+        d_w, d_b = np.asarray(d_w), np.asarray(d_b)
         if d_w.shape != layer.weights.shape or d_b.shape != layer.bias.shape:
             raise ValueError(
                 f"layer {idx}: gradient shapes {d_w.shape}/{d_b.shape} "
                 f"do not match parameters {layer.weights.shape}/{layer.bias.shape}"
             )
-        if not (np.isfinite(d_w).all() and np.isfinite(d_b).all()):
-            raise NonFiniteError(f"non-finite gradient in layer {idx}")
-        checked.append((layer, d_w, d_b))
-    f32lr = np.float32(lr)
-    for layer, d_w, d_b in checked:
-        np.subtract(layer.weights, f32lr * d_w, out=layer.weights)
-        np.subtract(layer.bias, f32lr * d_b, out=layer.bias)
+        # a gradient or a step beyond float32 fails the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = layer.weights - f32lr * d_w.astype(np.float32)
+            b = layer.bias - f32lr * d_b.astype(np.float32)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise NonFiniteError(f"non-finite update in layer {idx}")
+        stepped.append((layer, w, b))
+    for layer, w, b in stepped:
+        layer.weights[...] = w
+        layer.bias[...] = b

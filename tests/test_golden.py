@@ -8,16 +8,18 @@ as B=1 wrappers) and held through it and through the move to one model
 driver (``forward`` as the batched forward at B=1, rounding to float32
 after every layer; ``sgd_step`` on plain gradient arrays), and through the
 move of weights, biases, training pairs and ``forward``'s input and output
-from the ``Tensor`` wrapper to plain float32 arrays.  A kernel or driver
-change that moves any weight or output by one float32 ULP fails here.  The
-values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
-Haswell kernels); a BLAS whose GEMM sums in another order may need them
-re-recorded.
+from the ``Tensor`` wrapper to plain float32 arrays, and through the
+training step that keeps only each layer's input (no cached column
+matrix).  A kernel or driver change that moves any weight or output by one
+float32 ULP fails here.  The values hold for one and for two BLAS threads
+(OpenBLAS 0.3.31, x86-64 Haswell kernels); a BLAS whose GEMM sums in
+another order may need them re-recorded.
 
 * k=5/r=2: the deconv trims one row/column (k - r odd); the C_out=4 conv and
   the final conv take the few-output-channel kn2row path with more taps
   than fit one tap group; the first conv (C_out=8) takes the wide-layer
-  im2col path (column matrix plus one GEMM).
+  im2col path (a GEMM on one sample's columns in the forward, groups of
+  C_out // C_in = 8 taps in the backward).
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
 """

@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ctsr.model import (
     ModelConfig,
+    _apply_trim,
     _backward_batch,
     _forward_batch,
     _layer_plan,
@@ -15,7 +19,7 @@ from ctsr.model import (
     serialize_params,
     train,
 )
-from ctsr.ops import conv3d_forward, deconv3d_forward
+from ctsr.ops import _conv_fwd_b, _deconv_fwd_b, conv3d_forward, deconv3d_forward
 from ctsr.pipeline import TrainingPair, gen_synthetic, make_pairs
 from ctsr.tensor import NonFiniteError, Rng, Tensor, uniform_init
 from ctsr.volume import Volume
@@ -159,6 +163,16 @@ class TestForward:
         with pytest.raises(ValueError, match="incompatible"):
             forward(params, uniform_init([1, 3, 8, 8], 0, 1, Rng(1)))
 
+    def test_non_finite_input_is_named(self):
+        # NaN, and a float64 value beyond float32, are the input's fault,
+        # not the first layer's
+        params = build_model(ModelConfig(**TINY_CFG), Rng(8))
+        for bad in (np.nan, 1e39):
+            x = np.zeros((1, 3, 6, 6))
+            x[0, 1, 2, 3] = bad
+            with pytest.raises(NonFiniteError, match="non-finite input patch"):
+                forward(params, x)
+
 
 def _tiny_pairs(count, rng, cfg):
     pairs = []
@@ -172,6 +186,14 @@ def _tiny_pairs(count, rng, cfg):
             )
         )
     return pairs
+
+
+def _pre_activation(layer, h, w64):
+    """A layer's output before its ReLU, recomputed from its cached input."""
+    b64 = layer.bias.astype(np.float64)
+    if layer.kind == "conv":
+        return _conv_fwd_b(h, w64, b64, layer.geom)
+    return _apply_trim(_deconv_fwd_b(h, w64, b64, layer.geom), layer.trim_hw)
 
 
 class TestEndToEndGradient:
@@ -190,7 +212,10 @@ class TestEndToEndGradient:
         xs = x[:, None].astype(np.float64)
         ys = y[:, None]
         out, caches = _forward_batch(params, xs, keep_caches=True)
-        margin = min(np.abs(pre_act).min() for _, pre_act, _, _ in caches[:-1])
+        margin = min(
+            np.abs(_pre_activation(layer, h, w64)).min()
+            for layer, (h, w64) in zip(params.layers[:-1], caches)
+        )
         assert margin > 2 * eps, f"evaluation point within {margin} of a ReLU kink"
         diff = out - ys
         grads = _backward_batch(params, caches, (2.0 / diff.size) * diff)
@@ -274,6 +299,24 @@ class TestTrain:
         cfg = ModelConfig(**TINY_CFG)
         with pytest.raises(ValueError, match="non-empty"):
             train(cfg, [], [])
+
+    def test_peak_memory_below_two_l1_column_matrices(self):
+        # The paper config at 8x8 patches, two batches of 16.  One batch's L1
+        # im2col matrix is 13.5 MiB of float64; the training step keeps only
+        # each layer's input, so no column matrix of a whole batch, nor the
+        # previous batch's activations, is ever held.
+        cfg = ModelConfig(**PAPER_CFG, patch_hw=8, batch_size=16, epochs=1)
+        pairs = _tiny_pairs(32, Rng(36), cfg)
+        geom = _layer_plan(cfg)[1][1]  # 64 -> 64 channels on a depth-3 input
+        columns = cfg.batch_size * math.prod(geom.conv_output_shape((3, 8, 8)))
+        l1_cols_bytes = 8 * geom.in_channels * math.prod(geom.kernel) * columns
+        tracemalloc.start()
+        try:
+            train(cfg, pairs, pairs[:16])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * l1_cols_bytes, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_divergence_reports_coordinates(self):
         cfg = ModelConfig(**{**TINY_CFG, "lr": 1e12, "epochs": 3})

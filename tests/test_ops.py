@@ -53,12 +53,11 @@ def random_conv_case(rng, max_channels=3, max_kernel=3, strides=(1, 2)):
 
 
 def _conv_f64(x, w, b, geom):
-    return _conv_fwd_b(x[:, None], w, b, geom)[0][:, 0]
+    return _conv_fwd_b(x[:, None], w, b, geom)[:, 0]
 
 
 def _conv_bwd_f64(x, w, geom, d_out):
-    _, cache = _conv_fwd_b(x[:, None], w, np.zeros(geom.out_channels), geom)
-    d_w, d_b, d_x = _conv_bwd_b(cache, w, geom, d_out[:, None], x.shape[1:], True)
+    d_w, d_b, d_x = _conv_bwd_b(x[:, None], w, geom, d_out[:, None], True)
     return d_w, d_b, d_x[:, 0]
 
 
@@ -333,7 +332,7 @@ class TestBatchedEngine:
                 assert geom.kernel[1] * geom.kernel[2] > per_group, "several tap groups"
             else:
                 assert geom.out_channels > ops._DIRECT_MAX_COUT
-            out, _ = _conv_fwd_b(x, w, b, geom)
+            out = _conv_fwd_b(x, w, b, geom)
             assert _close(out, _per_sample(conv3d_loops, x, w, b, geom))
 
     @pytest.mark.parametrize("kind", ["k<r", "k=r", "k>r"])
@@ -359,11 +358,10 @@ class TestBatchedEngine:
                 geom, x, w, _ = _conv_engine_case(rng, op)
 
                 def fwd(wv, xv):
-                    return _conv_fwd_b(xv, wv, np.zeros(geom.out_channels), geom)[0]
+                    return _conv_fwd_b(xv, wv, np.zeros(geom.out_channels), geom)
 
                 y = _f64_array(fwd(w, x).shape, rng)
-                _, cache = _conv_fwd_b(x, w, np.zeros(geom.out_channels), geom)
-                d_w, d_b, d_x = _conv_bwd_b(cache, w, geom, y, x.shape[2:], True)
+                d_w, d_b, d_x = _conv_bwd_b(x, w, geom, y, True)
             else:
                 geom, x, w, _ = _deconv_engine_case(rng, op)
 
@@ -384,10 +382,10 @@ class TestBatchedEngine:
 
     def test_kn2row_without_dx_leaves_weights_gradient_alone(self):
         geom, x, w, b = _conv_engine_case(Rng(930), "kn2row")
-        out, cache = _conv_fwd_b(x, w, b, geom)
+        out = _conv_fwd_b(x, w, b, geom)
         g = _f64_array(out.shape, Rng(931))
-        d_w, d_b, d_x = _conv_bwd_b(cache, w, geom, g, x.shape[2:], False)
-        ref = _conv_bwd_b(cache, w, geom, g, x.shape[2:], True)
+        d_w, d_b, d_x = _conv_bwd_b(x, w, geom, g, False)
+        ref = _conv_bwd_b(x, w, geom, g, True)
         assert d_x is None
         assert np.array_equal(d_w, ref[0]) and np.array_equal(d_b, ref[1])
 
@@ -504,6 +502,14 @@ class TestSgdStep:
         with pytest.raises(NonFiniteError, match="layer 1"):
             sgd_step(_ParamsStub(layers), grads, 0.5)
         assert layers[0].weights[0] == 1.0
+
+    def test_overflowing_step_updates_no_layer(self):
+        # a finite float32 gradient times a large lr overflows float32
+        layers = [_LayerStub(_f32([1.0]), _f32([0.0])) for _ in range(2)]
+        grads = [_grads([1.0], [0.0]), _grads([1e30], [0.0])]
+        with pytest.raises(NonFiniteError, match="non-finite update in layer 1"):
+            sgd_step(_ParamsStub(layers), grads, 1e10)
+        assert layers[0].weights[0] == 1.0 and layers[1].weights[0] == 1.0
 
     def test_rejects_bad_lr_and_shapes(self):
         layer = _LayerStub(_f32([1.0]), _f32([0.0]))
