@@ -32,7 +32,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-class DataError(Exception):
+class DataError(ValueError):
     """Missing or inconsistent input data."""
 
 
@@ -156,6 +156,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.tile is not None and args.tile < 1:
+        raise ConfigError([f"--tile must be >= 1, got {args.tile}"])
     params = _read_input(Path(args.checkpoint), model.load_checkpoint, "checkpoint")
     vol = _load_svol(Path(args.lr_volume))
     n = params.config.feature_depth
@@ -193,6 +195,8 @@ def cmd_evaluate(args) -> int:
         if "=" not in spec_str:
             raise ConfigError([f"--method expects name=path, got {spec_str!r}"])
         name, path = spec_str.split("=", 1)
+        if name in (n for n, _ in methods):
+            raise ConfigError([f"--method name {name!r} is given more than once"])
         methods.append((name, _load_svol(Path(path))))
     if not methods:
         raise ConfigError(["at least one --method is required"])
@@ -252,14 +256,24 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-JOURNAL_HEADER = ["config", "val_psnr", "error"]
+JOURNAL_HEADER = ["config", "settings", "val_psnr", "error"]
 
 
-def _read_journal(path: Path) -> dict[str, tuple[float | None, str]]:
+def _journal_settings(cfg: model.ModelConfig, budget: int) -> str:
+    """The training settings a grid result depends on besides its config
+    key: every row of a journal is trained under the same ones."""
+    return (
+        f"lr={cfg.lr!r};seed={cfg.seed};batch_size={cfg.batch_size};"
+        f"patch_hw={cfg.patch_hw};epochs={budget}"
+    )
+
+
+def _read_journal(path: Path, settings: str) -> dict[str, tuple[float | None, str]]:
     """Completed combinations from a grid journal: key -> (PSNR or None, error).
 
-    The journal is CSV with the config key quoted (keys contain commas); a
-    row that is not three fields with a float or empty PSNR raises DataError.
+    The journal is CSV with the config key quoted (keys contain commas).  A
+    row that is not four fields with a float or empty PSNR, or that was
+    trained under other settings than ``settings``, raises DataError.
     """
     entries: dict[str, tuple[float | None, str]] = {}
     if not path.is_file():
@@ -273,10 +287,16 @@ def _read_journal(path: Path) -> dict[str, tuple[float | None, str]]:
         raise DataError(f"bad grid journal {path}: header {rows[0]!r}")
     for lineno, row in enumerate(rows[1:], 2):
         try:
-            key, psnr_s, err = row
+            key, row_settings, psnr_s, err = row
             entries[key] = (float(psnr_s) if psnr_s else None, err)
         except ValueError as exc:
             raise DataError(f"bad grid journal {path}, line {lineno}: {row!r}") from exc
+        if row_settings != settings:
+            raise DataError(
+                f"grid journal {path}, line {lineno}: trained with {row_settings!r}, "
+                f"not this run's {settings!r}; resume it with its own settings or "
+                f"choose another out_dir"
+            )
     return entries
 
 
@@ -293,27 +313,32 @@ def cmd_gridsearch(args) -> int:
         run.grid_kernels,
     )
     try:
-        space.combinations(run.model)
+        keys = {cfg.key() for cfg in space.combinations(run.model)}
     except ValueError as err:
         raise ConfigError([str(err)]) from err
+    budget = run.grid_epochs or grid.default_epoch_budget(run.model)
+    settings = _journal_settings(run.model, budget)
     train_vols, val_vols, _ = _split_volumes(run)
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     journal_path = out_dir / "gridsearch_journal.csv"
-    journal = _read_journal(journal_path)
-    if journal:
-        print(f"resuming: {len(journal)} combination(s) already in {journal_path}")
-    else:
+    journal = _read_journal(journal_path, settings)
+    done = keys & set(journal)
+    if done:
+        print(f"resuming: {len(done)} combination(s) already in {journal_path}")
+    if not journal_path.is_file() or journal_path.stat().st_size == 0:
         journal_path.write_text(_csv_text([JOURNAL_HEADER]), encoding="utf-8", newline="")
+    elif not journal_path.read_bytes().endswith(b"\n"):
+        with open(journal_path, "a", newline="", encoding="utf-8") as fh:
+            fh.write("\n")  # a new row must not extend the last one
 
     def journal_append(result: grid.GridResult) -> None:
         # the csv module writes a float with repr and None as an empty field
-        row = [result.config.key(), result.val_psnr, result.error or ""]
+        row = [result.config.key(), settings, result.val_psnr, result.error or ""]
         with open(journal_path, "a", newline="", encoding="utf-8") as fh:
             fh.write(_csv_text([row]))
             fh.flush()
 
-    budget = run.grid_epochs if run.grid_epochs > 0 else None
     grid.grid_search(
         space,
         run.model,
@@ -323,14 +348,19 @@ def cmd_gridsearch(args) -> int:
         skip_keys=set(journal),
         on_result=journal_append,
     )
-    # the journal holds every combination, resumed or fresh
+    # the journal holds every combination of this space, resumed or fresh,
+    # and may hold others from an earlier sweep, which are not ranked
     merged = sorted(
-        ((key, psnr, err) for key, (psnr, err) in _read_journal(journal_path).items()),
+        (
+            (key, psnr, err)
+            for key, (psnr, err) in _read_journal(journal_path, settings).items()
+            if key in keys
+        ),
         key=lambda m: grid.rank_key(m[0], m[1]),
     )
     ok = [m for m in merged if m[1] is not None]
     failed = [m for m in merged if m[1] is None]
-    rows = [["rank", *JOURNAL_HEADER]]
+    rows = [["rank", "config", "val_psnr", "error"]]
     rows.extend([rank, key, psnr, err] for rank, (key, psnr, err) in enumerate(ok, 1))
     rows.extend(["", key, "", err] for key, _, err in failed)
     _write_csv(out_dir / "gridsearch_results.csv", rows)

@@ -90,7 +90,7 @@ class RunConfig:
     grid_conv_layers: list[int] = None
     grid_filter_configs: list[tuple[int, ...]] = None
     grid_kernels: list[int] = None
-    grid_epochs: int = 0
+    grid_epochs: int = 0  # 0: grid.default_epoch_budget
 
 
 def load_run_config(path, *, grid: bool = False) -> RunConfig:
@@ -143,6 +143,8 @@ def load_run_config(path, *, grid: bool = False) -> RunConfig:
             _parse_ints(get("grid_kernels"), "grid_kernels", problems)
         ) or [model.kernel]
         cfg.grid_epochs = _parse_int(values.get("grid_epochs", "0"), "grid_epochs", problems)
+        if cfg.grid_epochs < 0:
+            problems.append(f"grid_epochs: must be >= 0, got {cfg.grid_epochs}")
     else:
         cfg.val_pair_cap = _parse_int(values.get("val_pair_cap", "0"), "val_pair_cap", problems)
         if cfg.val_pair_cap < 0:

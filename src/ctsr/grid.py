@@ -45,6 +45,12 @@ class GridSpace:
         return configs
 
 
+def default_epoch_budget(base_cfg: ModelConfig) -> int:
+    """Epochs a combination trains by default: 20% of the base config's,
+    at least one."""
+    return max(1, base_cfg.epochs // 5)
+
+
 @dataclass
 class GridResult:
     config: ModelConfig
@@ -69,7 +75,7 @@ def grid_search(
     part of the returned ranking; ``on_result`` is invoked with each
     GridResult as soon as its run finishes (for journaling).
     """
-    budget = epoch_budget if epoch_budget is not None else max(1, base_cfg.epochs // 5)
+    budget = epoch_budget if epoch_budget is not None else default_epoch_budget(base_cfg)
     combos = space.combinations(base_cfg)
     pair_cache: dict[tuple, tuple[list, list]] = {}
     results = []

@@ -7,25 +7,23 @@ ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only wrappers
 that run it with B = 1 on float32 [C, D, H, W] arrays and cast the
 result back to float32.
 
-* Conv with more than ``_DIRECT_MAX_COUT`` output channels: im2col + GEMM
-  on one sample's columns at a time; the backward regathers the layer input
-  one tap group at a time, so no column matrix of a batch is ever built.
-* Conv with fewer (the final 1-channel conv at the upsampled resolution):
-  kn2row (Anderson et al., "Low-memory GEMM-based convolution algorithms
-  for deep neural networks", arXiv:1709.03395).  One GEMM multiplies a
-  group of kernel taps into the padded input and each tap's shifted window
-  of the product is added into the output; the backward builds the
-  tap-shifted gradient once per group for both d_w and d_x.
-* Transposed conv: the sub-pixel view of a strided deconv (Shi et al.,
-  ESPCN, arXiv:1609.05158).  With the kernel zero-padded to a multiple of
-  the stride, each kernel offset deposits one dense block into a phase
-  grid; for k == stride that is a single copy, with no scatter loop.
-
-Gradients are hand-derived adjoints of the forward definitions.  The
-transposed convolution is the exact adjoint of the convolution with
-identical geometry: a conv weight block [C_out, C_in, k1, k2, k3]
-reinterpreted as [C_in', C_out', k1, k2, k3] (same memory) satisfies
-<conv(x), y> == <x, deconv(y)> for zero bias.
+* Conv with more than ``_DIRECT_MAX_COUT`` output channels or an in-plane
+  stride above one: im2col + GEMM on one sample's columns at a time; the
+  backward regathers the layer input one tap group at a time, so no column
+  matrix of a batch is ever built.
+* Conv with fewer and in-plane stride one (the final 1-channel conv at the
+  upsampled resolution): kn2row (Anderson et al., "Low-memory GEMM-based
+  convolution algorithms for deep neural networks", arXiv:1709.03395).  One
+  GEMM multiplies a group of kernel taps into the padded input and each
+  tap's shifted window of the product is added into the output; the
+  backward shifts the gradient to every tap of a group for d_w and d_x.
+* Transposed conv: by definition the adjoint of the conv with the same
+  kernel, stride and padding and swapped channels (Dumoulin & Visin,
+  arXiv:1603.07285), whose weight block [C_out', C_in', k1, k2, k3] is the
+  transposed conv's [C_in, C_out, k1, k2, k3] in the same memory.  Its
+  forward is that conv's input gradient and its backward that conv's
+  forward and weight gradient, so <conv(x), y> == <x, deconv(y)> for zero
+  bias holds by construction.
 """
 
 from __future__ import annotations
@@ -159,211 +157,192 @@ def _window(tap, stride, n_positions):
     return tuple(slice(t, t + s * n, s) for t, s, n in zip(tap, stride, n_positions))
 
 
+def _window_b(tap, stride, n_positions):
+    """``_window`` over every channel and sample of a [C, B, ...] array."""
+    return (slice(None), slice(None)) + _window(tap, stride, n_positions)
+
+
 # Few-output-channel layers (the final smoothing conv) skip im2col: its column
 # matrix would be k1*k2*k3 times the activation, which is largest at the
-# upsampled resolution.  They use kn2row instead.
+# upsampled resolution.  They use kn2row instead, unless strided in-plane:
+# kn2row computes every in-plane position of the padded grid, and a stride-s
+# conv's columns are only k/s times its input per axis.
 _DIRECT_MAX_COUT = 4
 
 
-def _kn2row_groups(padded, w64, geom: ConvGeometry, out_sp):
-    """kn2row tap groups, in (i, j, k) tap order: (depth tap i, the group's
-    in-plane taps as index arrays j and k, their stacked weights
-    wt [taps*C_out, C_in], slab).
+def _kn2row(geom: ConvGeometry) -> bool:
+    return geom.out_channels <= _DIRECT_MAX_COUT and geom.stride[1:] == (1, 1)
 
-    ``slab`` [C_in, B, D', Hp, Wp] holds the padded input at the D' depth
-    planes that depth tap i reads (a view when those are all of them).  A
-    group stacks at most C_in // C_out taps, so its kn2row block
-    [taps*C_out, B*D'*Hp*Wp] is never larger than the slab it is computed
-    from.
-    """
-    s1 = geom.stride[0]
-    k1, k2, k3 = geom.kernel
-    plane = list(product(range(k2), range(k3)))
+
+def _tap_groups(geom: ConvGeometry):
+    """Wide-layer tap groups in (i, j, k) order, with their index into a
+    weight block.  A group holds up to max(C_out // C_in, s1*s2*s3) taps:
+    for a stride-1 conv its input rows (C_in per tap) are then no larger
+    than the output gradient, and a transposed conv whose kernel tiles its
+    stride is one GEMM."""
+    taps = list(product(*(range(k) for k in geom.kernel)))
+    per = max(geom.out_channels // geom.in_channels, math.prod(geom.stride))
+    for t0 in range(0, len(taps), per):
+        group = taps[t0 : t0 + per]
+        yield group, (slice(None), slice(None)) + tuple(np.array(group).T)
+
+
+def _kn2row_groups(geom: ConvGeometry):
+    """kn2row groups of the in-plane taps in (j, k) order, as index arrays
+    j and k.  A group stacks at most C_in // C_out taps, so its kn2row block
+    [taps*C_out, B*D'*Hp*Wp] is never larger than the slab [C_in, B, D', Hp,
+    Wp] of padded input that one depth tap reads."""
+    plane = list(product(range(geom.kernel[1]), range(geom.kernel[2])))
     per = max(1, geom.in_channels // geom.out_channels)
-    for i in range(k1):
-        slab = np.ascontiguousarray(padded[:, :, i : i + s1 * (out_sp[0] - 1) + 1 : s1])
-        for t0 in range(0, len(plane), per):
-            j, k = np.array(plane[t0 : t0 + per]).T
-            wt = w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, geom.in_channels)
-            yield i, j, k, wt, slab
+    for t0 in range(0, len(plane), per):
+        yield np.array(plane[t0 : t0 + per]).T
 
 
-def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
-    """out [C_out, B, *out_sp] of the conv of xs [C_in, B, *in_sp].
+def _kn2row_weights(w64, i, j, k) -> np.ndarray:
+    """Taps (i, j[t], k[t]) of a weight block stacked as [taps*C_out, C_in]."""
+    return w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, w64.shape[1])
+
+
+def _planes(i, s1, n_out):
+    """The depth planes of a padded [C, B, ...] grid that depth tap i reads."""
+    return (slice(None), slice(None), slice(i, i + s1 * (n_out - 1) + 1, s1))
+
+
+def _shifted(g, j, k, plane_hw) -> np.ndarray:
+    """g [C_out, B, D', H', W'] put at the windows of in-plane taps (j, k) of
+    a zero padded plane: the kn2row block [taps*C_out, B*D'*Hp*Wp]."""
+    gs = np.zeros((len(j),) + g.shape[:3] + plane_hw)
+    for t in range(len(j)):
+        gs[(t, ...) + _window((j[t], k[t]), (1, 1), g.shape[3:])] = g
+    return gs.reshape(len(j) * g.shape[0], -1)
+
+
+def _conv(xs, w64, geom: ConvGeometry):
+    """The conv of xs [C_in, B, *in_sp] without bias, [C_out, B, *out_sp].
 
     Wide layers multiply the reshaped weight block by one sample's im2col
-    columns [C_in*k1*k2*k3, N] at a time.  Few-output-channel layers use
-    kn2row (Anderson et al., arXiv:1709.03395): one
-    [taps*C_out, C_in] @ [C_in, N_padded] GEMM per tap group, then each
-    tap's shifted window of the product is added into the output.
+    columns [C_in*k1*k2*k3, N] at a time.  kn2row layers take one
+    [taps*C_out, C_in] @ [C_in, N_padded] GEMM per tap group and add each
+    tap's shifted window of the product into the output.
     """
     out_sp = geom.conv_output_shape(xs.shape[2:])
     c_out, c_in = geom.out_channels, geom.in_channels
     batch = xs.shape[1]
     padded = _pad_b(xs, geom.padding)
-    if c_out > _DIRECT_MAX_COUT:
+    if not _kn2row(geom):
         out = np.empty((c_out, batch) + out_sp)
         wm = w64.reshape(c_out, -1)
         for n in range(batch):
             cols = _gather_columns_b(padded[:, n : n + 1], geom.kernel, geom.stride, out_sp)
             out[:, n] = (wm @ cols).reshape((c_out,) + out_sp)
-    else:
-        out = np.zeros((c_out, batch) + out_sp)
-        for _, j, k, wt, slab in _kn2row_groups(padded, w64, geom, out_sp):
-            y = (wt @ slab.reshape(c_in, -1)).reshape((len(j), c_out) + slab.shape[1:])
+        return out
+    out = np.zeros((c_out, batch) + out_sp)
+    for i in range(geom.kernel[0]):
+        slab = np.ascontiguousarray(padded[_planes(i, geom.stride[0], out_sp[0])])
+        for j, k in _kn2row_groups(geom):
+            y = _kn2row_weights(w64, i, j, k) @ slab.reshape(c_in, -1)
+            y = y.reshape((len(j), c_out) + slab.shape[1:])
             for t in range(len(j)):
-                out += y[(t, ...) + _window((j[t], k[t]), geom.stride[1:], out_sp[1:])]
+                out += y[(t, ...) + _window((j[t], k[t]), (1, 1), out_sp[1:])]
+    return out
+
+
+def _conv_weight_grad(xs, geom: ConvGeometry, g):
+    """d_w [C_out, C_in, *kernel] of the conv of xs for output gradient g:
+    per tap group G @ X^T, X the group's windows of the padded input (wide
+    layers), or Gs @ slab^T, Gs the kn2row block of g (kn2row layers)."""
+    c_out, c_in = geom.out_channels, geom.in_channels
+    out_sp = g.shape[2:]
+    padded = _pad_b(xs, geom.padding)
+    d_w = np.empty((c_out, c_in) + geom.kernel)
+    if not _kn2row(geom):
+        gm = g.reshape(c_out, -1)
+        for group, index in _tap_groups(geom):
+            cols = np.stack([padded[_window_b(t, geom.stride, out_sp)] for t in group], axis=1)
+            d_w[index] = (gm @ cols.reshape(len(group) * c_in, -1).T).reshape(c_out, c_in, -1)
+        return d_w
+    for i in range(geom.kernel[0]):
+        slab = np.ascontiguousarray(padded[_planes(i, geom.stride[0], out_sp[0])])
+        for j, k in _kn2row_groups(geom):
+            d_wt = _shifted(g, j, k, slab.shape[3:]) @ slab.reshape(c_in, -1).T
+            d_w[:, :, i, j, k] = d_wt.reshape(len(j), c_out, c_in).transpose(1, 2, 0)
+    return d_w
+
+
+def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
+    """The adjoint of ``_conv`` applied to g [C_out, B, *out_sp]: the conv's
+    input gradient [C_in, B, *in_sp], which is the transposed conv of g.
+
+    The sum over the padded grid starts from ``seed[c]`` for channel c
+    (zero when None), so input rows that no window reads (n + 2p - k not a
+    multiple of s) keep that value.  Per tap group, wide layers add each
+    tap's rows of W^T @ G onto its window, and kn2row layers add
+    W^T @ Gs onto the planes of its depth tap.
+    """
+    c_out, c_in = geom.out_channels, geom.in_channels
+    out_sp = g.shape[2:]
+    shape = (c_in, g.shape[1]) + tuple(n + 2 * p for n, p in zip(in_sp, geom.padding))
+    crop = _window_b(geom.padding, (1, 1, 1), in_sp)
+    d_pad = np.zeros(shape) if seed is None else np.full(shape, seed.reshape(c_in, 1, 1, 1, 1))
+    if not _kn2row(geom):
+        gm = g.reshape(c_out, -1)
+        for group, index in _tap_groups(geom):
+            d_cols = w64[index].reshape(c_out, -1).T @ gm
+            d_cols = d_cols.reshape((c_in, len(group)) + g.shape[1:])
+            for t, tap in enumerate(group):
+                d_pad[_window_b(tap, geom.stride, out_sp)] += d_cols[:, t]
+        return d_pad[crop]
+    first = seed is None
+    for i in range(geom.kernel[0]):
+        for j, k in _kn2row_groups(geom):
+            d_slab = _kn2row_weights(w64, i, j, k).T @ _shifted(g, j, k, shape[3:])
+            d_slab = d_slab.reshape((c_in,) + g.shape[1:3] + shape[3:])
+            if first and d_slab.shape == shape:
+                d_pad = d_slab  # the first group's planes span the whole grid
+            else:
+                d_pad[_planes(i, geom.stride[0], out_sp[0])] += d_slab
+            first = False
+    return d_pad[crop]
+
+
+def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
+    """out [C_out, B, *out_sp] of the conv of xs [C_in, B, *in_sp]: the sum
+    over taps and input channels, then the bias."""
+    out = _conv(xs, w64, geom)
     out += b64[:, None, None, None, None]
     return out
 
 
 def _conv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _conv_fwd_b for input xs and output gradient
-    g [C_out, B, *out_sp].
-
-    The wide-layer backward takes groups of at most C_out // C_in taps, so
-    that their im2col rows X are no larger than g: d_w = G @ X^T, and each
-    tap's rows of W^T @ G are added onto its window of the padded d_xs.
-    The kn2row backward builds, per tap group, the gradient shifted to every
-    tap's offset on the padded grid, Gs [taps*C_out, N_padded], and takes
-    d_w = Gs @ X^T and d_padded = W^T @ Gs from it.
-    """
-    c_out, c_in = geom.out_channels, geom.in_channels
-    gm = g.reshape(c_out, -1)
-    d_b = gm.sum(axis=1)
-    out_sp = g.shape[2:]
-    padded = _pad_b(xs, geom.padding)
-    # the input's voxels within the padded grid
-    crop = (slice(None), slice(None)) + _window(geom.padding, (1, 1, 1), xs.shape[2:])
-    d_w = np.empty((c_out, c_in) + geom.kernel)
-    d_pad = None
-    if c_out > _DIRECT_MAX_COUT:
-        d_pad = np.zeros(padded.shape) if need_dx else None
-        taps = list(product(*(range(k) for k in geom.kernel)))
-        per = max(1, c_out // c_in)
-        for group in (taps[t0 : t0 + per] for t0 in range(0, len(taps), per)):
-            index = (slice(None), slice(None)) + tuple(np.array(group).T)
-            windows = [(slice(None), slice(None)) + _window(t, geom.stride, out_sp) for t in group]
-            cols = np.stack([padded[w] for w in windows], axis=1).reshape(len(group) * c_in, -1)
-            d_w[index] = (gm @ cols.T).reshape(c_out, c_in, len(group))
-            if need_dx:
-                wt = w64[index].reshape(c_out, -1)
-                d_cols = (wt.T @ gm).reshape((c_in, len(group)) + g.shape[1:])
-                for t, window in enumerate(windows):
-                    d_pad[window] += d_cols[:, t]
-        return d_w, d_b, d_pad[crop] if need_dx else None
-    s1 = geom.stride[0]
-    for i, j, k, wt, slab in _kn2row_groups(padded, w64, geom, out_sp):
-        gs = np.zeros((len(j), c_out) + slab.shape[1:])
-        for t in range(len(j)):
-            gs[(t, ...) + _window((j[t], k[t]), geom.stride[1:], out_sp[1:])] = g
-        gs = gs.reshape(len(j) * c_out, -1)
-        d_w[:, :, i, j, k] = (
-            (gs @ slab.reshape(c_in, -1).T).reshape(len(j), c_out, c_in).transpose(1, 2, 0)
-        )
-        if need_dx:
-            d_slab = (wt.T @ gs).reshape(slab.shape)
-            if d_pad is None and slab.shape == padded.shape:
-                d_pad = d_slab  # the first group's slab spans the whole padded input
-            else:
-                if d_pad is None:
-                    d_pad = np.zeros(padded.shape)
-                d_pad[:, :, i : i + s1 * (out_sp[0] - 1) + 1 : s1] += d_slab
-    return d_w, d_b, d_pad[crop] if need_dx else None
+    g [C_out, B, *out_sp]; d_xs is None unless ``need_dx``."""
+    d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
+    d_xs = _conv_adjoint(g, w64, geom, xs.shape[2:]) if need_dx else None
+    return _conv_weight_grad(xs, geom, g), d_b, d_xs
 
 
-# A deposit block [C_out, s1, s2, s3, B, D, H, W] <-> its place in the phase
-# grid, [C_out, B, D, s1, H, s2, W, s3].
-_TO_GRID = (0, 4, 5, 1, 6, 2, 7, 3)
-_TO_DEPOSIT = (0, 3, 5, 7, 1, 2, 4, 6)
-
-
-def _phases(geom: ConvGeometry, xs_shape):
-    """Sub-pixel view of a stride-s deconv (Shi et al., ESPCN, arXiv:1609.05158).
-
-    With the kernel zero-padded to m = ceil(k/s) strides per axis, tap
-    s*q + a of input voxel n lands on output s*(n + q) + a: the deposits
-    [C_out, m1, s1, m2, s2, m3, s3, B, D, H, W] of offset q form one dense
-    block of the phase grid [C_out, B, D+m1-1, s1, H+m2-1, s2, W+m3-1, s3].
-
-    Returns m, the deposit and phase-grid shapes, (q, q's block index) for
-    every offset, and a function giving the padding-cropped output view
-    [C_out, B, *out_sp] of a phase-grid array.
-    """
-    in_sp = xs_shape[2:]
-    m = tuple(-(-k // s) for k, s in zip(geom.kernel, geom.stride))
-    deposits, grid = (geom.out_channels,), (geom.out_channels, xs_shape[1])
-    for n, mm, s in zip(in_sp, m, geom.stride):
-        deposits += (mm, s)
-        grid += (n + mm - 1, s)
-    blocks = []
-    for q in product(*(range(mm) for mm in m)):
-        index = (slice(None), slice(None))
-        for qq, n in zip(q, in_sp):
-            index += (slice(qq, qq + n), slice(None))
-        blocks.append((q, index))
-    flat = grid[:2] + tuple(n * s for n, s in zip(grid[2::2], grid[3::2]))
-    crop = (slice(None), slice(None)) + tuple(
-        slice(p, p + o) for p, o in zip(geom.padding, geom.deconv_output_shape(in_sp))
-    )
-
-    def output(full):
-        return full.reshape(flat)[crop]
-
-    return m, deposits + tuple(xs_shape[1:]), grid, blocks, output
-
-
-def _padded_kernel(w64, m, stride) -> np.ndarray:
-    """[C_in, C_out, k1, k2, k3] zero-padded to m*s taps per axis and
-    flattened to [C_in, C_out*m1*s1*m2*s2*m3*s3]."""
-    k1, k2, k3 = w64.shape[2:]
-    wp = np.zeros(w64.shape[:2] + tuple(mm * s for mm, s in zip(m, stride)))
-    wp[:, :, :k1, :k2, :k3] = w64
-    return wp.reshape(w64.shape[0], -1)
+def _transposed(geom: ConvGeometry) -> ConvGeometry:
+    """The conv whose adjoint is the transposed conv of ``geom``: the same
+    kernel, stride and padding, the channels swapped."""
+    c_in, c_out = geom.out_channels, geom.in_channels
+    return ConvGeometry(c_in, c_out, geom.kernel, geom.stride, geom.padding)
 
 
 def _deconv_fwd_b(xs, w64, b64, geom: ConvGeometry):
-    """Transposed conv by phases: one deposit GEMM with the zero-padded
-    kernel, then one dense block add per kernel offset.  A kernel that fits
-    in the stride (k <= s, as k == r) has a single offset, whose block is
-    placed, bias added, in one copy."""
-    m, dep_shape, grid, blocks, output = _phases(geom, xs.shape)
-    dep = _padded_kernel(w64, m, geom.stride).T @ xs.reshape(geom.in_channels, -1)
-    dep = dep.reshape(dep_shape)
-    if len(blocks) == 1:
-        full = np.empty(grid)
-        bias = b64.reshape((-1,) + (1,) * 7)
-        np.add(dep[:, 0, :, 0, :, 0].transpose(_TO_GRID), bias, out=full)
-        return output(full)
-    full = np.zeros(grid)
-    for (q1, q2, q3), index in blocks:
-        full[index] += dep[:, q1, :, q2, :, q3].transpose(_TO_GRID)
-    return output(full) + b64[:, None, None, None, None]
+    """Transposed conv of xs [C_in, B, *in_sp]: the adjoint of the conv
+    ``_transposed(geom)`` applied to xs, summed from the bias."""
+    out_sp = geom.deconv_output_shape(xs.shape[2:])
+    return _conv_adjoint(xs, w64, _transposed(geom), out_sp, seed=b64)
 
 
 def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
-    """(d_w, d_b, d_xs) of _deconv_fwd_b: the blocks of g's phase grid are
-    gathered into deposit-shaped columns, which meet the input (d_w) and the
-    zero-padded kernel (d_xs) in one GEMM each."""
-    m, dep_shape, grid, blocks, output = _phases(geom, xs.shape)
-    if g.size == math.prod(grid):  # the output fills the grid (k == s, p == 0)
-        d_full = g.reshape(grid)
-    else:
-        d_full = np.zeros(grid)
-        output(d_full)[...] = g
-    cols = np.empty(dep_shape)
-    for (q1, q2, q3), index in blocks:
-        cols[:, q1, :, q2, :, q3] = d_full[index].transpose(_TO_DEPOSIT)
-    cols = cols.reshape(math.prod(dep_shape[:7]), -1)
+    """(d_w, d_b, d_xs) of _deconv_fwd_b for input xs and output gradient g:
+    with ``_transposed(geom)`` as the conv, d_xs is the conv of g and d_w the
+    conv's weight gradient for input g and output gradient xs."""
+    conv = _transposed(geom)
     d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
-    k1, k2, k3 = geom.kernel
-    d_w = (xs.reshape(geom.in_channels, -1) @ cols.T).reshape(
-        (geom.in_channels, geom.out_channels) + tuple(mm * s for mm, s in zip(m, geom.stride))
-    )[:, :, :k1, :k2, :k3]
-    d_xs = None
-    if need_dx:
-        d_xs = (_padded_kernel(w64, m, geom.stride) @ cols).reshape(xs.shape)
-    return d_w, d_b, d_xs
+    d_xs = _conv(g, w64, conv) if need_dx else None
+    return _conv_weight_grad(g, conv, xs), d_b, d_xs
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctsr import grid, metrics
-from ctsr.cli import main
+from ctsr.cli import JOURNAL_HEADER, _csv_text, _journal_settings, main
 from ctsr.config import load_run_config
 from ctsr.model import (
     ModelConfig,
@@ -152,6 +152,15 @@ class TestInferEvaluate:
         assert main(["infer", str(trained), str(path), "--out", str(tmp_path / "x.svol")]) == 3
         assert "depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tile", ["0", "-5"])
+    def test_infer_nonpositive_tile_is_config_error(self, tmp_path, data_dir, trained, capsys,
+                                                    tile):
+        lr_path = sorted(data_dir.glob("*.svol"))[0]
+        out = tmp_path / "sr.svol"
+        assert main(["infer", str(trained), str(lr_path), "--out", str(out), "--tile", tile]) == 2
+        assert f"--tile must be >= 1, got {tile}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infer_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
         ckpt = tmp_path / "short.ckpt"
         ckpt.write_bytes(b"3DECNN\0" + struct.pack("<I", 1))  # magic + version only
@@ -233,6 +242,18 @@ class TestInferEvaluate:
         assert "excluded" in stdout
         rows = _read_csv(out_dir / "metrics.csv")[1:]
         assert all(row[2] == "inf" for row in rows)
+
+    def test_evaluate_repeated_method_name_is_config_error(self, tmp_path, data_dir, capsys):
+        hr_path, other = sorted(data_dir.glob("*.svol"))[:2]
+        out_dir = tmp_path / "report"
+        code = main([
+            "evaluate", "--hr", str(hr_path),
+            "--method", f"a={hr_path}", "--method", f"a={other}",
+            "--out", str(out_dir),
+        ])
+        assert code == 2
+        assert "--method name 'a' is given more than once" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_evaluate_one_slice_volume_is_data_error(self, tmp_path, capsys):
         one = gen_synthetic("spheres", (16, 24, 24), seed=4)
@@ -331,6 +352,14 @@ class TestConfig:
         assert "unknown key 'val_pair_cap'" in capsys.readouterr().err
         assert not run_dir.exists()
 
+    def test_negative_grid_epochs_is_config_error(self, tmp_path, data_dir, capsys):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 3\ngrid_epochs = -3\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 2
+        assert "grid_epochs: must be >= 0, got -3" in capsys.readouterr().err
+        assert not run_dir.exists()
+
 
 class TestGridsearch:
     def test_singleton_space_one_row(self, tmp_path, data_dir):
@@ -391,7 +420,8 @@ class TestGridsearch:
         failed_key = "n=3;l=1;f=(3,3,1);k=1;r=2"
         error = f"RuntimeError: {message}"
         journal = _read_csv(run_dir / "gridsearch_journal.csv")
-        assert [failed_key, "", error] in journal
+        settings = _journal_settings(load_run_config(cfg_path, grid=True).model, 1)
+        assert [failed_key, settings, "", error] in journal
         results = _read_csv(run_dir / "gridsearch_results.csv")
         assert results[-1] == ["", failed_key, "", error]
         # resumed from the journal alone, the failure is reported unchanged
@@ -402,7 +432,8 @@ class TestGridsearch:
 
     @pytest.mark.parametrize("row", [
         "n=3;l=1;f=(3,3,1);k=1;r=2,12.5,",  # unquoted key, as older versions wrote
-        '"n=3;l=1;f=(3,3,1);k=1;r=2",twelve,',
+        '"n=3;l=1;f=(3,3,1);k=1;r=2",twelve,',  # no settings, as older versions wrote
+        '"n=3;l=1;f=(3,3,1);k=1;r=2",{settings},twelve,',
     ])
     def test_bad_journal_row_is_data_error(self, tmp_path, data_dir, capsys, row):
         cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
@@ -410,11 +441,59 @@ class TestGridsearch:
             fh.write("grid_kernels = 1,3\ngrid_epochs = 1\n")
         run_dir.mkdir()
         journal_path = run_dir / "gridsearch_journal.csv"
-        journal_path.write_text(f"config,val_psnr,error\n{row}\n", encoding="utf-8")
+        settings = _journal_settings(load_run_config(cfg_path, grid=True).model, 1)
+        row = row.replace("{settings}", settings)
+        journal_path.write_text(f"{','.join(JOURNAL_HEADER)}\n{row}\n", encoding="utf-8")
         assert main(["gridsearch", "--config", str(cfg_path)]) == 3
         assert str(journal_path) in capsys.readouterr().err
         assert not (run_dir / "gridsearch_results.csv").exists()
 
+
+    def test_resume_ranks_only_this_space(self, tmp_path, data_dir):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        base = cfg_path.read_text()
+        cfg_path.write_text(base + "grid_kernels = 1\ngrid_epochs = 1\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text(base + "grid_kernels = 3\ngrid_epochs = 1\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        rows = _read_csv(run_dir / "gridsearch_results.csv")[1:]
+        assert [row[1] for row in rows] == ["n=3;l=1;f=(3,3,1);k=3;r=2"]
+        # the k=1 row stays in the journal for a later sweep that includes it
+        assert len(_read_csv(run_dir / "gridsearch_journal.csv")) == 3
+
+    @pytest.mark.parametrize("setting", [
+        "lr = 0.5", "seed = 6", "batch_size = 2", "patch_hw = 6", "grid_epochs = 2",
+    ])
+    def test_resume_under_other_settings_is_data_error(self, tmp_path, data_dir, capsys,
+                                                       setting):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        base = cfg_path.read_text()
+        cfg_path.write_text(base + "grid_kernels = 1\ngrid_epochs = 1\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        key = setting.split(" = ")[0]
+        changed = [line for line in base.splitlines() if not line.startswith(key + " ")]
+        grid_epochs = "" if key == "grid_epochs" else "grid_epochs = 1\n"
+        cfg_path.write_text(
+            "\n".join(changed) + f"\n{setting}\ngrid_kernels = 3\n{grid_epochs}"
+        )
+        capsys.readouterr()
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 3
+        assert str(run_dir / "gridsearch_journal.csv") in capsys.readouterr().err
+        assert len(_read_csv(run_dir / "gridsearch_journal.csv")) == 2  # nothing trained
+
+    def test_resume_journal_without_final_newline(self, tmp_path, data_dir):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 3\ngrid_epochs = 1\n")
+        run_dir.mkdir()
+        journal_path = run_dir / "gridsearch_journal.csv"
+        settings = _journal_settings(load_run_config(cfg_path, grid=True).model, 1)
+        k1 = ["n=3;l=1;f=(3,3,1);k=1;r=2", settings, "12.5", ""]
+        journal_path.write_text(_csv_text([JOURNAL_HEADER, k1]).rstrip("\n"), encoding="utf-8")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        journal = _read_csv(journal_path)
+        assert journal[:2] == [JOURNAL_HEADER, k1]
+        assert [row[0] for row in journal[2:]] == ["n=3;l=1;f=(3,3,1);k=3;r=2"]
 
     def test_results_file_ranks_like_rank_results(self, tmp_path, data_dir):
         # every combination already journaled, so the results file is ranked
@@ -429,8 +508,9 @@ class TestGridsearch:
         outcomes = [(20.0, ""), (None, "RuntimeError: a"), (25.5, ""), (20.0, ""),
                     (None, "ValueError: b"), (11.25, "")]
         run_dir.mkdir()
-        journal = [["config", "val_psnr", "error"]] + [
-            [cfg.key(), "" if psnr is None else repr(psnr), err]
+        settings = _journal_settings(run.model, 1)
+        journal = [JOURNAL_HEADER] + [
+            [cfg.key(), settings, "" if psnr is None else repr(psnr), err]
             for cfg, (psnr, err) in zip(configs, outcomes)
         ]
         with open(run_dir / "gridsearch_journal.csv", "w", newline="") as fh:

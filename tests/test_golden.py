@@ -3,23 +3,27 @@
 Each case trains a small fixed-seed model on a fixed synthetic volume and
 super-resolves a fixed LR volume.  The checkpoint checksum and the CRC32 of
 the ``infer_volume`` output were recorded before the conv engine was
-rewritten (kn2row few-output-channel conv, sub-pixel deconv, per-sample ops
-as B=1 wrappers) and held through it and through the move to one model
-driver (``forward`` as the batched forward at B=1, rounding to float32
-after every layer; ``sgd_step`` on plain gradient arrays), and through the
-move of weights, biases, training pairs and ``forward``'s input and output
-from the ``Tensor`` wrapper to plain float32 arrays, and through the
-training step that keeps only each layer's input (no cached column
-matrix).  A kernel or driver change that moves any weight or output by one
-float32 ULP fails here.  The values hold for one and for two BLAS threads
-(OpenBLAS 0.3.31, x86-64 Haswell kernels); a BLAS whose GEMM sums in
-another order may need them re-recorded.
+rewritten (kn2row few-output-channel conv, a sub-pixel deconv since
+replaced, per-sample ops as B=1 wrappers) and held through it and through
+the move to one model driver (``forward`` as the batched forward at B=1,
+rounding to float32 after every layer; ``sgd_step`` on plain gradient
+arrays), and through the move of weights, biases, training pairs and
+``forward``'s input and output from the ``Tensor`` wrapper to plain float32
+arrays, and through the training step that keeps only each layer's input
+(no cached column matrix), and through the transposed conv computed as the
+adjoint of the conv (its input gradient, summed from the bias), which sums
+a k > r deconv's taps in another order in float64.  A kernel or driver
+change that moves any weight or output by one float32 ULP fails here.  The
+values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
+Haswell kernels); a BLAS whose GEMM sums in another order may need them
+re-recorded.
 
 * k=5/r=2: the deconv trims one row/column (k - r odd); the C_out=4 conv and
   the final conv take the few-output-channel kn2row path with more taps
   than fit one tap group; the first conv (C_out=8) takes the wide-layer
   im2col path (a GEMM on one sample's columns in the forward, groups of
-  C_out // C_in = 8 taps in the backward).
+  C_out // C_in = 8 taps in the backward), and so does the deconv, whose
+  conv has in-plane stride 2 (groups of s1*s2*s3 = 4 taps).
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
 """

@@ -256,27 +256,55 @@ def _f64_array(shape, rng):
 def _conv_engine_case(rng, path):
     """Random conv geometry on one engine path, with a batch of two.
 
-    "kn2row": C_out <= 4 and more in-plane taps than one kn2row group holds
-    (C_in // C_out of them); "im2col": C_out > 4.
+    "kn2row": C_out <= 4, in-plane stride one and more in-plane taps than
+    one kn2row group holds (C_in // C_out of them); "im2col": C_out > 4.
+    Each strided axis has up to s - 1 trailing input rows that no window
+    reads ((n + 2p - k) not a multiple of s).
     """
-    u = [int(v) for v in rng.next_u64(14)]
+    u = [int(v) for v in rng.next_u64(17)]
     if path == "kn2row":
         co = 1 + u[0] % ops._DIRECT_MAX_COUT
         ci = co + u[1] % (co + 1)  # groups of one or two taps
         ks = (1 + u[2] % 3, 2 + u[3] % 2, 2 + u[4] % 2)
+        ss = (1 + u[5] % 2, 1, 1)
     else:
         co = ops._DIRECT_MAX_COUT + 1 + u[0] % 3
         ci = 1 + u[1] % 3
         ks = tuple(1 + u[2 + i] % 3 for i in range(3))
-    ss = tuple(1 + u[5 + i] % 2 for i in range(3))
+        ss = tuple(1 + u[5 + i] % 2 for i in range(3))
     ps = tuple(min(u[8 + i] % 2, (k - 1) // 2) for i, k in zip(range(3), ks))
     outs = tuple(1 + u[11 + i] % 3 for i in range(3))
-    ins = tuple((o - 1) * s + k - 2 * p for o, s, k, p in zip(outs, ss, ks, ps))
+    ins = tuple(
+        (o - 1) * s + k - 2 * p + u[14 + i] % s
+        for i, (o, s, k, p) in enumerate(zip(outs, ss, ks, ps))
+    )
     geom = ConvGeometry(ci, co, ks, ss, ps)
     x = _f64_array((ci, 2) + ins, rng)
     w = _f64_array((co, ci) + ks, rng)
     b = _f64_array((co,), rng)
     return geom, x, w, b
+
+
+def _unread_rows(geom, in_sp):
+    """Per axis, the first input row that no conv window reads (the extent
+    itself when the windows, or the padding after the input, reach its end)."""
+    out_sp = geom.conv_output_shape(in_sp)
+    return tuple(
+        min(n, (o - 1) * s + k - p)
+        for n, o, s, k, p in zip(in_sp, out_sp, geom.stride, geom.kernel, geom.padding)
+    )
+
+
+def _transposed_conv_oracle(y, w, geom, in_sp):
+    """The transposed conv of y by the scatter oracle, cut to the conv's
+    input extents in_sp: its unpadded deposit grid without the first p rows
+    per axis, and zero past the last deposit."""
+    unpadded = ConvGeometry(geom.out_channels, geom.in_channels, geom.kernel, geom.stride)
+    full = _per_sample(deconv3d_scatter_loops, y, w, np.zeros(geom.in_channels), unpadded)
+    grid = np.zeros(full.shape[:2] + tuple(n + 2 * p for n, p in zip(in_sp, geom.padding)))
+    grid[(slice(None), slice(None)) + tuple(slice(0, m) for m in full.shape[2:])] = full
+    crop = tuple(slice(p, p + n) for n, p in zip(in_sp, geom.padding))
+    return grid[(slice(None), slice(None)) + crop]
 
 
 def _deconv_engine_case(rng, kind):
@@ -298,7 +326,7 @@ def _deconv_engine_case(rng, kind):
         min(1 + u[9 + i] % 2, ((n - 1) * s + k - 1) // 2)
         for i, (n, s, k) in enumerate(zip(ins, ss, ks))
     )
-    if kind == "k=r,p=0":  # the output fills the phase grid exactly
+    if kind == "k=r,p=0":  # every output voxel gets exactly one tap
         ks, ps = ss, (0, 0, 0)
     geom = ConvGeometry(1 + u[12] % 3, 1 + u[13] % 3, ks, ss, ps)
     x = _f64_array((geom.in_channels, 2) + ins, rng)
@@ -327,11 +355,9 @@ class TestBatchedEngine:
         for _ in range(12):
             geom, x, w, b = _conv_engine_case(rng, path)
             if path == "kn2row":
-                assert geom.out_channels <= ops._DIRECT_MAX_COUT
                 per_group = max(1, geom.in_channels // geom.out_channels)
                 assert geom.kernel[1] * geom.kernel[2] > per_group, "several tap groups"
-            else:
-                assert geom.out_channels > ops._DIRECT_MAX_COUT
+            assert ops._kn2row(geom) == (path == "kn2row")
             out = _conv_fwd_b(x, w, b, geom)
             assert _close(out, _per_sample(conv3d_loops, x, w, b, geom))
 
@@ -379,6 +405,37 @@ class TestBatchedEngine:
             # up to rounding
             fd_w = central_difference(lambda v: float(np.sum(fwd(v, x) * y)), w, 1e-3)
             assert _close(d_w, fd_w, tol=1e-9)
+
+    @pytest.mark.parametrize("path", ["kn2row", "im2col"])
+    def test_unread_input_rows_get_zero_gradient(self, path):
+        """d_x is exactly zero on the trailing input rows that no window
+        reads, and elsewhere the transposed conv of the output gradient, by
+        the scatter oracle and by finite differences."""
+        rng = Rng(940 if path == "kn2row" else 941)
+        cases_with_unread_rows = 0
+        for _ in range(16):
+            geom, x, w, _ = _conv_engine_case(rng, path)
+            zero_b = np.zeros(geom.out_channels)
+            y = _f64_array(_conv_fwd_b(x, w, zero_b, geom).shape, rng)
+            d_x = _conv_bwd_b(x, w, geom, y, True)[2]
+            read = _unread_rows(geom, x.shape[2:])
+            cases_with_unread_rows += read != x.shape[2:]
+            for axis, n in enumerate(read):
+                assert not d_x[(slice(None),) * (axis + 2) + (slice(n, None),)].any()
+            assert _close(d_x, _transposed_conv_oracle(y, w, geom, x.shape[2:]))
+            # <conv(x), y> is linear in x, so central differences are exact up
+            # to rounding; the last entry lies in an unread row if there is one
+            picks = [tuple(int(v) % n for v, n in zip(rng.next_u64(5), x.shape))
+                     for _ in range(6)] + [tuple(n - 1 for n in x.shape)]
+            for idx in picks:
+                def loss(v, idx=idx):
+                    xv = x.copy()
+                    xv[idx] = v
+                    return float(np.sum(_conv_fwd_b(xv, w, zero_b, geom) * y))
+
+                fd = (loss(x[idx] + 1e-3) - loss(x[idx] - 1e-3)) / 2e-3
+                assert abs(fd - d_x[idx]) <= 1e-9 * max(abs(fd), 1.0)
+        assert cases_with_unread_rows >= 3
 
     def test_kn2row_without_dx_leaves_weights_gradient_alone(self):
         geom, x, w, b = _conv_engine_case(Rng(930), "kn2row")
