@@ -166,6 +166,15 @@ def cmd_infer(args) -> int:
             f"volume {vol.shape} incompatible with model: depth {vol.shape[0]} < "
             f"window depth {n}"
         )
+    r = params.config.scale
+    out_shape = (vol.shape[0], vol.shape[1] * r, vol.shape[2] * r)
+    need = 8 * math.prod(out_shape)  # infer_volume's float64 output accumulator
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DataError(
+            f"checkpoint {args.checkpoint}: scale {r} makes a {out_shape} output of "
+            f"{need} bytes, more than the {have} bytes of physical memory"
+        )
     sr = model.infer_volume(params, vol, tile_hw=args.tile)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -190,6 +199,11 @@ def _slice_metrics(method: str, vol: Volume, hr: Volume):
 
 def cmd_evaluate(args) -> int:
     hr = _load_svol(Path(args.hr))
+    if min(hr.shape[1:]) < metrics.SSIM_WINDOW:
+        raise DataError(
+            f"HR volume {args.hr} has {hr.shape[1]}x{hr.shape[2]} slices; SSIM takes "
+            f"slices of at least {metrics.SSIM_WINDOW}x{metrics.SSIM_WINDOW}"
+        )
     methods = []
     for spec_str in args.method:
         if "=" not in spec_str:

@@ -361,10 +361,14 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
     return params, report
 
 
-def _validation_psnr(params: ModelParams, val_pairs, chunk_size: int = 16) -> float:
+# validation pairs per forward batch
+_VALIDATION_CHUNK = 16
+
+
+def _validation_psnr(params: ModelParams, val_pairs) -> float:
     vals = []
-    for i in range(0, len(val_pairs), chunk_size):
-        chunk = val_pairs[i : i + chunk_size]
+    for i in range(0, len(val_pairs), _VALIDATION_CHUNK):
+        chunk = val_pairs[i : i + _VALIDATION_CHUNK]
         xs = np.stack([p.lr_patch for p in chunk]).transpose(1, 0, 2, 3, 4)
         out, _ = _forward_batch(params, xs.astype(np.float64), keep_caches=False)
         for j, pair in enumerate(chunk):

@@ -8,9 +8,10 @@ that run it with B = 1 on float32 [C, D, H, W] arrays and cast the
 result back to float32.
 
 * Conv with more than ``_DIRECT_MAX_COUT`` output channels or an in-plane
-  stride above one: im2col + GEMM on one sample's columns at a time; the
-  backward regathers the layer input one tap group at a time, so no column
-  matrix of a batch is ever built.
+  stride above one ("wide"): im2col, one GEMM per sample over all taps.
+  With cols_n sample n's columns, the forward is W @ cols_n, d_w sums
+  G_n @ cols_n^T and d_x adds each tap's rows of W^T @ G_n onto its window,
+  so no column matrix of a batch is built and no sample depends on another.
 * Conv with fewer and in-plane stride one (the final 1-channel conv at the
   upsampled resolution): kn2row (Anderson et al., "Low-memory GEMM-based
   convolution algorithms for deep neural networks", arXiv:1709.03395).  One
@@ -135,22 +136,6 @@ def _pad_b(x: np.ndarray, padding: tuple[int, int, int]) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p1, p1), (p2, p2), (p3, p3)))
 
 
-def _gather_columns_b(padded, kernel, stride, n_positions) -> np.ndarray:
-    """[C, B, Dp, Hp, Wp] -> columns [C*k1*k2*k3, B*N], float64.
-
-    Row order is (c, i, j, k) to match a reshaped weight block; column order
-    is row-major over (batch, output grid).
-    """
-    c, b = padded.shape[:2]
-    win = sliding_window_view(padded, kernel, axis=(2, 3, 4))
-    win = win[:, :, :: stride[0], :: stride[1], :: stride[2]]
-    win = win[:, :, : n_positions[0], : n_positions[1], : n_positions[2]]
-    # order='C' materializes the gather in one pass so the reshape is free
-    win = win.transpose(0, 5, 6, 7, 1, 2, 3, 4).astype(np.float64, order="C")
-    n = b * n_positions[0] * n_positions[1] * n_positions[2]
-    return win.reshape(c * kernel[0] * kernel[1] * kernel[2], n)
-
-
 def _window(tap, stride, n_positions):
     """Per axis, the slice of a padded grid that kernel tap ``tap`` reads
     for every one of ``n_positions`` outputs."""
@@ -160,6 +145,22 @@ def _window(tap, stride, n_positions):
 def _window_b(tap, stride, n_positions):
     """``_window`` over every channel and sample of a [C, B, ...] array."""
     return (slice(None), slice(None)) + _window(tap, stride, n_positions)
+
+
+def _sample_columns(xs, geom: ConvGeometry, out_sp):
+    """Each sample's im2col columns [C*k1*k2*k3, N] of xs [C, B, *in_sp] for
+    the conv ``geom`` with output extents out_sp, float64.
+
+    Row order is (c, i, j, k) to match a reshaped weight block; column order
+    is row-major over the output grid.  One sliding-window view serves the
+    batch, and each sample is one strided copy of it.
+    """
+    win = sliding_window_view(_pad_b(xs, geom.padding), geom.kernel, axis=(2, 3, 4))
+    win = win[_window_b((0, 0, 0), geom.stride, out_sp)]
+    for n in range(xs.shape[1]):
+        # order='C' materializes the gather in one pass so the reshape is free
+        cols = win[:, n].transpose(0, 4, 5, 6, 1, 2, 3).astype(np.float64, order="C")
+        yield cols.reshape(xs.shape[0] * math.prod(geom.kernel), -1)
 
 
 # Few-output-channel layers (the final smoothing conv) skip im2col: its column
@@ -172,19 +173,6 @@ _DIRECT_MAX_COUT = 4
 
 def _kn2row(geom: ConvGeometry) -> bool:
     return geom.out_channels <= _DIRECT_MAX_COUT and geom.stride[1:] == (1, 1)
-
-
-def _tap_groups(geom: ConvGeometry):
-    """Wide-layer tap groups in (i, j, k) order, with their index into a
-    weight block.  A group holds up to max(C_out // C_in, s1*s2*s3) taps:
-    for a stride-1 conv its input rows (C_in per tap) are then no larger
-    than the output gradient, and a transposed conv whose kernel tiles its
-    stride is one GEMM."""
-    taps = list(product(*(range(k) for k in geom.kernel)))
-    per = max(geom.out_channels // geom.in_channels, math.prod(geom.stride))
-    for t0 in range(0, len(taps), per):
-        group = taps[t0 : t0 + per]
-        yield group, (slice(None), slice(None)) + tuple(np.array(group).T)
 
 
 def _kn2row_groups(geom: ConvGeometry):
@@ -220,22 +208,21 @@ def _shifted(g, j, k, plane_hw) -> np.ndarray:
 def _conv(xs, w64, geom: ConvGeometry):
     """The conv of xs [C_in, B, *in_sp] without bias, [C_out, B, *out_sp].
 
-    Wide layers multiply the reshaped weight block by one sample's im2col
-    columns [C_in*k1*k2*k3, N] at a time.  kn2row layers take one
-    [taps*C_out, C_in] @ [C_in, N_padded] GEMM per tap group and add each
-    tap's shifted window of the product into the output.
+    Wide layers take W @ cols_n per sample n, cols_n its im2col columns
+    [C_in*k1*k2*k3, N].  kn2row layers take one [taps*C_out, C_in] @
+    [C_in, N_padded] GEMM per tap group and add each tap's shifted window
+    of the product into the output.
     """
     out_sp = geom.conv_output_shape(xs.shape[2:])
     c_out, c_in = geom.out_channels, geom.in_channels
     batch = xs.shape[1]
-    padded = _pad_b(xs, geom.padding)
     if not _kn2row(geom):
         out = np.empty((c_out, batch) + out_sp)
         wm = w64.reshape(c_out, -1)
-        for n in range(batch):
-            cols = _gather_columns_b(padded[:, n : n + 1], geom.kernel, geom.stride, out_sp)
+        for n, cols in enumerate(_sample_columns(xs, geom, out_sp)):
             out[:, n] = (wm @ cols).reshape((c_out,) + out_sp)
         return out
+    padded = _pad_b(xs, geom.padding)
     out = np.zeros((c_out, batch) + out_sp)
     for i in range(geom.kernel[0]):
         slab = np.ascontiguousarray(padded[_planes(i, geom.stride[0], out_sp[0])])
@@ -249,18 +236,18 @@ def _conv(xs, w64, geom: ConvGeometry):
 
 def _conv_weight_grad(xs, geom: ConvGeometry, g):
     """d_w [C_out, C_in, *kernel] of the conv of xs for output gradient g:
-    per tap group G @ X^T, X the group's windows of the padded input (wide
-    layers), or Gs @ slab^T, Gs the kn2row block of g (kn2row layers)."""
+    the sum over samples n of G_n @ cols_n^T, cols_n the sample's im2col
+    columns (wide layers), or per tap group Gs @ slab^T, Gs the kn2row
+    block of g (kn2row layers)."""
     c_out, c_in = geom.out_channels, geom.in_channels
     out_sp = g.shape[2:]
+    if not _kn2row(geom):
+        d_w = np.zeros((c_out, c_in * math.prod(geom.kernel)))
+        for n, cols in enumerate(_sample_columns(xs, geom, out_sp)):
+            d_w += g[:, n].reshape(c_out, -1) @ cols.T
+        return d_w.reshape((c_out, c_in) + geom.kernel)
     padded = _pad_b(xs, geom.padding)
     d_w = np.empty((c_out, c_in) + geom.kernel)
-    if not _kn2row(geom):
-        gm = g.reshape(c_out, -1)
-        for group, index in _tap_groups(geom):
-            cols = np.stack([padded[_window_b(t, geom.stride, out_sp)] for t in group], axis=1)
-            d_w[index] = (gm @ cols.reshape(len(group) * c_in, -1).T).reshape(c_out, c_in, -1)
-        return d_w
     for i in range(geom.kernel[0]):
         slab = np.ascontiguousarray(padded[_planes(i, geom.stride[0], out_sp[0])])
         for j, k in _kn2row_groups(geom):
@@ -275,9 +262,9 @@ def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
 
     The sum over the padded grid starts from ``seed[c]`` for channel c
     (zero when None), so input rows that no window reads (n + 2p - k not a
-    multiple of s) keep that value.  Per tap group, wide layers add each
-    tap's rows of W^T @ G onto its window, and kn2row layers add
-    W^T @ Gs onto the planes of its depth tap.
+    multiple of s) keep that value.  Wide layers take W^T @ G_n per sample
+    n and add each tap's rows onto its window of the sample's grid; kn2row
+    layers add W^T @ Gs per tap group onto the planes of its depth tap.
     """
     c_out, c_in = geom.out_channels, geom.in_channels
     out_sp = g.shape[2:]
@@ -285,12 +272,12 @@ def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
     crop = _window_b(geom.padding, (1, 1, 1), in_sp)
     d_pad = np.zeros(shape) if seed is None else np.full(shape, seed.reshape(c_in, 1, 1, 1, 1))
     if not _kn2row(geom):
-        gm = g.reshape(c_out, -1)
-        for group, index in _tap_groups(geom):
-            d_cols = w64[index].reshape(c_out, -1).T @ gm
-            d_cols = d_cols.reshape((c_in, len(group)) + g.shape[1:])
-            for t, tap in enumerate(group):
-                d_pad[_window_b(tap, geom.stride, out_sp)] += d_cols[:, t]
+        wt = w64.reshape(c_out, -1).T
+        taps = list(product(*(range(k) for k in geom.kernel)))
+        for n in range(g.shape[1]):
+            d_cols = (wt @ g[:, n].reshape(c_out, -1)).reshape((c_in, len(taps)) + out_sp)
+            for t, tap in enumerate(taps):
+                d_pad[(slice(None), n) + _window(tap, geom.stride, out_sp)] += d_cols[:, t]
         return d_pad[crop]
     first = seed is None
     for i in range(geom.kernel[0]):
@@ -338,11 +325,18 @@ def _deconv_fwd_b(xs, w64, b64, geom: ConvGeometry):
 def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _deconv_fwd_b for input xs and output gradient g:
     with ``_transposed(geom)`` as the conv, d_xs is the conv of g and d_w the
-    conv's weight gradient for input g and output gradient xs."""
+    conv's weight gradient for input g and output gradient xs, both on the
+    wide path from one gather of g's columns per sample."""
     conv = _transposed(geom)
+    wm = w64.reshape(conv.out_channels, -1)
+    d_w = np.zeros(wm.shape)
     d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
-    d_xs = _conv(g, w64, conv) if need_dx else None
-    return _conv_weight_grad(g, conv, xs), d_b, d_xs
+    d_xs = np.empty(xs.shape) if need_dx else None
+    for n, cols in enumerate(_sample_columns(g, conv, xs.shape[2:])):
+        d_w += xs[:, n].reshape(conv.out_channels, -1) @ cols.T
+        if need_dx:
+            d_xs[:, n] = (wm @ cols).reshape(xs[:, n].shape)
+    return d_w.reshape(w64.shape), d_b, d_xs
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,22 @@ class TestInferEvaluate:
         assert str(ckpt) in capsys.readouterr().err
         assert not (tmp_path / "sr.svol").exists()
 
+    def test_infer_scale_beyond_memory_is_data_error(self, tmp_path, capsys):
+        # the deconv's weight shape does not depend on the scale, so the
+        # checkpoint loads; its 3x8x8 input would make a 6 TiB output
+        cfg = ModelConfig(feature_depth=3, conv_layers=1, filters=(3, 3, 1), kernel=3,
+                          scale=65538)
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(serialize_params(build_model(cfg, Rng(0))))
+        assert load_checkpoint(ckpt).config.scale == 65538
+        lr_path = tmp_path / "lr.svol"
+        save_volume(Volume(Tensor(np.full((3, 8, 8), 0.5, np.float32))), lr_path)
+        out = tmp_path / "sr.svol"
+        assert main(["infer", str(ckpt), str(lr_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "scale 65538" in err and "(3, 524304, 524304)" in err
+        assert not out.exists()
+
     def test_evaluate_reports(self, tmp_path, data_dir, trained, capsys):
         lr_dir = tmp_path / "lr"
         main(["simulate", str(data_dir), "--out", str(lr_dir), "--scale", "2"])
@@ -273,6 +289,17 @@ class TestInferEvaluate:
         # one method takes no t-test, so one slice is enough
         assert main(["evaluate", "--hr", str(hr_path), "--method", f"m={m_path}",
                      "--out", str(out_dir)]) == 0
+
+    def test_evaluate_slices_smaller_than_ssim_window_is_data_error(self, tmp_path, capsys):
+        hr_path = tmp_path / "tiny.svol"
+        save_volume(Volume(Tensor(np.full((3, 4, 5), 0.5, np.float32))), hr_path)
+        out_dir = tmp_path / "rep"
+        code = main(["evaluate", "--hr", str(hr_path), "--method", f"m={hr_path}",
+                     "--out", str(out_dir)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert str(hr_path) in captured.err and "4x5" in captured.err
+        assert captured.out == "" and not out_dir.exists()
 
     def test_evaluate_dimension_mismatch(self, tmp_path, data_dir, capsys):
         hr_path = sorted(data_dir.glob("*.svol"))[0]

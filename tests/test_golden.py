@@ -12,27 +12,34 @@ arrays), and through the move of weights, biases, training pairs and
 arrays, and through the training step that keeps only each layer's input
 (no cached column matrix), and through the transposed conv computed as the
 adjoint of the conv (its input gradient, summed from the bias), which sums
-a k > r deconv's taps in another order in float64.  A kernel or driver
-change that moves any weight or output by one float32 ULP fails here.  The
-values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
-Haswell kernels); a BLAS whose GEMM sums in another order may need them
-re-recorded.
+a k > r deconv's taps in another order in float64, and through the wide
+layers' one GEMM per sample over all taps in every direction, which sums a
+weight gradient over the samples in another order in float64.  A change to
+the engine or to the training and inference loops that moves any weight or
+output by one float32 ULP fails here.  The values hold for one and for two
+BLAS threads (OpenBLAS 0.3.31, x86-64 Haswell kernels; the last test reruns
+both cases with one thread); a BLAS whose GEMM sums in another order may
+need them re-recorded.
 
 * k=5/r=2: the deconv trims one row/column (k - r odd); the C_out=4 conv and
   the final conv take the few-output-channel kn2row path with more taps
   than fit one tap group; the first conv (C_out=8) takes the wide-layer
-  im2col path (a GEMM on one sample's columns in the forward, groups of
-  C_out // C_in = 8 taps in the backward), and so does the deconv, whose
-  conv has in-plane stride 2 (groups of s1*s2*s3 = 4 taps).
+  im2col path (one GEMM per sample over all taps, forward and backward),
+  and so does the deconv, whose conv has in-plane stride 2.
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
 """
 
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctsr
 from ctsr.model import ModelConfig, infer_volume, train
 from ctsr.pipeline import gen_synthetic, make_pairs
 from ctsr.tensor import Rng, Tensor, uniform_init
@@ -71,3 +78,20 @@ def test_checkpoint_and_inference_are_bit_identical(name):
     got_ckpt = params.checksum()
     got_infer = zlib.crc32(np.ascontiguousarray(sr.data.data).tobytes())
     assert (got_ckpt, got_infer) == (want_ckpt, want_infer)
+
+
+def test_values_hold_with_one_blas_thread():
+    """Both cases again in a fresh interpreter with one OpenBLAS thread: the
+    thread count is fixed when numpy loads, and this suite otherwise runs
+    with the default count."""
+    src = str(Path(ctsr.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_checkpoint_and_inference_are_bit_identical"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout

@@ -311,10 +311,15 @@ def _deconv_engine_case(rng, kind):
     """Random deconv geometry whose kernel is smaller than ("k<r"), equal
     to ("k=r") or larger than ("k>r") the stride on every axis, with a
     stride above one and nonzero padding on every axis, and a batch of two.
-    "k=r,p=0" is the paper's case: kernel equal to the stride, no padding."""
+    "k=r,p=0" is the paper's case: kernel equal to the stride, no padding.
+    "s=1" has in-plane stride one and at most 3 input channels, so its
+    forward takes kn2row."""
     u = [int(v) for v in rng.next_u64(14)]
     ss = tuple(2 + u[i] % 2 for i in range(3))
-    if kind == "k<r":
+    if kind == "s=1":
+        ss = (1 + u[0] % 2, 1, 1)
+        ks = (1 + u[3] % 3, 2 + u[4] % 2, 2 + u[5] % 2)
+    elif kind == "k<r":
         ks = tuple(1 + u[3 + i] % (s - 1) for i, s in enumerate(ss))
     elif kind == "k=r":
         ks = ss
@@ -333,6 +338,15 @@ def _deconv_engine_case(rng, kind):
     w = _f64_array((geom.in_channels, geom.out_channels) + ks, rng)
     b = _f64_array((geom.out_channels,), rng)
     return geom, x, w, b
+
+
+def _engine_case(rng, op):
+    """A random case of a conv path (see ``_conv_engine_case``) or a deconv
+    kind (see ``_deconv_engine_case``), with the engine's forward and
+    backward for it."""
+    if op in ("kn2row", "im2col"):
+        return _conv_engine_case(rng, op) + (_conv_fwd_b, _conv_bwd_b)
+    return _deconv_engine_case(rng, op) + (_deconv_fwd_b, _deconv_bwd_b)
 
 
 def _per_sample(oracle, x, w, b, geom):
@@ -376,26 +390,19 @@ class TestBatchedEngine:
             out = _deconv_fwd_b(x, w, b, geom)
             assert _close(out, _per_sample(deconv3d_scatter_loops, x, w, b, geom))
 
-    @pytest.mark.parametrize("op", ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0"])
+    @pytest.mark.parametrize("op", ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0", "s=1"])
     def test_backward_is_adjoint_and_matches_finite_differences(self, op):
-        rng = Rng(920 + ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0"].index(op))
+        rng = Rng(920 + ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0", "s=1"].index(op))
         for _ in range(4):
-            if op in ("kn2row", "im2col"):
-                geom, x, w, _ = _conv_engine_case(rng, op)
+            geom, x, w, _, fwd_b, bwd_b = _engine_case(rng, op)
+            if op == "s=1":  # a kn2row forward, an im2col backward
+                assert ops._kn2row(ops._transposed(geom))
 
-                def fwd(wv, xv):
-                    return _conv_fwd_b(xv, wv, np.zeros(geom.out_channels), geom)
+            def fwd(wv, xv):
+                return fwd_b(xv, wv, np.zeros(geom.out_channels), geom)
 
-                y = _f64_array(fwd(w, x).shape, rng)
-                d_w, d_b, d_x = _conv_bwd_b(x, w, geom, y, True)
-            else:
-                geom, x, w, _ = _deconv_engine_case(rng, op)
-
-                def fwd(wv, xv):
-                    return _deconv_fwd_b(xv, wv, np.zeros(geom.out_channels), geom)
-
-                y = _f64_array(fwd(w, x).shape, rng)
-                d_w, d_b, d_x = _deconv_bwd_b(x, w, geom, y, True)
+            y = _f64_array(fwd(w, x).shape, rng)
+            d_w, d_b, d_x = bwd_b(x, w, geom, y, True)
             # <op(x), y> == <x, op_bwd(y)>
             lhs = float(np.sum(fwd(w, x) * y))
             rhs = float(np.sum(x * d_x))
@@ -405,6 +412,21 @@ class TestBatchedEngine:
             # up to rounding
             fd_w = central_difference(lambda v: float(np.sum(fwd(v, x) * y)), w, 1e-3)
             assert _close(d_w, fd_w, tol=1e-9)
+
+    @pytest.mark.parametrize("op", ["im2col", "k<r", "k=r", "k>r", "k=r,p=0"])
+    def test_sample_results_do_not_depend_on_the_batch(self, op):
+        """The wide path multiplies one sample's columns at a time, so each
+        sample's forward and d_x at B = 2 are its B = 1 results bit for bit."""
+        rng = Rng(950 + ["im2col", "k<r", "k=r", "k>r", "k=r,p=0"].index(op))
+        for _ in range(12):
+            geom, x, w, b, fwd_b, bwd_b = _engine_case(rng, op)
+            out = fwd_b(x, w, b, geom)
+            y = _f64_array(out.shape, rng)
+            d_x = bwd_b(x, w, geom, y, True)[2]
+            for n in range(x.shape[1]):
+                one = np.s_[:, n : n + 1]
+                assert np.array_equal(fwd_b(x[one], w, b, geom), out[one])
+                assert np.array_equal(bwd_b(x[one], w, geom, y[one], True)[2], d_x[one])
 
     @pytest.mark.parametrize("path", ["kn2row", "im2col"])
     def test_unread_input_rows_get_zero_gradient(self, path):
