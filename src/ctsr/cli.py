@@ -286,8 +286,9 @@ def _read_journal(path: Path, settings: str) -> dict[str, tuple[float | None, st
     """Completed combinations from a grid journal: key -> (PSNR or None, error).
 
     The journal is CSV with the config key quoted (keys contain commas).  A
-    row that is not four fields with a float or empty PSNR, or that was
-    trained under other settings than ``settings``, raises DataError.
+    row that is not four fields with an empty PSNR or one that a run writes
+    (a finite mean or +inf, never NaN or -inf), or that was trained under
+    other settings than ``settings``, raises DataError.
     """
     entries: dict[str, tuple[float | None, str]] = {}
     if not path.is_file():
@@ -302,7 +303,10 @@ def _read_journal(path: Path, settings: str) -> dict[str, tuple[float | None, st
     for lineno, row in enumerate(rows[1:], 2):
         try:
             key, row_settings, psnr_s, err = row
-            entries[key] = (float(psnr_s) if psnr_s else None, err)
+            psnr = float(psnr_s) if psnr_s else None
+            if psnr is not None and not psnr > -math.inf:  # NaN or -inf
+                raise ValueError(psnr_s)
+            entries[key] = (psnr, err)
         except ValueError as exc:
             raise DataError(f"bad grid journal {path}, line {lineno}: {row!r}") from exc
         if row_settings != settings:

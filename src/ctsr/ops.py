@@ -7,17 +7,13 @@ ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only wrappers
 that run it with B = 1 on float32 [C, D, H, W] arrays and cast the
 result back to float32.
 
-* Conv with more than ``_DIRECT_MAX_COUT`` output channels or an in-plane
-  stride above one ("wide"): im2col, one GEMM per sample over all taps.
-  With cols_n sample n's columns, the forward is W @ cols_n, d_w sums
-  G_n @ cols_n^T and d_x adds each tap's rows of W^T @ G_n onto its window,
-  so no column matrix of a batch is built and no sample depends on another.
-* Conv with fewer and in-plane stride one (the final 1-channel conv at the
-  upsampled resolution): kn2row (Anderson et al., "Low-memory GEMM-based
-  convolution algorithms for deep neural networks", arXiv:1709.03395).  One
-  GEMM multiplies a group of kernel taps into the padded input and each
-  tap's shifted window of the product is added into the output; the
-  backward shifts the gradient to every tap of a group for d_w and d_x.
+Two primitives, each one GEMM per sample over all kernel taps, serve
+every layer: the im2col gather W @ cols_n (``_sample_columns``), with
+cols_n sample n's columns, and its adjoint W^T @ G_n, whose tap rows are
+added onto their windows of the sample's grid (``_conv_adjoint``).  No
+column matrix of a batch is built, and no sample's forward or input
+gradient depends on another sample.
+
 * Transposed conv: by definition the adjoint of the conv with the same
   kernel, stride and padding and swapped channels (Dumoulin & Visin,
   arXiv:1603.07285), whose weight block [C_out', C_in', k1, k2, k3] is the
@@ -25,6 +21,15 @@ result back to float32.
   forward is that conv's input gradient and its backward that conv's
   forward and weight gradient, so <conv(x), y> == <x, deconv(y)> for zero
   bias holds by construction.
+* Conv with more than ``_DIRECT_MAX_COUT`` output channels, a stride above
+  one or padding of at least the kernel ("wide"): the forward is the
+  gather, d_w sums G_n @ cols_n^T and d_x is the adjoint.
+* Other convs ("narrow": the final few-channel conv at the upsampled
+  resolution): a stride-1 conv is the transposed conv of the same kernel
+  flipped on every spatial axis, with the channels swapped and padding
+  k - 1 - p (ibid.), so it runs as that transposed conv.  Its gathers then
+  read the few-channel output gradient, whose columns are small, never the
+  wide input.
 """
 
 from __future__ import annotations
@@ -163,133 +168,86 @@ def _sample_columns(xs, geom: ConvGeometry, out_sp):
         yield cols.reshape(xs.shape[0] * math.prod(geom.kernel), -1)
 
 
-# Few-output-channel layers (the final smoothing conv) skip im2col: its column
-# matrix would be k1*k2*k3 times the activation, which is largest at the
-# upsampled resolution.  They use kn2row instead, unless strided in-plane:
-# kn2row computes every in-plane position of the padded grid, and a stride-s
-# conv's columns are only k/s times its input per axis.
+# A conv with few output channels (the final smoothing conv) skips im2col of
+# its input: that column matrix would be k1*k2*k3 times the input, which is
+# largest at the upsampled resolution.
 _DIRECT_MAX_COUT = 4
 
 
-def _kn2row(geom: ConvGeometry) -> bool:
-    return geom.out_channels <= _DIRECT_MAX_COUT and geom.stride[1:] == (1, 1)
+def _narrow(geom: ConvGeometry) -> bool:
+    """Whether the conv runs as the transposed conv of its flipped kernel:
+    few output channels, stride one, and padding below the kernel so that
+    the flipped conv's padding k - 1 - p is not negative."""
+    return (
+        geom.out_channels <= _DIRECT_MAX_COUT
+        and geom.stride == (1, 1, 1)
+        and all(p < k for p, k in zip(geom.padding, geom.kernel))
+    )
 
 
-def _kn2row_groups(geom: ConvGeometry):
-    """kn2row groups of the in-plane taps in (j, k) order, as index arrays
-    j and k.  A group stacks at most C_in // C_out taps, so its kn2row block
-    [taps*C_out, B*D'*Hp*Wp] is never larger than the slab [C_in, B, D', Hp,
-    Wp] of padded input that one depth tap reads."""
-    plane = list(product(range(geom.kernel[1]), range(geom.kernel[2])))
-    per = max(1, geom.in_channels // geom.out_channels)
-    for t0 in range(0, len(plane), per):
-        yield np.array(plane[t0 : t0 + per]).T
-
-
-def _kn2row_weights(w64, i, j, k) -> np.ndarray:
-    """Taps (i, j[t], k[t]) of a weight block stacked as [taps*C_out, C_in]."""
-    return w64[:, :, i, j, k].transpose(2, 0, 1).reshape(-1, w64.shape[1])
-
-
-def _planes(i, s1, n_out):
-    """The depth planes of a padded [C, B, ...] grid that depth tap i reads."""
-    return (slice(None), slice(None), slice(i, i + s1 * (n_out - 1) + 1, s1))
-
-
-def _shifted(g, j, k, plane_hw) -> np.ndarray:
-    """g [C_out, B, D', H', W'] put at the windows of in-plane taps (j, k) of
-    a zero padded plane: the kn2row block [taps*C_out, B*D'*Hp*Wp]."""
-    gs = np.zeros((len(j),) + g.shape[:3] + plane_hw)
-    for t in range(len(j)):
-        gs[(t, ...) + _window((j[t], k[t]), (1, 1), g.shape[3:])] = g
-    return gs.reshape(len(j) * g.shape[0], -1)
+def _flipped(geom: ConvGeometry, w64):
+    """(conv B, B's weight block) where B's adjoint is the stride-1 conv
+    ``geom``: channels swapped, padding k - 1 - p, and the kernel flipped on
+    every spatial axis (Dumoulin & Visin, arXiv:1603.07285)."""
+    pad = tuple(k - 1 - p for k, p in zip(geom.kernel, geom.padding))
+    conv = ConvGeometry(geom.out_channels, geom.in_channels, geom.kernel, 1, pad)
+    return conv, np.flip(w64, axis=(2, 3, 4)).swapaxes(0, 1)
 
 
 def _conv(xs, w64, geom: ConvGeometry):
     """The conv of xs [C_in, B, *in_sp] without bias, [C_out, B, *out_sp].
 
     Wide layers take W @ cols_n per sample n, cols_n its im2col columns
-    [C_in*k1*k2*k3, N].  kn2row layers take one [taps*C_out, C_in] @
-    [C_in, N_padded] GEMM per tap group and add each tap's shifted window
-    of the product into the output.
+    [C_in*k1*k2*k3, N]; narrow layers take the adjoint of ``_flipped(geom)``,
+    one W_B^T @ X_n per sample with its taps added onto the output grid.
     """
     out_sp = geom.conv_output_shape(xs.shape[2:])
-    c_out, c_in = geom.out_channels, geom.in_channels
-    batch = xs.shape[1]
-    if not _kn2row(geom):
-        out = np.empty((c_out, batch) + out_sp)
-        wm = w64.reshape(c_out, -1)
-        for n, cols in enumerate(_sample_columns(xs, geom, out_sp)):
-            out[:, n] = (wm @ cols).reshape((c_out,) + out_sp)
-        return out
-    padded = _pad_b(xs, geom.padding)
-    out = np.zeros((c_out, batch) + out_sp)
-    for i in range(geom.kernel[0]):
-        slab = np.ascontiguousarray(padded[_planes(i, geom.stride[0], out_sp[0])])
-        for j, k in _kn2row_groups(geom):
-            y = _kn2row_weights(w64, i, j, k) @ slab.reshape(c_in, -1)
-            y = y.reshape((len(j), c_out) + slab.shape[1:])
-            for t in range(len(j)):
-                out += y[(t, ...) + _window((j[t], k[t]), (1, 1), out_sp[1:])]
+    if _narrow(geom):
+        conv, wb = _flipped(geom, w64)
+        return _conv_adjoint(xs, wb, conv, out_sp)
+    c_out = geom.out_channels
+    out = np.empty((c_out, xs.shape[1]) + out_sp)
+    wm = w64.reshape(c_out, -1)
+    for n, cols in enumerate(_sample_columns(xs, geom, out_sp)):
+        out[:, n] = (wm @ cols).reshape((c_out,) + out_sp)
     return out
 
 
-def _conv_weight_grad(xs, geom: ConvGeometry, g):
-    """d_w [C_out, C_in, *kernel] of the conv of xs for output gradient g:
-    the sum over samples n of G_n @ cols_n^T, cols_n the sample's im2col
-    columns (wide layers), or per tap group Gs @ slab^T, Gs the kn2row
-    block of g (kn2row layers)."""
-    c_out, c_in = geom.out_channels, geom.in_channels
-    out_sp = g.shape[2:]
-    if not _kn2row(geom):
-        d_w = np.zeros((c_out, c_in * math.prod(geom.kernel)))
-        for n, cols in enumerate(_sample_columns(xs, geom, out_sp)):
-            d_w += g[:, n].reshape(c_out, -1) @ cols.T
-        return d_w.reshape((c_out, c_in) + geom.kernel)
-    padded = _pad_b(xs, geom.padding)
-    d_w = np.empty((c_out, c_in) + geom.kernel)
-    for i in range(geom.kernel[0]):
-        slab = np.ascontiguousarray(padded[_planes(i, geom.stride[0], out_sp[0])])
-        for j, k in _kn2row_groups(geom):
-            d_wt = _shifted(g, j, k, slab.shape[3:]) @ slab.reshape(c_in, -1).T
-            d_w[:, :, i, j, k] = d_wt.reshape(len(j), c_out, c_in).transpose(1, 2, 0)
-    return d_w
-
-
 def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
-    """The adjoint of ``_conv`` applied to g [C_out, B, *out_sp]: the conv's
+    """The adjoint of the conv ``geom`` applied to g [C_out, B, *out_sp]: its
     input gradient [C_in, B, *in_sp], which is the transposed conv of g.
 
-    The sum over the padded grid starts from ``seed[c]`` for channel c
-    (zero when None), so input rows that no window reads (n + 2p - k not a
-    multiple of s) keep that value.  Wide layers take W^T @ G_n per sample
-    n and add each tap's rows onto its window of the sample's grid; kn2row
-    layers add W^T @ Gs per tap group onto the planes of its depth tap.
+    Per sample n, W^T @ G_n gives each tap's rows, added onto the tap's
+    window of the sample's padded grid.  The sum starts from ``seed[c]`` for
+    channel c (zero when None), so input rows that no window reads
+    (n + 2p - k not a multiple of s) keep that value.
     """
     c_out, c_in = geom.out_channels, geom.in_channels
     out_sp = g.shape[2:]
     shape = (c_in, g.shape[1]) + tuple(n + 2 * p for n, p in zip(in_sp, geom.padding))
-    crop = _window_b(geom.padding, (1, 1, 1), in_sp)
     d_pad = np.zeros(shape) if seed is None else np.full(shape, seed.reshape(c_in, 1, 1, 1, 1))
-    if not _kn2row(geom):
-        wt = w64.reshape(c_out, -1).T
-        taps = list(product(*(range(k) for k in geom.kernel)))
-        for n in range(g.shape[1]):
-            d_cols = (wt @ g[:, n].reshape(c_out, -1)).reshape((c_in, len(taps)) + out_sp)
-            for t, tap in enumerate(taps):
-                d_pad[(slice(None), n) + _window(tap, geom.stride, out_sp)] += d_cols[:, t]
-        return d_pad[crop]
-    first = seed is None
-    for i in range(geom.kernel[0]):
-        for j, k in _kn2row_groups(geom):
-            d_slab = _kn2row_weights(w64, i, j, k).T @ _shifted(g, j, k, shape[3:])
-            d_slab = d_slab.reshape((c_in,) + g.shape[1:3] + shape[3:])
-            if first and d_slab.shape == shape:
-                d_pad = d_slab  # the first group's planes span the whole grid
-            else:
-                d_pad[_planes(i, geom.stride[0], out_sp[0])] += d_slab
-            first = False
-    return d_pad[crop]
+    wt = w64.reshape(c_out, -1).T
+    taps = list(product(*(range(k) for k in geom.kernel)))
+    for n in range(g.shape[1]):
+        d_cols = (wt @ g[:, n].reshape(c_out, -1)).reshape((c_in, len(taps)) + out_sp)
+        for t, tap in enumerate(taps):
+            d_pad[(slice(None), n) + _window(tap, geom.stride, out_sp)] += d_cols[:, t]
+    return d_pad[_window_b(geom.padding, (1, 1, 1), in_sp)]
+
+
+def _adjoint_bwd(xs, w64, conv: ConvGeometry, g, need_dx: bool):
+    """(d_w, d_xs) of ys = _conv_adjoint(xs, w64, conv, ...) for output
+    gradient g: d_xs is the conv of g and d_w the conv's weight gradient for
+    input g and output gradient xs, both from one gather of g's columns per
+    sample; d_xs is None unless ``need_dx``."""
+    wm = w64.reshape(conv.out_channels, -1)
+    d_w = np.zeros(wm.shape)
+    d_xs = np.empty(xs.shape) if need_dx else None
+    for n, cols in enumerate(_sample_columns(g, conv, xs.shape[2:])):
+        d_w += xs[:, n].reshape(conv.out_channels, -1) @ cols.T
+        if need_dx:
+            d_xs[:, n] = (wm @ cols).reshape(xs[:, n].shape)
+    return d_w.reshape(w64.shape), d_xs
 
 
 def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
@@ -302,10 +260,22 @@ def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
 
 def _conv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _conv_fwd_b for input xs and output gradient
-    g [C_out, B, *out_sp]; d_xs is None unless ``need_dx``."""
+    g [C_out, B, *out_sp]; d_xs is None unless ``need_dx``.
+
+    Wide layers sum d_w = G_n @ cols_n^T over samples n and take d_xs from
+    ``_conv_adjoint``.  A narrow layer is the adjoint of ``_flipped(geom)``,
+    so its d_xs is that conv of g and its d_w, flipped back, that conv's
+    weight gradient, both from one gather of g's few-channel columns."""
     d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
+    if _narrow(geom):
+        conv, wb = _flipped(geom, w64)
+        d_wb, d_xs = _adjoint_bwd(xs, wb, conv, g, need_dx)
+        return np.flip(d_wb.swapaxes(0, 1), axis=(2, 3, 4)), d_b, d_xs
+    d_w = np.zeros((geom.out_channels, w64[0].size))
+    for n, cols in enumerate(_sample_columns(xs, geom, g.shape[2:])):
+        d_w += g[:, n].reshape(geom.out_channels, -1) @ cols.T
     d_xs = _conv_adjoint(g, w64, geom, xs.shape[2:]) if need_dx else None
-    return _conv_weight_grad(xs, geom, g), d_b, d_xs
+    return d_w.reshape(w64.shape), d_b, d_xs
 
 
 def _transposed(geom: ConvGeometry) -> ConvGeometry:
@@ -324,19 +294,9 @@ def _deconv_fwd_b(xs, w64, b64, geom: ConvGeometry):
 
 def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _deconv_fwd_b for input xs and output gradient g:
-    with ``_transposed(geom)`` as the conv, d_xs is the conv of g and d_w the
-    conv's weight gradient for input g and output gradient xs, both on the
-    wide path from one gather of g's columns per sample."""
-    conv = _transposed(geom)
-    wm = w64.reshape(conv.out_channels, -1)
-    d_w = np.zeros(wm.shape)
-    d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
-    d_xs = np.empty(xs.shape) if need_dx else None
-    for n, cols in enumerate(_sample_columns(g, conv, xs.shape[2:])):
-        d_w += xs[:, n].reshape(conv.out_channels, -1) @ cols.T
-        if need_dx:
-            d_xs[:, n] = (wm @ cols).reshape(xs[:, n].shape)
-    return d_w.reshape(w64.shape), d_b, d_xs
+    ``_adjoint_bwd`` with ``_transposed(geom)`` as the conv."""
+    d_w, d_xs = _adjoint_bwd(xs, w64, _transposed(geom), g, need_dx)
+    return d_w, g.reshape(geom.out_channels, -1).sum(axis=1), d_xs
 
 
 # ---------------------------------------------------------------------------

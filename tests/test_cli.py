@@ -475,6 +475,46 @@ class TestGridsearch:
         assert str(journal_path) in capsys.readouterr().err
         assert not (run_dir / "gridsearch_results.csv").exists()
 
+    @staticmethod
+    def _journaled_sweep(tmp_path, data_dir, psnr_k1, psnr_k3):
+        """A k = 1,3 sweep whose journal already holds both combinations,
+        k=1 on line 2 and k=3 on line 3, with these PSNR fields."""
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 1,3\ngrid_epochs = 1\n")
+        run_dir.mkdir()
+        settings = _journal_settings(load_run_config(cfg_path, grid=True).model, 1)
+        rows = [JOURNAL_HEADER] + [
+            [f"n=3;l=1;f=(3,3,1);k={k};r=2", settings, psnr, ""]
+            for k, psnr in ((1, psnr_k1), (3, psnr_k3))
+        ]
+        journal_path = run_dir / "gridsearch_journal.csv"
+        journal_path.write_text(_csv_text(rows), encoding="utf-8", newline="")
+        return cfg_path, run_dir, journal_path
+
+    @pytest.mark.parametrize("psnr", ["nan", "-inf", "NaN"])
+    def test_journal_psnr_nan_or_minus_inf_is_data_error(self, tmp_path, data_dir, capsys,
+                                                         psnr):
+        # a run's validation PSNR is a finite mean or +inf, never NaN or -inf,
+        # and a NaN would rank first
+        cfg_path, run_dir, journal_path = self._journaled_sweep(
+            tmp_path, data_dir, "12.5", psnr
+        )
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert str(journal_path) in err and "line 3" in err
+        assert not (run_dir / "gridsearch_results.csv").exists()
+
+    def test_journal_psnr_plus_inf_ranks_first(self, tmp_path, data_dir):
+        # +inf is the PSNR of a zero validation error
+        cfg_path, run_dir, _ = self._journaled_sweep(tmp_path, data_dir, "12.5", "inf")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        rows = _read_csv(run_dir / "gridsearch_results.csv")[1:]
+        assert [row[1:3] for row in rows] == [
+            ["n=3;l=1;f=(3,3,1);k=3;r=2", "inf"],
+            ["n=3;l=1;f=(3,3,1);k=1;r=2", "12.5"],
+        ]
+
 
     def test_resume_ranks_only_this_space(self, tmp_path, data_dir):
         cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)

@@ -253,34 +253,51 @@ def _f64_array(shape, rng):
     return 2.0 * rng.next_floats(int(np.prod(shape))).reshape(shape) - 1.0
 
 
-def _conv_engine_case(rng, path):
+def _conv_engine_case(rng, path, large=False):
     """Random conv geometry on one engine path, with a batch of two.
 
-    "kn2row": C_out <= 4, in-plane stride one and more in-plane taps than
-    one kn2row group holds (C_in // C_out of them); "im2col": C_out > 4.
+    "narrow": C_out <= 4 and stride one, the transposed conv of its flipped
+    kernel; "im2col": C_out > 4; "few-wide": C_out <= 4 on the im2col path,
+    either strided in depth or padded by at least the kernel on one axis.
     Each strided axis has up to s - 1 trailing input rows that no window
-    reads ((n + 2p - k) not a multiple of s).
+    reads ((n + 2p - k) not a multiple of s).  ``large`` (narrow only)
+    draws up to 40 input channels, in-plane extents up to 42 and a batch of
+    two to seven, where a GEMM over the whole batch rounds a sample's
+    elements differently from a GEMM over the sample alone.
     """
     u = [int(v) for v in rng.next_u64(17)]
-    if path == "kn2row":
-        co = 1 + u[0] % ops._DIRECT_MAX_COUT
-        ci = co + u[1] % (co + 1)  # groups of one or two taps
-        ks = (1 + u[2] % 3, 2 + u[3] % 2, 2 + u[4] % 2)
-        ss = (1 + u[5] % 2, 1, 1)
+    ks = [1 + u[2 + i] % 3 for i in range(3)]
+    if path == "narrow":  # more than one in-plane tap
+        ks[1:] = 2 + u[3] % 2, 2 + u[4] % 2
+    ss = [1, 1, 1]
+    ps = [min(u[8 + i] % 2, (k - 1) // 2) for i, k in zip(range(3), ks)]
+    outs = [1 + u[11 + i] % 3 for i in range(3)]
+    batch = 2
+    if path == "im2col":
+        co, ci = ops._DIRECT_MAX_COUT + 1 + u[0] % 3, 1 + u[1] % 3
+        ss = [1 + u[5 + i] % 2 for i in range(3)]
+    elif path == "few-wide":
+        co, ci = 1 + u[0] % ops._DIRECT_MAX_COUT, 1 + u[1] % 3
+        if u[5] % 2:  # strided in depth, which no layer pads
+            ss[0], ps[0] = 2, 0
+        else:  # padded by the kernel on one axis, its output widened to match
+            ax = u[6] % 3
+            ps[ax] = ks[ax]
+            outs[ax] += 2 * ks[ax]
     else:
-        co = ops._DIRECT_MAX_COUT + 1 + u[0] % 3
-        ci = 1 + u[1] % 3
-        ks = tuple(1 + u[2 + i] % 3 for i in range(3))
-        ss = tuple(1 + u[5 + i] % 2 for i in range(3))
-    ps = tuple(min(u[8 + i] % 2, (k - 1) // 2) for i, k in zip(range(3), ks))
-    outs = tuple(1 + u[11 + i] % 3 for i in range(3))
+        co = 1 + u[0] % ops._DIRECT_MAX_COUT
+        ci = co + u[1] % (co + 1)
+        if large:
+            ci = 1 + u[1] % 40
+            outs[1:] = 1 + u[12] % 40, 1 + u[13] % 40
+            batch = 2 + u[16] % 6  # u[16] draws no extra row at stride one
     ins = tuple(
         (o - 1) * s + k - 2 * p + u[14 + i] % s
         for i, (o, s, k, p) in enumerate(zip(outs, ss, ks, ps))
     )
-    geom = ConvGeometry(ci, co, ks, ss, ps)
-    x = _f64_array((ci, 2) + ins, rng)
-    w = _f64_array((co, ci) + ks, rng)
+    geom = ConvGeometry(ci, co, tuple(ks), tuple(ss), tuple(ps))
+    x = _f64_array((ci, batch) + ins, rng)
+    w = _f64_array((co, ci) + geom.kernel, rng)
     b = _f64_array((co,), rng)
     return geom, x, w, b
 
@@ -312,8 +329,7 @@ def _deconv_engine_case(rng, kind):
     to ("k=r") or larger than ("k>r") the stride on every axis, with a
     stride above one and nonzero padding on every axis, and a batch of two.
     "k=r,p=0" is the paper's case: kernel equal to the stride, no padding.
-    "s=1" has in-plane stride one and at most 3 input channels, so its
-    forward takes kn2row."""
+    "s=1" has in-plane stride one and at most 3 input channels."""
     u = [int(v) for v in rng.next_u64(14)]
     ss = tuple(2 + u[i] % 2 for i in range(3))
     if kind == "s=1":
@@ -340,12 +356,12 @@ def _deconv_engine_case(rng, kind):
     return geom, x, w, b
 
 
-def _engine_case(rng, op):
+def _engine_case(rng, op, large=False):
     """A random case of a conv path (see ``_conv_engine_case``) or a deconv
     kind (see ``_deconv_engine_case``), with the engine's forward and
     backward for it."""
-    if op in ("kn2row", "im2col"):
-        return _conv_engine_case(rng, op) + (_conv_fwd_b, _conv_bwd_b)
+    if op in ("narrow", "im2col", "few-wide"):
+        return _conv_engine_case(rng, op, large) + (_conv_fwd_b, _conv_bwd_b)
     return _deconv_engine_case(rng, op) + (_deconv_fwd_b, _deconv_bwd_b)
 
 
@@ -363,15 +379,12 @@ def _close(got, ref, tol=1e-12):
 class TestBatchedEngine:
     """The batched engine against the loop-nest oracles, path by path."""
 
-    @pytest.mark.parametrize("path", ["kn2row", "im2col"])
+    @pytest.mark.parametrize("path", ["narrow", "im2col", "few-wide"])
     def test_conv_matches_loop_nest_oracle(self, path):
-        rng = Rng(900 if path == "kn2row" else 901)
+        rng = Rng({"narrow": 900, "im2col": 901, "few-wide": 902}[path])
         for _ in range(12):
             geom, x, w, b = _conv_engine_case(rng, path)
-            if path == "kn2row":
-                per_group = max(1, geom.in_channels // geom.out_channels)
-                assert geom.kernel[1] * geom.kernel[2] > per_group, "several tap groups"
-            assert ops._kn2row(geom) == (path == "kn2row")
+            assert ops._narrow(geom) == (path == "narrow")
             out = _conv_fwd_b(x, w, b, geom)
             assert _close(out, _per_sample(conv3d_loops, x, w, b, geom))
 
@@ -390,13 +403,15 @@ class TestBatchedEngine:
             out = _deconv_fwd_b(x, w, b, geom)
             assert _close(out, _per_sample(deconv3d_scatter_loops, x, w, b, geom))
 
-    @pytest.mark.parametrize("op", ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0", "s=1"])
+    @pytest.mark.parametrize(
+        "op", ["narrow", "im2col", "k<r", "k=r", "k>r", "k=r,p=0", "s=1", "few-wide"]
+    )
     def test_backward_is_adjoint_and_matches_finite_differences(self, op):
-        rng = Rng(920 + ["kn2row", "im2col", "k<r", "k=r", "k>r", "k=r,p=0", "s=1"].index(op))
+        rng = Rng(
+            920 + ["narrow", "im2col", "k<r", "k=r", "k>r", "k=r,p=0", "s=1", "few-wide"].index(op)
+        )
         for _ in range(4):
             geom, x, w, _, fwd_b, bwd_b = _engine_case(rng, op)
-            if op == "s=1":  # a kn2row forward, an im2col backward
-                assert ops._kn2row(ops._transposed(geom))
 
             def fwd(wv, xv):
                 return fwd_b(xv, wv, np.zeros(geom.out_channels), geom)
@@ -413,13 +428,13 @@ class TestBatchedEngine:
             fd_w = central_difference(lambda v: float(np.sum(fwd(v, x) * y)), w, 1e-3)
             assert _close(d_w, fd_w, tol=1e-9)
 
-    @pytest.mark.parametrize("op", ["im2col", "k<r", "k=r", "k>r", "k=r,p=0"])
+    @pytest.mark.parametrize("op", ["im2col", "k<r", "k=r", "k>r", "k=r,p=0", "narrow"])
     def test_sample_results_do_not_depend_on_the_batch(self, op):
-        """The wide path multiplies one sample's columns at a time, so each
-        sample's forward and d_x at B = 2 are its B = 1 results bit for bit."""
-        rng = Rng(950 + ["im2col", "k<r", "k=r", "k>r", "k=r,p=0"].index(op))
+        """Every GEMM takes one sample, so each sample's forward and d_x in a
+        batch are its B = 1 results bit for bit."""
+        rng = Rng(950 + ["im2col", "k<r", "k=r", "k>r", "k=r,p=0", "narrow"].index(op))
         for _ in range(12):
-            geom, x, w, b, fwd_b, bwd_b = _engine_case(rng, op)
+            geom, x, w, b, fwd_b, bwd_b = _engine_case(rng, op, large=True)
             out = fwd_b(x, w, b, geom)
             y = _f64_array(out.shape, rng)
             d_x = bwd_b(x, w, geom, y, True)[2]
@@ -428,12 +443,12 @@ class TestBatchedEngine:
                 assert np.array_equal(fwd_b(x[one], w, b, geom), out[one])
                 assert np.array_equal(bwd_b(x[one], w, geom, y[one], True)[2], d_x[one])
 
-    @pytest.mark.parametrize("path", ["kn2row", "im2col"])
+    @pytest.mark.parametrize("path", ["few-wide", "im2col"])
     def test_unread_input_rows_get_zero_gradient(self, path):
         """d_x is exactly zero on the trailing input rows that no window
         reads, and elsewhere the transposed conv of the output gradient, by
         the scatter oracle and by finite differences."""
-        rng = Rng(940 if path == "kn2row" else 941)
+        rng = Rng(940 if path == "few-wide" else 941)
         cases_with_unread_rows = 0
         for _ in range(16):
             geom, x, w, _ = _conv_engine_case(rng, path)
@@ -459,8 +474,8 @@ class TestBatchedEngine:
                 assert abs(fd - d_x[idx]) <= 1e-9 * max(abs(fd), 1.0)
         assert cases_with_unread_rows >= 3
 
-    def test_kn2row_without_dx_leaves_weights_gradient_alone(self):
-        geom, x, w, b = _conv_engine_case(Rng(930), "kn2row")
+    def test_narrow_without_dx_leaves_weights_gradient_alone(self):
+        geom, x, w, b = _conv_engine_case(Rng(930), "narrow")
         out = _conv_fwd_b(x, w, b, geom)
         g = _f64_array(out.shape, Rng(931))
         d_w, d_b, d_x = _conv_bwd_b(x, w, geom, g, False)
@@ -523,6 +538,21 @@ class TestTracingContract:
         fn = getattr(module, attr)
         assert callable(fn)
         assert names <= set(inspect.signature(fn).parameters)
+
+    def test_narrow_conv_calls_no_traced_deconv(self, monkeypatch):
+        """The narrow conv is a transposed conv inside ``_conv_fwd_b`` and
+        ``_conv_bwd_b``; routed through a traced deconv name, its layer's
+        time and FLOPs would be counted twice."""
+
+        def traced(*args, **kwargs):
+            raise AssertionError("the narrow conv called a traced deconv")
+
+        monkeypatch.setattr(ops, "_deconv_fwd_b", traced)
+        monkeypatch.setattr(ops, "_deconv_bwd_b", traced)
+        geom, x, w, b = _conv_engine_case(Rng(960), "narrow")
+        assert ops._narrow(geom)
+        g = _f64_array(_conv_fwd_b(x, w, b, geom).shape, Rng(961))
+        _conv_bwd_b(x, w, geom, g, True)
 
 
 class _ParamsStub:
