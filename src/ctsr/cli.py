@@ -105,14 +105,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _split_volumes(run: RunConfig):
+def _load_run(args, *, grid: bool = False) -> tuple[RunConfig, list, list]:
+    """The config with ``--seed`` and ``--out`` applied, and its train and
+    validation folds as (scan_id, volume) pairs; the test fold is not read."""
+    run = load_run_config(
+        args.config, grid=grid, overrides={"seed": args.seed, "out_dir": args.out}
+    )
     scans = _scan_dir(Path(run.data_dir))
     if len(scans) < 4:
         raise DataError(f"need at least 4 volumes for fold splitting, got {len(scans)}")
     by_id = dict(scans)
     folds = pipeline.split_folds([sid for sid, _ in scans], run.model.seed)
     load = lambda ids: [(sid, _load_svol(by_id[sid])) for sid in ids]
-    return load(folds.train_ids()), load(folds.val_ids()), load(folds.test_ids())
+    return run, load(folds.train_ids()), load(folds.val_ids())
 
 
 def _build_pairs(volumes, cfg) -> list:
@@ -130,12 +135,7 @@ def _cap_pairs(pairs: list, cap: int) -> list:
 
 
 def cmd_train(args) -> int:
-    run = load_run_config(args.config)
-    if args.seed is not None:
-        run.model.seed = args.seed
-    if args.out is not None:
-        run.out_dir = args.out
-    train_vols, val_vols, _ = _split_volumes(run)
+    run, train_vols, val_vols = _load_run(args)
     train_pairs = _build_pairs(train_vols, run.model)
     val_pairs = _cap_pairs(_build_pairs(val_vols, run.model), run.val_pair_cap)
     if not train_pairs or not val_pairs:
@@ -319,31 +319,16 @@ def _read_journal(path: Path, settings: str) -> dict[str, tuple[float | None, st
 
 
 def cmd_gridsearch(args) -> int:
-    run = load_run_config(args.config, grid=True)
-    if args.seed is not None:
-        run.model.seed = args.seed
-    if args.out is not None:
-        run.out_dir = args.out
-    space = grid.GridSpace(
-        run.grid_feature_depths,
-        run.grid_conv_layers,
-        run.grid_filter_configs,
-        run.grid_kernels,
-    )
-    try:
-        keys = {cfg.key() for cfg in space.combinations(run.model)}
-    except ValueError as err:
-        raise ConfigError([str(err)]) from err
-    budget = run.grid_epochs or grid.default_epoch_budget(run.model)
-    settings = _journal_settings(run.model, budget)
-    train_vols, val_vols, _ = _split_volumes(run)
+    run, train_vols, val_vols = _load_run(args, grid=True)
+    settings = _journal_settings(run.model, run.grid_epochs)
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     journal_path = out_dir / "gridsearch_journal.csv"
+    # may hold combinations of an earlier sweep, which are neither rerun nor ranked
     journal = _read_journal(journal_path, settings)
-    done = keys & set(journal)
-    if done:
-        print(f"resuming: {len(done)} combination(s) already in {journal_path}")
+    resumed = sum(cfg.key() in journal for cfg in run.grid.combinations(run.model))
+    if resumed:
+        print(f"resuming: {resumed} combination(s) already in {journal_path}")
     if not journal_path.is_file() or journal_path.stat().st_size == 0:
         journal_path.write_text(_csv_text([JOURNAL_HEADER]), encoding="utf-8", newline="")
     elif not journal_path.read_bytes().endswith(b"\n"):
@@ -357,34 +342,29 @@ def cmd_gridsearch(args) -> int:
             fh.write(_csv_text([row]))
             fh.flush()
 
-    grid.grid_search(
-        space,
+    ranked = grid.grid_search(
+        run.grid,
         run.model,
         train_vols,
         val_vols,
-        epoch_budget=budget,
-        skip_keys=set(journal),
+        epoch_budget=run.grid_epochs,
+        done=journal,
         on_result=journal_append,
     )
-    # the journal holds every combination of this space, resumed or fresh,
-    # and may hold others from an earlier sweep, which are not ranked
-    merged = sorted(
-        (
-            (key, psnr, err)
-            for key, (psnr, err) in _read_journal(journal_path, settings).items()
-            if key in keys
-        ),
-        key=lambda m: grid.rank_key(m[0], m[1]),
-    )
-    ok = [m for m in merged if m[1] is not None]
-    failed = [m for m in merged if m[1] is None]
+    ok = [r for r in ranked if r.val_psnr is not None]
     rows = [["rank", "config", "val_psnr", "error"]]
-    rows.extend([rank, key, psnr, err] for rank, (key, psnr, err) in enumerate(ok, 1))
-    rows.extend(["", key, "", err] for key, _, err in failed)
-    _write_csv(out_dir / "gridsearch_results.csv", rows)
-    for rank, (key, psnr, _) in enumerate(ok[:5], 1):
-        print(f"#{rank}  {key}  val PSNR {psnr:.4f} dB")
-    print(f"wrote {out_dir / 'gridsearch_results.csv'}")
+    rows.extend([rank, r.config.key(), r.val_psnr, r.error] for rank, r in enumerate(ok, 1))
+    rows.extend(["", r.config.key(), "", r.error] for r in ranked[len(ok):])
+    results_path = out_dir / "gridsearch_results.csv"
+    _write_csv(results_path, rows)
+    if not ok:
+        diverged = all((r.error or "").startswith("NonFiniteError:") for r in ranked)
+        raise (NonFiniteError if diverged else DataError)(
+            f"no combination trained; the failures are in {results_path}"
+        )
+    for rank, r in enumerate(ok[:5], 1):
+        print(f"#{rank}  {r.config.key()}  val PSNR {r.val_psnr:.4f} dB")
+    print(f"wrote {results_path}")
     return EXIT_OK
 
 

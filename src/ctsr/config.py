@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .grid import GridSpace, default_epoch_budget
 from .model import ModelConfig
 
 
@@ -79,31 +80,36 @@ def _parse_filter_configs(raw: str, key: str, problems: list[str]) -> list[tuple
 _PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_ints}
 
 
+_GRID_KEYS = (
+    "grid_feature_depths", "grid_conv_layers", "grid_filter_configs", "grid_kernels",
+    "grid_epochs",
+)
+
+
 @dataclass
 class RunConfig:
     data_dir: str
     out_dir: str
     model: ModelConfig
     val_pair_cap: int = 0
-    # grid-search candidates; empty lists fall back to the base model value
-    grid_feature_depths: list[int] = None
-    grid_conv_layers: list[int] = None
-    grid_filter_configs: list[tuple[int, ...]] = None
-    grid_kernels: list[int] = None
-    grid_epochs: int = 0  # 0: grid.default_epoch_budget
+    # gridsearch only: the space (an empty candidate list falls back to the
+    # base model value) and each combination's epochs (grid_epochs = 0 in the
+    # file is grid.default_epoch_budget)
+    grid: GridSpace | None = None
+    grid_epochs: int = 0
 
 
-def load_run_config(path, *, grid: bool = False) -> RunConfig:
+def load_run_config(path, *, grid: bool = False, overrides=None) -> RunConfig:
     """Validate a train/gridsearch config file; raises ConfigError listing
-    every unknown key, missing key, bad value, and model-invariant violation."""
+    every unknown key, missing key, bad value, and model-invariant violation,
+    and in grid mode the first invalid combination.  ``overrides`` maps keys
+    to values that replace the file's (None leaves a key as it is)."""
     values = parse_config_file(path)
+    values.update({k: str(v) for k, v in (overrides or {}).items() if v is not None})
     problems: list[str] = []
     model_fields = fields(ModelConfig)
     known = {"data_dir", "out_dir"} | {f.name for f in model_fields}
-    if grid:
-        known |= {f.name for f in fields(RunConfig) if f.name.startswith("grid_")}
-    else:
-        known.add("val_pair_cap")
+    known |= set(_GRID_KEYS) if grid else {"val_pair_cap"}
     for key in sorted(values):
         if key not in known:
             problems.append(f"unknown key {key!r}")
@@ -120,31 +126,33 @@ def load_run_config(path, *, grid: bool = False) -> RunConfig:
         for f in model_fields
         if f.name in values
     })
-    problems.extend(value_problems)
-    if not value_problems:
-        # values parsed; report every model-invariant violation too
-        problems.extend(model.problems())
+    # once the values parse, report every model-invariant violation too
+    model_problems = value_problems or model.problems()
+    problems.extend(model_problems)
     cfg = RunConfig(
         data_dir=values.get("data_dir", ""),
         out_dir=values.get("out_dir", ""),
         model=model,
     )
     if grid:
-        cfg.grid_feature_depths = list(
-            _parse_ints(get("grid_feature_depths"), "grid_feature_depths", problems)
-        ) or [model.feature_depth]
-        cfg.grid_conv_layers = list(
-            _parse_ints(get("grid_conv_layers"), "grid_conv_layers", problems)
-        ) or [model.conv_layers]
-        cfg.grid_filter_configs = _parse_filter_configs(
-            get("grid_filter_configs"), "grid_filter_configs", problems
-        ) or [model.filters]
-        cfg.grid_kernels = list(
-            _parse_ints(get("grid_kernels"), "grid_kernels", problems)
-        ) or [model.kernel]
-        cfg.grid_epochs = _parse_int(values.get("grid_epochs", "0"), "grid_epochs", problems)
-        if cfg.grid_epochs < 0:
-            problems.append(f"grid_epochs: must be >= 0, got {cfg.grid_epochs}")
+        cfg.grid = GridSpace(
+            list(_parse_ints(get("grid_feature_depths"), "grid_feature_depths", problems))
+            or [model.feature_depth],
+            list(_parse_ints(get("grid_conv_layers"), "grid_conv_layers", problems))
+            or [model.conv_layers],
+            _parse_filter_configs(get("grid_filter_configs"), "grid_filter_configs", problems)
+            or [model.filters],
+            list(_parse_ints(get("grid_kernels"), "grid_kernels", problems)) or [model.kernel],
+        )
+        if not model_problems:
+            try:
+                cfg.grid.combinations(model)
+            except ValueError as err:
+                problems.append(str(err))
+        epochs = _parse_int(values.get("grid_epochs", "0"), "grid_epochs", problems)
+        if epochs < 0:
+            problems.append(f"grid_epochs: must be >= 0, got {epochs}")
+        cfg.grid_epochs = epochs or default_epoch_budget(model)
     else:
         cfg.val_pair_cap = _parse_int(values.get("val_pair_cap", "0"), "val_pair_cap", problems)
         if cfg.val_pair_cap < 0:

@@ -1,9 +1,11 @@
 """Hyperparameter grid search over (n, l, f, k) combinations.
 
-Each combination trains with a shortened epoch budget (default 20% of the
-base config's epochs) and is ranked by final validation PSNR, descending,
-with ties broken by the canonical config serialization.  A failing
-combination is recorded and skipped rather than aborting the sweep.
+Each combination trains with the caller's epoch budget (a config asks for
+20% of the base config's epochs by default) and is ranked by final
+validation PSNR, descending, with ties broken by the canonical config
+serialization.  A combination that fails with a ValueError, a geometry its
+volumes cannot pair or a `NonFiniteError` when training diverges, is
+recorded as failed and ranked last; any other exception aborts the sweep.
 """
 
 from __future__ import annotations
@@ -63,26 +65,29 @@ def grid_search(
     base_cfg: ModelConfig,
     train_volumes: list[tuple[str, Volume]],
     val_volumes: list[tuple[str, Volume]],
-    epoch_budget: int | None = None,
-    skip_keys: set[str] | None = None,
+    *,
+    epoch_budget: int,
+    done: dict[str, tuple[float | None, str]] | None = None,
     on_result=None,
 ) -> list[GridResult]:
     """Train every combination and rank by validation PSNR.
 
     Volumes are (scan_id, volume) pairs; training pairs are rebuilt per
-    combination because the window depth n changes the dataset.  Keys in
-    ``skip_keys`` (e.g. from a resume journal) are not re-run and are not
-    part of the returned ranking; ``on_result`` is invoked with each
-    GridResult as soon as its run finishes (for journaling).
+    window depth n, which changes the dataset.  A combination whose key is
+    in ``done`` (a resume journal: key -> (PSNR or None, error)) is not
+    re-run; its journaled result is ranked with the fresh ones.
+    ``on_result`` is invoked with each fresh GridResult as soon as its run
+    finishes (for journaling).
     """
-    budget = epoch_budget if epoch_budget is not None else default_epoch_budget(base_cfg)
-    combos = space.combinations(base_cfg)
+    done = done or {}
     pair_cache: dict[tuple, tuple[list, list]] = {}
     results = []
-    for cfg in combos:
-        if skip_keys and cfg.key() in skip_keys:
+    for cfg in space.combinations(base_cfg):
+        if cfg.key() in done:
+            psnr, error = done[cfg.key()]
+            results.append(GridResult(cfg, psnr, error or None))
             continue
-        run_cfg = replace(cfg, epochs=budget)
+        run_cfg = replace(cfg, epochs=epoch_budget)
         try:
             cache_key = (run_cfg.feature_depth, run_cfg.scale, run_cfg.patch_hw)
             if cache_key not in pair_cache:
@@ -92,7 +97,7 @@ def grid_search(
             train_pairs, val_pairs = pair_cache[cache_key]
             _, report = train(run_cfg, train_pairs, val_pairs)
             result = GridResult(cfg, report.val_psnrs[-1])
-        except Exception as err:  # noqa: BLE001 - one bad combo must not kill the sweep
+        except ValueError as err:  # a bad geometry or divergence fails this combo only
             result = GridResult(cfg, None, f"{type(err).__name__}: {err}")
         results.append(result)
         if on_result is not None:
@@ -100,14 +105,7 @@ def grid_search(
     return rank_results(results)
 
 
-def rank_key(config_key: str, val_psnr: float | None) -> tuple:
-    """Sort key of the ranking: successful runs by PSNR descending, ties by
-    config key, then failed runs (PSNR None) by config key."""
-    if val_psnr is None:
-        return (1, 0.0, config_key)
-    return (0, -val_psnr, config_key)
-
-
 def rank_results(results: list[GridResult]) -> list[GridResult]:
     """Successful runs by PSNR descending (ties by config key), failures last."""
-    return sorted(results, key=lambda r: rank_key(r.config.key(), r.val_psnr))
+    return sorted(results, key=lambda r: (r.val_psnr is None, -(r.val_psnr or 0.0),
+                                          r.config.key()))

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from ctsr import grid, metrics
+from ctsr import grid, metrics, model
 from ctsr.cli import JOURNAL_HEADER, _csv_text, _journal_settings, main
 from ctsr.config import load_run_config
 from ctsr.model import (
@@ -14,7 +14,7 @@ from ctsr.model import (
     load_checkpoint,
     serialize_params,
 )
-from ctsr.pipeline import gen_synthetic
+from ctsr.pipeline import gen_synthetic, make_pairs, split_folds
 from ctsr.resample import bicubic_upsample
 from ctsr.tensor import NonFiniteError, Rng, Tensor
 from ctsr.volume import Volume, load_volume, save_volume, serialize_volume
@@ -122,6 +122,68 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path2)]) == 2
         err2 = capsys.readouterr().err
         assert "kernel" in err2 and "scale" in err2 and "final filter" in err2
+
+    def test_seed_and_out_flags_match_the_config(self, tmp_path, data_dir):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=1)
+        flagged = tmp_path / "flagged"
+        assert main(["train", "--config", str(cfg_path), "--seed", "6",
+                     "--out", str(flagged)]) == 0
+        assert not run_dir.exists()
+        (tmp_path / "w").mkdir()
+        written, written_dir = _train_config(tmp_path / "w", data_dir, epochs=1, seed=6)
+        assert main(["train", "--config", str(written)]) == 0
+        assert (flagged / "model.ckpt").read_bytes() == (written_dir / "model.ckpt").read_bytes()
+        assert main(["train", "--config", str(cfg_path)]) == 0  # seed 5
+        assert (run_dir / "model.ckpt").read_bytes() != (flagged / "model.ckpt").read_bytes()
+
+    def test_val_pair_cap_hands_train_evenly_spread_pairs(self, tmp_path, data_dir,
+                                                         monkeypatch):
+        cfg_path, _ = _train_config(tmp_path, data_dir, epochs=1, val_pair_cap=4)
+        seen = []
+        real_train = model.train
+
+        def spy(cfg, train_pairs, val_pairs):
+            seen.append(val_pairs)
+            return real_train(cfg, train_pairs, val_pairs)
+
+        monkeypatch.setattr(model, "train", spy)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        run = load_run_config(cfg_path)
+        ids = sorted(p.stem for p in data_dir.glob("*.svol"))
+        every = [
+            pair
+            for sid in split_folds(ids, 5).val_ids()
+            for pair in make_pairs(load_volume(data_dir / f"{sid}.svol"), run.model, sid)
+        ]
+        last = len(every) - 1
+        assert last > 3
+        expected = [every[i * last // 3].provenance for i in range(4)]
+        assert [pair.provenance for pair in seen[0]] == expected
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("verb", ["train", "gridsearch"])
+    def test_seed_flag_outside_64_bits_is_config_error(self, tmp_path, data_dir, capsys,
+                                                       verb, seed):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir)
+        assert main([verb, "--config", str(cfg_path), "--seed", str(seed)]) == 2
+        assert f"seed must fit in 64 bits, got {seed}" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("fold, code", [("test", 0), ("train", 3)])
+    def test_only_the_train_and_val_folds_are_read(self, tmp_path, data_dir, capsys,
+                                                   fold, code):
+        hr = tmp_path / "hr"
+        hr.mkdir()
+        for path in data_dir.glob("*.svol"):
+            (hr / path.name).write_bytes(path.read_bytes())
+        folds = split_folds(sorted(p.stem for p in hr.glob("*.svol")), 5)
+        damaged = hr / f"{getattr(folds, f'{fold}_ids')()[0]}.svol"
+        damaged.write_bytes(damaged.read_bytes()[:-1])
+        cfg_path, _ = _train_config(tmp_path, hr, epochs=1)
+        assert main(["train", "--config", str(cfg_path)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "bad volume file" in err and str(damaged) in err
 
 
 class TestInferEvaluate:
@@ -387,6 +449,17 @@ class TestConfig:
         assert "grid_epochs: must be >= 0, got -3" in capsys.readouterr().err
         assert not run_dir.exists()
 
+    def test_invalid_combination_is_listed_with_the_other_problems(self, tmp_path, data_dir,
+                                                                   capsys):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 2,3\ngrid_epochs = -3\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "grid combination n=3;l=1;f=(3,3,1);k=2;r=2 is invalid" in err
+        assert "grid_epochs: must be >= 0, got -3" in err
+        assert not run_dir.exists()
+
 
 class TestGridsearch:
     def test_singleton_space_one_row(self, tmp_path, data_dir):
@@ -439,13 +512,13 @@ class TestGridsearch:
 
         def failing_train(cfg, train_pairs, val_pairs):
             if cfg.kernel == 1:
-                raise RuntimeError(message)
+                raise NonFiniteError(message)
             return real_train(cfg, train_pairs, val_pairs)
 
         monkeypatch.setattr(grid, "train", failing_train)
         assert main(["gridsearch", "--config", str(cfg_path)]) == 0
         failed_key = "n=3;l=1;f=(3,3,1);k=1;r=2"
-        error = f"RuntimeError: {message}"
+        error = f"NonFiniteError: {message}"
         journal = _read_csv(run_dir / "gridsearch_journal.csv")
         settings = _journal_settings(load_run_config(cfg_path, grid=True).model, 1)
         assert [failed_key, settings, "", error] in journal
@@ -569,9 +642,7 @@ class TestGridsearch:
         with open(cfg_path, "a") as fh:
             fh.write("grid_feature_depths = 1,3\ngrid_kernels = 1,3,5\ngrid_epochs = 1\n")
         run = load_run_config(cfg_path, grid=True)
-        space = grid.GridSpace(run.grid_feature_depths, run.grid_conv_layers,
-                               run.grid_filter_configs, run.grid_kernels)
-        configs = space.combinations(run.model)
+        configs = run.grid.combinations(run.model)
         outcomes = [(20.0, ""), (None, "RuntimeError: a"), (25.5, ""), (20.0, ""),
                     (None, "ValueError: b"), (11.25, "")]
         run_dir.mkdir()
@@ -591,6 +662,51 @@ class TestGridsearch:
         assert [row[0] for row in rows] == ["1", "2", "3", "4", "", ""]
         assert [row[2] for row in rows[:4]] == ["25.5", "20.0", "20.0", "11.25"]
         assert rows[1][1] < rows[2][1]  # the tie goes to the smaller key
+
+    def test_unexpected_error_propagates_and_is_retried(self, tmp_path, data_dir,
+                                                        monkeypatch):
+        # only a ValueError fails a combination; anything else is a defect
+        # that stops the sweep and leaves no journal row, so a resume retries it
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 1,3\ngrid_epochs = 1\n")
+        real_train = grid.train
+
+        def broken_train(cfg, train_pairs, val_pairs):
+            raise TypeError("a defect")
+
+        monkeypatch.setattr(grid, "train", broken_train)
+        with pytest.raises(TypeError, match="a defect"):
+            main(["gridsearch", "--config", str(cfg_path)])
+        assert _read_csv(run_dir / "gridsearch_journal.csv") == [JOURNAL_HEADER]
+        assert not (run_dir / "gridsearch_results.csv").exists()
+        monkeypatch.setattr(grid, "train", real_train)
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        assert len(_read_csv(run_dir / "gridsearch_journal.csv")) == 3
+
+    @pytest.mark.parametrize("errors, code", [
+        ((NonFiniteError, NonFiniteError), 4),
+        ((NonFiniteError, ValueError), 3),
+    ])
+    def test_nothing_trained_is_an_error(self, tmp_path, data_dir, capsys, monkeypatch,
+                                         errors, code):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 1,3\ngrid_epochs = 1\n")
+        by_kernel = dict(zip((1, 3), errors))
+
+        def failing_train(cfg, train_pairs, val_pairs):
+            raise by_kernel[cfg.kernel]("no")
+
+        monkeypatch.setattr(grid, "train", failing_train)
+        assert main(["gridsearch", "--config", str(cfg_path)]) == code
+        results = run_dir / "gridsearch_results.csv"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(results) in err
+        rows = _read_csv(results)[1:]
+        assert [row[3] for row in rows] == [f"{e.__name__}: no" for e in errors]
+        # resumed from the journal alone, the outcome is the same
+        assert main(["gridsearch", "--config", str(cfg_path)]) == code
 
 
 class TestCliSurface:

@@ -1,36 +1,21 @@
 """Golden values that pin training and inference bit for bit.
 
 Each case trains a small fixed-seed model on a fixed synthetic volume and
-super-resolves a fixed LR volume.  The checkpoint checksum and the CRC32 of
-the ``infer_volume`` output were recorded before the conv engine was
-rewritten (a kn2row few-output-channel conv and a sub-pixel deconv, both
-since replaced, per-sample ops as B=1 wrappers) and held through it and through
-the move to one model driver (``forward`` as the batched forward at B=1,
-rounding to float32 after every layer; ``sgd_step`` on plain gradient
-arrays), and through the move of weights, biases, training pairs and
-``forward``'s input and output from the ``Tensor`` wrapper to plain float32
-arrays, and through the training step that keeps only each layer's input
-(no cached column matrix), and through the transposed conv computed as the
-adjoint of the conv (its input gradient, summed from the bias), which sums
-a k > r deconv's taps in another order in float64, and through the wide
-layers' one GEMM per sample over all taps in every direction, which sums a
-weight gradient over the samples in another order in float64, and through
-the few-output-channel conv computed as the transposed conv of its flipped
-kernel instead of by kn2row tap groups, which sums its forward, weight
-gradient and input gradient in another order in float64.  A change to
-the engine or to the training and inference loops that moves any weight or
-output by one float32 ULP fails here.  The values hold for one and for two
-BLAS threads (OpenBLAS 0.3.31, x86-64 Haswell kernels; the last test reruns
-both cases with one thread); a BLAS whose GEMM sums in another order may
-need them re-recorded.
+super-resolves a fixed LR volume; it pins the checkpoint checksum and the
+CRC32 of the ``infer_volume`` output.  A change to the engine or to the
+training and inference loops that moves any weight or output by one
+float32 ULP fails here.
 
 * k=5/r=2: the deconv trims one row/column (k - r odd); the C_out=4 conv and
   the final conv take the narrow path, the transposed conv of the flipped
-  kernel; the first conv (C_out=8) takes the wide-layer im2col path (one
-  GEMM per sample over all taps, forward and backward), and so does the
-  deconv, whose conv has in-plane stride 2.
+  kernel; the first conv (C_out=8) and the deconv take the wide-layer
+  im2col path.
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
+
+The values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
+Haswell kernels; the last test reruns both cases with one thread); a BLAS
+whose GEMM sums in another order may need them re-recorded.
 """
 
 import os

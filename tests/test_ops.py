@@ -503,7 +503,7 @@ _TRACED = [
     (model, "train", {"cfg"}),
     (model, "infer_volume", {"params"}),
     (model, "load_checkpoint", set()),
-    (grid, "grid_search", set()),
+    (grid, "grid_search", {"epoch_budget"}),
     (grid, "train", {"cfg"}),
     (grid, "make_pairs", set()),
     (pipeline, "make_pairs", set()),
