@@ -8,8 +8,9 @@ float32 ULP fails here.
 
 * k=5/r=2: the deconv trims one row/column (k - r odd); the C_out=4 conv and
   the final conv take the narrow path, the transposed conv of the flipped
-  kernel; the first conv (C_out=8) and the deconv take the wide-layer
-  im2col path.
+  kernel; the first conv (C_out=8) takes the wide-layer im2col path (one
+  GEMM per sample over all taps, forward and backward), and so does the
+  deconv, whose conv has in-plane stride 2.
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
 
