@@ -2,8 +2,10 @@
 
 Every command is deterministic given its config and seed, writes outputs
 atomically (temp file + rename), and uses distinct exit codes: 0 success,
-2 config error, 3 data error (any missing or unreadable input file, named in
-the message), 4 numeric failure.  Every CSV report is written by one writer
+1 internal error (a defect in the program, reported in one line as
+``error: internal error (<type>): <message>``), 2 config error, 3 data error
+(any missing or unreadable input file, named in the message), 4 numeric
+failure.  Every CSV report is written by one writer
 (`_write_csv`, RFC 4180 quoting), and every input file is read through one
 reader (`_read_input`).
 """
@@ -27,6 +29,7 @@ from .tensor import NonFiniteError, Tensor
 from .volume import Volume, load_volume, serialize_volume
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -427,6 +430,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as err:
+        print(f"error: internal error ({type(err).__name__}): {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

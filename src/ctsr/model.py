@@ -235,7 +235,8 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
 
     With ``keep_caches`` it also returns, per layer, all the backward reads:
     the layer's input and float64 weights.  The next layer's input is the
-    ReLU mask, positive exactly where the pre-activation is.
+    ReLU mask, positive exactly where the pre-activation is.  ReLU runs in
+    place on each layer's output, so no layer holds a pre-activation copy.
     """
     caches = []
     h = xs
@@ -253,7 +254,7 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
             raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
             caches.append((h, w64))
-        h = np.maximum(z, 0.0) if i < last else z
+        h = np.maximum(z, 0.0, out=z) if i < last else z
     return h, caches
 
 
@@ -271,22 +272,32 @@ def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
 
 
 def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
-    """Batched adjoint of _forward_batch; returns per-layer (d_w, d_b) in f64."""
+    """Batched adjoint of _forward_batch; returns per-layer (d_w, d_b) in f64.
+
+    It consumes ``caches``: each entry is set to None once its layer input
+    has been read for the last time (as the layer's input, then as the ReLU
+    mask of the layer below), so the activations are freed as the pass goes
+    down the stack.  The mask is applied to the gradient in place.
+    """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     g = d_out
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
         x_in, w64 = caches[i]
         if i + 1 < len(caches):  # the next layer's input is this one's ReLU mask
-            g = np.where(caches[i + 1][0] > 0, g, 0.0)
+            np.copyto(g, 0.0, where=caches[i + 1][0] <= 0)
+            caches[i + 1] = None
+            # a d_x from _conv_adjoint is a view into its padded grid: one
+            # copy frees the padding and spares the engine a copy per use
+            g = np.ascontiguousarray(g)
         need_dx = i > 0
         if layer.kind == "conv":
-            d_w, d_b, d_x = ops._conv_bwd_b(x_in, w64, layer.geom, g, need_dx)
+            d_w, d_b, g = ops._conv_bwd_b(x_in, w64, layer.geom, g, need_dx)
         else:
             g = _undo_trim(g, layer.trim_hw)
-            d_w, d_b, d_x = ops._deconv_bwd_b(x_in, w64, layer.geom, g, need_dx)
+            d_w, d_b, g = ops._deconv_bwd_b(x_in, w64, layer.geom, g, need_dx)
         grads[i] = (d_w, d_b)
-        g = d_x
+    caches[0] = None
     return grads
 
 

@@ -8,7 +8,7 @@ that run it with B = 1 on float32 [C, D, H, W] arrays and cast the
 result back to float32.
 
 Two primitives, each one GEMM per sample over all kernel taps, serve
-every layer: the im2col gather W @ cols_n (``_sample_columns``), with
+every layer: the im2col gather W @ cols_n (``_gather``), with
 cols_n sample n's columns, and its adjoint W^T @ G_n, whose tap rows are
 added onto their windows of the sample's grid (``_conv_adjoint``).  No
 column matrix of a batch is built, and no sample's forward or input
@@ -30,11 +30,44 @@ gradient depends on another sample.
   k - 1 - p (ibid.), so it runs as that transposed conv.  Its gathers then
   read the few-channel output gradient, whose columns are small, never the
   wide input.
+
+Per-sample loops on a thread pool.  Four loops run one task per sample:
+the wide forward (``_conv``), the wide d_w (``_conv_bwd_b``), the adjoint
+(``_conv_adjoint``: W^T @ G_n, then the tap scatter) and the adjoint's
+backward (``_adjoint_bwd``).  ``_each_sample`` runs such a loop on a module
+thread pool, made on first use, with up to min(CPUs, B) tasks at once, when
+B > 1 and each task's scratch matrix (the gather's K x N columns, or the
+rows x N of W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS`` = 2^18
+elements; otherwise on the calling thread.  Much of a wide layer's time is
+numpy's single-threaded, memory-bound gather and tap scatter, which a
+second BLAS thread does not speed up and a second task does.  Below the
+cutoff the hand-off, and the narrow layers' per-tap Python loop contending
+for the GIL, cost more than they save.  Milliseconds per call at B = 16, 32x32 patches, one BLAS thread,
+2 vCPUs (medians of 15 calls, serial -> pooled; "zero" pools every loop):
+
+    layer                   per-task scratch   forward          backward
+    paper L1 conv 64->64    1728 x 1024        160 -> 94        376 -> 211
+    paper L2 conv 64->32     576 x 1024         36 -> 22         86 -> 51
+    paper L3 deconv 32->32   288 x 1024         49 -> 34         35 -> 23
+    grid L1 conv 16->4 k=3   432 x 1024         29 -> 19         28 -> 18
+    paper L0 conv 1->64       27 x 3072   zero: 14 -> 11   zero: 17 -> 13
+    grid narrow conv k=5     100 x 1024   zero:  9 -> 13   zero:  8 -> 8
+    grid narrow conv 4->1      9 x 4096   zero:  3 -> 5    zero:  2 -> 3
+
+The pooled results are the serial ones bit for bit: each sample's GEMM
+keeps its operands and shape (a GEMM element can depend on the extent of
+the other operand), each task writes only its own sample's slices, and d_w
+is summed from zero in sample order on the calling thread.  Each task in
+flight beyond the first costs one more scratch matrix, allocated by the
+caller so that no worker thread's malloc arena keeps it: 14 MB (1728 x 1024
+float64) at the paper's L1.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
 from dataclasses import dataclass
 from itertools import product
 
@@ -152,20 +185,76 @@ def _window_b(tap, stride, n_positions):
     return (slice(None), slice(None)) + _window(tap, stride, n_positions)
 
 
-def _sample_columns(xs, geom: ConvGeometry, out_sp):
-    """Each sample's im2col columns [C*k1*k2*k3, N] of xs [C, B, *in_sp] for
-    the conv ``geom`` with output extents out_sp, float64.
+def _gather(xs, geom: ConvGeometry, out_sp):
+    """(fill, shape): ``fill(n, cols)`` copies sample n's im2col columns of
+    xs [C, B, *in_sp] for the conv ``geom`` with output extents out_sp into
+    the float64 array cols of ``shape`` [C*k1*k2*k3, N], and returns cols.
 
     Row order is (c, i, j, k) to match a reshaped weight block; column order
     is row-major over the output grid.  One sliding-window view serves the
     batch, and each sample is one strided copy of it.
     """
     win = sliding_window_view(_pad_b(xs, geom.padding), geom.kernel, axis=(2, 3, 4))
-    win = win[_window_b((0, 0, 0), geom.stride, out_sp)]
-    for n in range(xs.shape[1]):
-        # order='C' materializes the gather in one pass so the reshape is free
-        cols = win[:, n].transpose(0, 4, 5, 6, 1, 2, 3).astype(np.float64, order="C")
-        yield cols.reshape(xs.shape[0] * math.prod(geom.kernel), -1)
+    win = win[_window_b((0, 0, 0), geom.stride, out_sp)].transpose(0, 1, 5, 6, 7, 2, 3, 4)
+
+    def fill(n, cols):
+        np.copyto(cols.reshape(win[:, n].shape), win[:, n])
+        return cols
+
+    return fill, (xs.shape[0] * math.prod(geom.kernel), math.prod(out_sp))
+
+
+# A per-sample loop whose scratch matrix (a gather's columns, or the rows of
+# W^T @ G_n) has fewer elements than this runs on the calling thread; see the
+# module docstring for the measurements behind it.
+_POOL_MIN_ELEMENTS = 1 << 18
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None  # made on first use, so that B = 1 work starts no thread
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
+
+
+def _each_sample(task, n_samples: int, scratch_shape):
+    """The results of ``task(n, scratch)`` for n = 0 .. n_samples - 1, in
+    sample order, where scratch is a float64 array of ``scratch_shape``
+    that the task may overwrite.
+
+    A task writes only its own sample's slices.  With one sample, one CPU
+    or a scratch below ``_POOL_MIN_ELEMENTS`` elements the tasks run here,
+    one after another; otherwise on the module's thread pool, at most
+    min(CPUs, n_samples) at once.  Every scratch array is allocated here,
+    one per task in flight, so no worker thread allocates a large array.
+    An exception in a task is raised here, with its own type.
+    """
+    workers = min(_CPUS, n_samples)
+    if workers == 1 or math.prod(scratch_shape) < _POOL_MIN_ELEMENTS:
+        scratch = np.empty(scratch_shape)
+        return (task(n, scratch) for n in range(n_samples))
+    global _pool
+    if _pool is None:
+        # imported here: concurrent.futures loads logging, 0.7 MB of RSS that
+        # a process which never pools (inference, evaluation) need not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ctsr-ops")
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(np.empty(scratch_shape))
+
+    def run(n):
+        scratch = free.get()
+        try:
+            return task(n, scratch)
+        finally:
+            free.put(scratch)
+
+    return _pool.map(run, range(n_samples))
 
 
 # A conv with few output channels (the final smoothing conv) skips im2col of
@@ -205,11 +294,14 @@ def _conv(xs, w64, geom: ConvGeometry):
     if _narrow(geom):
         conv, wb = _flipped(geom, w64)
         return _conv_adjoint(xs, wb, conv, out_sp)
-    c_out = geom.out_channels
-    out = np.empty((c_out, xs.shape[1]) + out_sp)
+    c_out, n_samples = geom.out_channels, xs.shape[1]
+    out = np.empty((c_out, n_samples) + out_sp)
+    out_n = out.reshape(c_out, n_samples, -1)
     wm = w64.reshape(c_out, -1)
-    for n, cols in enumerate(_sample_columns(xs, geom, out_sp)):
-        out[:, n] = (wm @ cols).reshape((c_out,) + out_sp)
+    fill, shape = _gather(xs, geom, out_sp)
+    for _ in _each_sample(lambda n, cols: np.matmul(wm, fill(n, cols), out=out_n[:, n]),
+                          n_samples, shape):
+        pass
     return out
 
 
@@ -228,10 +320,15 @@ def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
     d_pad = np.zeros(shape) if seed is None else np.full(shape, seed.reshape(c_in, 1, 1, 1, 1))
     wt = w64.reshape(c_out, -1).T
     taps = list(product(*(range(k) for k in geom.kernel)))
-    for n in range(g.shape[1]):
-        d_cols = (wt @ g[:, n].reshape(c_out, -1)).reshape((c_in, len(taps)) + out_sp)
+
+    def scatter(n, d_cols):
+        np.matmul(wt, g[:, n].reshape(c_out, -1), out=d_cols)
+        d_cols = d_cols.reshape((c_in, len(taps)) + out_sp)
         for t, tap in enumerate(taps):
             d_pad[(slice(None), n) + _window(tap, geom.stride, out_sp)] += d_cols[:, t]
+
+    for _ in _each_sample(scatter, g.shape[1], (c_in * len(taps), math.prod(out_sp))):
+        pass
     return d_pad[_window_b(geom.padding, (1, 1, 1), in_sp)]
 
 
@@ -240,13 +337,20 @@ def _adjoint_bwd(xs, w64, conv: ConvGeometry, g, need_dx: bool):
     gradient g: d_xs is the conv of g and d_w the conv's weight gradient for
     input g and output gradient xs, both from one gather of g's columns per
     sample; d_xs is None unless ``need_dx``."""
-    wm = w64.reshape(conv.out_channels, -1)
-    d_w = np.zeros(wm.shape)
+    c, n_samples = conv.out_channels, xs.shape[1]
+    wm = w64.reshape(c, -1)
     d_xs = np.empty(xs.shape) if need_dx else None
-    for n, cols in enumerate(_sample_columns(g, conv, xs.shape[2:])):
-        d_w += xs[:, n].reshape(conv.out_channels, -1) @ cols.T
+    fill, shape = _gather(g, conv, xs.shape[2:])
+
+    def task(n, cols):
+        fill(n, cols)
         if need_dx:
-            d_xs[:, n] = (wm @ cols).reshape(xs[:, n].shape)
+            np.matmul(wm, cols, out=d_xs.reshape(c, n_samples, -1)[:, n])
+        return xs[:, n].reshape(c, -1) @ cols.T
+
+    d_w = np.zeros(wm.shape)
+    for d_w_n in _each_sample(task, n_samples, shape):
+        d_w += d_w_n
     return d_w.reshape(w64.shape), d_xs
 
 
@@ -271,9 +375,13 @@ def _conv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
         conv, wb = _flipped(geom, w64)
         d_wb, d_xs = _adjoint_bwd(xs, wb, conv, g, need_dx)
         return np.flip(d_wb.swapaxes(0, 1), axis=(2, 3, 4)), d_b, d_xs
-    d_w = np.zeros((geom.out_channels, w64[0].size))
-    for n, cols in enumerate(_sample_columns(xs, geom, g.shape[2:])):
-        d_w += g[:, n].reshape(geom.out_channels, -1) @ cols.T
+    fill, shape = _gather(xs, geom, g.shape[2:])
+    d_w = np.zeros((geom.out_channels, shape[0]))
+    for d_w_n in _each_sample(
+        lambda n, cols: g[:, n].reshape(geom.out_channels, -1) @ fill(n, cols).T,
+        xs.shape[1], shape,
+    ):
+        d_w += d_w_n
     d_xs = _conv_adjoint(g, w64, geom, xs.shape[2:]) if need_dx else None
     return d_w.reshape(w64.shape), d_b, d_xs
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctsr import grid, metrics, model
-from ctsr.cli import JOURNAL_HEADER, _csv_text, _journal_settings, main
+from ctsr.cli import EXIT_INTERNAL, JOURNAL_HEADER, _csv_text, _journal_settings, main
 from ctsr.config import load_run_config
 from ctsr.model import (
     ModelConfig,
@@ -664,9 +664,10 @@ class TestGridsearch:
         assert rows[1][1] < rows[2][1]  # the tie goes to the smaller key
 
     def test_unexpected_error_propagates_and_is_retried(self, tmp_path, data_dir,
-                                                        monkeypatch):
+                                                        monkeypatch, capsys):
         # only a ValueError fails a combination; anything else is a defect
-        # that stops the sweep and leaves no journal row, so a resume retries it
+        # that stops the sweep with the internal-error exit and leaves no
+        # journal row, so a resume retries it
         cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
         with open(cfg_path, "a") as fh:
             fh.write("grid_kernels = 1,3\ngrid_epochs = 1\n")
@@ -676,8 +677,9 @@ class TestGridsearch:
             raise TypeError("a defect")
 
         monkeypatch.setattr(grid, "train", broken_train)
-        with pytest.raises(TypeError, match="a defect"):
-            main(["gridsearch", "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert main(["gridsearch", "--config", str(cfg_path)]) == EXIT_INTERNAL == 1
+        assert capsys.readouterr().err == "error: internal error (TypeError): a defect\n"
         assert _read_csv(run_dir / "gridsearch_journal.csv") == [JOURNAL_HEADER]
         assert not (run_dir / "gridsearch_results.csv").exists()
         monkeypatch.setattr(grid, "train", real_train)

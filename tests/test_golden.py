@@ -16,7 +16,10 @@ float32 ULP fails here.
 
 The values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
 Haswell kernels; the last test reruns both cases with one thread); a BLAS
-whose GEMM sums in another order may need them re-recorded.
+whose GEMM sums in another order may need them re-recorded.  They hold with
+the engine's thread pool on as well: each case runs a second time with the
+pool's cutoff at zero, which puts every per-sample loop over a batch on the
+pool (the real cutoff leaves these small layers on the calling thread).
 """
 
 import os
@@ -29,6 +32,7 @@ import numpy as np
 import pytest
 
 import ctsr
+from ctsr import ops
 from ctsr.model import ModelConfig, infer_volume, train
 from ctsr.pipeline import gen_synthetic, make_pairs
 from ctsr.tensor import Rng, Tensor, uniform_init
@@ -59,8 +63,16 @@ def _run(cfg_kwargs):
     return params, report, sr
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_checkpoint_and_inference_are_bit_identical(name):
+@pytest.mark.parametrize("name, pooled", [
+    param for name in sorted(CASES)
+    for param in (pytest.param(name, False, id=name), pytest.param(name, True, id=f"{name}-pooled"))
+])
+def test_checkpoint_and_inference_are_bit_identical(name, pooled, monkeypatch):
+    """``pooled`` sets the pool's cutoff to zero, so that every per-sample
+    loop over more than one sample runs on the thread pool; every case is
+    below the real cutoff."""
+    if pooled:
+        monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
     cfg_kwargs, want_ckpt, want_infer = CASES[name]
     params, report, sr = _run(cfg_kwargs)
     assert report.params_checksum == params.checksum()
@@ -83,4 +95,4 @@ def test_values_hold_with_one_blas_thread():
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
+    assert "4 passed" in proc.stdout

@@ -300,11 +300,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-empty"):
             train(cfg, [], [])
 
-    def test_peak_memory_below_two_l1_column_matrices(self):
+    def test_peak_memory_below_one_l1_column_matrix(self):
         # The paper config at 8x8 patches, two batches of 16.  One batch's L1
         # im2col matrix is 13.5 MiB of float64; the training step keeps only
         # each layer's input, so no column matrix of a whole batch, nor the
-        # previous batch's activations, is ever held.
+        # previous batch's activations, is ever held.  ReLU and its backward
+        # mask work in place, and the backward drops each layer's input once
+        # it has read it, so the whole step stays below that one matrix.
         cfg = ModelConfig(**PAPER_CFG, patch_hw=8, batch_size=16, epochs=1)
         pairs = _tiny_pairs(32, Rng(36), cfg)
         geom = _layer_plan(cfg)[1][1]  # 64 -> 64 channels on a depth-3 input
@@ -316,7 +318,7 @@ class TestTrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * l1_cols_bytes, f"traced peak {peak / 2**20:.1f} MiB"
+        assert peak < l1_cols_bytes, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_divergence_reports_coordinates(self):
         cfg = ModelConfig(**{**TINY_CFG, "lr": 1e12, "epochs": 3})

@@ -1,4 +1,11 @@
 import inspect
+import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,6 +489,117 @@ class TestBatchedEngine:
         ref = _conv_bwd_b(x, w, geom, g, True)
         assert d_x is None
         assert np.array_equal(d_w, ref[0]) and np.array_equal(d_b, ref[1])
+
+
+def _paper_l1_case(rng):
+    """The paper's L1 at 32x32 patches, a batch of three: 64 -> 64 channels,
+    k = 3, in-plane same padding, on a depth-3 input, so each sample's
+    column matrix is 1728 x 1024, above the pool's cutoff."""
+    geom = ConvGeometry(64, 64, 3, 1, (0, 1, 1))
+    x = _f64_array((64, 3, 3, 32, 32), rng)
+    w = 0.05 * _f64_array((64, 64) + geom.kernel, rng)
+    return geom, x, w, _f64_array((64,), rng), _conv_fwd_b, _conv_bwd_b
+
+
+class TestThreadPool:
+    """The per-sample loops give the same bits on the thread pool as on the
+    calling thread, and B = 1 work starts no thread."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """At least two tasks in flight when a loop is pooled, whatever the
+        machine."""
+        monkeypatch.setattr(ops, "_CPUS", max(ops._CPUS, 2))
+
+    OPS = ["narrow", "im2col", "few-wide", "k<r", "k=r", "k>r", "k=r,p=0", "s=1", "paper-L1"]
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_pooled_equals_serial(self, op, monkeypatch):
+        rng = Rng(970 + self.OPS.index(op))
+        if op == "paper-L1":
+            cases = [_paper_l1_case(rng)]
+        else:
+            cases = [_engine_case(rng, op, large=True) for _ in range(4)]
+        for geom, x, w, b, fwd_b, bwd_b in cases:
+            g = _f64_array(fwd_b(x, w, b, geom).shape, rng)
+            runs = []
+            for cutoff in (math.inf, 0):  # serial, then every loop pooled
+                monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
+                runs.append((fwd_b(x, w, b, geom),) + bwd_b(x, w, geom, g, True))
+            for name, serial, pooled in zip(("forward", "d_w", "d_b", "d_x"), *runs):
+                assert np.array_equal(pooled, serial), name
+
+    def test_each_task_owns_its_scratch(self, monkeypatch):
+        """Eight tasks in flight on two or more CPUs, with the interpreter
+        switching threads every microsecond: no task sees another's writes
+        to its scratch, and the results come back in sample order."""
+        monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(ops, "_CPUS", 8)
+        monkeypatch.setattr(ops, "_pool", None)
+
+        def task(n, scratch):
+            for _ in range(50):
+                scratch[...] = n
+                time.sleep(0)
+                if not (scratch == n).all():
+                    return -1
+            return n
+
+        results = []
+        consumer = threading.Thread(
+            target=lambda: results.extend(ops._each_sample(task, 64, (4, 4))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            consumer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive()
+        ops._pool.shutdown()
+        assert results == list(range(64))
+
+    def test_task_exception_reaches_the_caller(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
+        threads = set()
+
+        def task(n, scratch):
+            threads.add(threading.current_thread().name)
+            if n == 2:
+                raise Boom(n)
+            return n
+
+        with pytest.raises(Boom):
+            list(ops._each_sample(task, 4, (2, 2)))
+        assert any(name.startswith("ctsr-ops") for name in threads)
+
+    def test_import_and_single_sample_forward_start_no_thread(self):
+        """The B = 1 paths (``forward``, so ``infer_volume``) never use the
+        pool, even at a cutoff of zero; checked in a fresh interpreter,
+        since this one may have started the pool already."""
+        code = (
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "import numpy as np\n"
+            "from ctsr import ops\n"
+            "from ctsr.model import ModelConfig, build_model, forward\n"
+            "from ctsr.tensor import Rng\n"
+            "ops._POOL_MIN_ELEMENTS = 0\n"
+            "cfg = ModelConfig(feature_depth=3, conv_layers=1, filters=(6, 4, 1), kernel=3,\n"
+            "                  scale=3, patch_hw=6)\n"
+            "forward(build_model(cfg, Rng(1)), np.ones((1, 3, 6, 6), np.float32))\n"
+            "assert threading.active_count() == before, threading.enumerate()\n"
+            "assert ops._pool is None\n"
+        )
+        src = str(Path(ops.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 # Every (module, attribute) that benchmarks/tracing.py wraps, with the
