@@ -171,7 +171,7 @@ def cmd_infer(args) -> int:
         )
     r = params.config.scale
     out_shape = (vol.shape[0], vol.shape[1] * r, vol.shape[2] * r)
-    need = 8 * math.prod(out_shape)  # infer_volume's float64 output accumulator
+    need = 4 * math.prod(out_shape)  # infer_volume's float32 output
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise DataError(

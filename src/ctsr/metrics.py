@@ -4,6 +4,22 @@ SSIM uses the classic configuration: 11x11 Gaussian window with sigma 1.5,
 K1 = 0.01, K2 = 0.03, dynamic range 1.0 (images normalized to [0, 1]),
 evaluated over valid window positions only (no padding).
 
+The Gaussian filter runs as banded GEMMs over blocks of SSIM_BLOCK map rows.
+For each block the rows of x, y, x^2, y^2 and xy are stacked, filtered down
+the rows by one GEMM with the band matrix T[i, i + k] = g[k], then along the
+columns by GEMMs with T's transpose over blocks of SSIM_BLOCK columns, and
+the SSIM formula is evaluated while the block is still in cache.  The five
+maps of a 510x510 pair then stay within L2, where the shifted-add filter
+this replaced made 22 full-image passes per map with a fresh 2 MB temporary
+for each: 70-80 ms per pair against about 20 ms, one BLAS thread, 2-vCPU
+Xeon.  Blocks of 24-32 rows and columns measured fastest there, 64 about a
+third slower.  A GEMM sums each window in its own order, so a map element
+can differ from the shifted-add sum in the last bits: the SSIM of each of
+the benchmark's 32 510x510 slice pairs moved by at most 7e-16, and on four
+random images 41-140 pixels a side it equalled the per-window sum.
+x and y go through GEMMs of identical shape, so ssim(a, a) == 1.0 and
+ssim(a, b) == ssim(b, a) hold exactly.
+
 The t-test p-value comes from the Student-t CDF expressed through the
 regularized incomplete beta function, evaluated with Lentz's continued
 fraction, accurate to ~1e-15 relative, which keeps far tails (p < 1e-16)
@@ -25,6 +41,7 @@ SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_RANGE = 1.0
+SSIM_BLOCK = 32  # map rows, and columns, one banded GEMM produces
 
 PSNR_INF = float("inf")
 
@@ -73,20 +90,17 @@ def _gaussian_window() -> np.ndarray:
     return g / g.sum()
 
 
-_SSIM_G = _gaussian_window()
+def _band_matrix(size: int) -> np.ndarray:
+    """[size, size + SSIM_WINDOW - 1] with T[i, i + k] = g[k]: ``T @ rows``
+    is the valid Gaussian filter down the rows, ``cols @ T.T`` along them."""
+    band = np.zeros((size, size + SSIM_WINDOW - 1))
+    i = np.arange(size)
+    for k, gk in enumerate(_gaussian_window()):
+        band[i, i + k] = gk
+    return band
 
 
-def _valid_filter(img: np.ndarray) -> np.ndarray:
-    """Separable Gaussian-weighted local mean, valid positions only."""
-    n = SSIM_WINDOW
-    h, w = img.shape
-    rows = np.zeros((h - n + 1, w), dtype=np.float64)
-    for k in range(n):
-        rows += _SSIM_G[k] * img[k : h - n + 1 + k, :]
-    out = np.zeros((h - n + 1, w - n + 1), dtype=np.float64)
-    for k in range(n):
-        out += _SSIM_G[k] * rows[:, k : w - n + 1 + k]
-    return out
+_SSIM_BAND = _band_matrix(SSIM_BLOCK)
 
 
 def ssim(a: Tensor, b: Tensor) -> float:
@@ -97,18 +111,56 @@ def ssim(a: Tensor, b: Tensor) -> float:
         raise ValueError(f"ssim expects 2D images, got shape {a.shape}")
     if min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"image {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    x = a.data.astype(np.float64)
-    y = b.data.astype(np.float64)
+    halo = SSIM_WINDOW - 1
+    h, w = a.shape
+    ssim_map = np.empty((h - halo, w - halo))
+    # x, y, x^2, y^2, xy over one block's input rows (products of float32
+    # values are exact in float64), then their filtered values
+    stack = np.empty((5, SSIM_BLOCK + halo, w))
+    filtered = np.empty((5, SSIM_BLOCK, w - halo))
+    for i0 in range(0, h - halo, SSIM_BLOCK):
+        rows = min(SSIM_BLOCK, h - halo - i0)
+        s = stack[:, : rows + halo]
+        s[0] = a.data[i0 : i0 + rows + halo]
+        s[1] = b.data[i0 : i0 + rows + halo]
+        np.multiply(s[0], s[0], out=s[2])
+        np.multiply(s[1], s[1], out=s[3])
+        np.multiply(s[0], s[1], out=s[4])
+        down = _SSIM_BAND[:rows, : rows + halo] @ s
+        f = filtered[:, :rows]
+        for j0 in range(0, w - halo, SSIM_BLOCK):
+            cols = min(SSIM_BLOCK, w - halo - j0)
+            np.matmul(
+                down[:, :, j0 : j0 + cols + halo],
+                _SSIM_BAND[:cols, : cols + halo].T,
+                out=f[:, :, j0 : j0 + cols],
+            )
+        _ssim_formula(*f, out=ssim_map[i0 : i0 + rows])
+    return float(np.mean(ssim_map))
+
+
+def _ssim_formula(mx, my, sxx, syy, sxy, out: np.ndarray) -> None:
+    """SSIM of filtered means and second moments into ``out``; overwrites
+    its inputs.  Every step pairs the x and y terms symmetrically."""
     c1 = (SSIM_K1 * SSIM_RANGE) ** 2
     c2 = (SSIM_K2 * SSIM_RANGE) ** 2
-    mx = _valid_filter(x)
-    my = _valid_filter(y)
-    sxx = _valid_filter(x * x) - mx * mx
-    syy = _valid_filter(y * y) - my * my
-    sxy = _valid_filter(x * y) - mx * my
-    num = (2.0 * mx * my + c1) * (2.0 * sxy + c2)
-    den = (mx * mx + my * my + c1) * (sxx + syy + c2)
-    return float(np.mean(num / den))
+    num = mx * my
+    mx *= mx
+    my *= my
+    sxy -= num  # covariance
+    sxy *= 2.0
+    sxy += c2
+    num *= 2.0
+    num += c1
+    num *= sxy
+    sxx -= mx  # variances
+    syy -= my
+    sxx += syy
+    sxx += c2
+    mx += my
+    mx += c1
+    mx *= sxx  # denominator
+    np.divide(num, mx, out=out)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -418,7 +418,8 @@ def infer_volume(
     tile = min(tile_hw or cfg.patch_hw, h, w)
     stride = max(1, tile // 2)
     half = n // 2
-    out = np.zeros((depth, h * r, w * r), dtype=np.float64)
+    out = np.empty((depth, h * r, w * r), dtype=np.float32)
+    acc = np.empty((h * r, w * r), dtype=np.float64)
     weight = np.zeros((h * r, w * r), dtype=np.float64)
     oys = _tile_origins(h, tile, stride)
     oxs = _tile_origins(w, tile, stride)
@@ -428,13 +429,15 @@ def infer_volume(
     for c in range(depth):
         idx = np.clip(np.arange(c - half, c + half + 1), 0, depth - 1)
         window = vol[idx]
+        acc.fill(0.0)
         for oy in oys:
             for ox in oxs:
                 sr = forward(params, window[None, :, oy : oy + tile, ox : ox + tile])
-                out[c, oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += sr[0, 0]
-        out[c] /= weight
+                acc[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += sr[0, 0]
+        acc /= weight
+        out[c] = np.clip(acc, 0.0, 1.0, out=acc)
     dz, dy, dx = lr_volume.spacing
-    return Volume(Tensor(np.clip(out, 0.0, 1.0)), (dz, dy / r, dx / r))
+    return Volume(Tensor(out), (dz, dy / r, dx / r))
 
 
 def _pack_tensor(a: np.ndarray) -> bytes:

@@ -1,4 +1,5 @@
 import csv
+import os
 import struct
 
 import numpy as np
@@ -266,6 +267,25 @@ class TestInferEvaluate:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "scale 65538" in err and "(3, 524304, 524304)" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spare, code", [(-1, 3), (0, 0)])
+    def test_infer_output_must_fit_in_memory(self, tmp_path, data_dir, trained, capsys,
+                                             monkeypatch, spare, code):
+        # a 16x12x12 volume at scale 2 makes a 16x24x24 float32 output
+        need = 4 * 16 * 24 * 24
+        real_sysconf = os.sysconf
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
+        monkeypatch.setattr(
+            os, "sysconf", lambda name: pages[name] if name in pages else real_sysconf(name)
+        )
+        lr_dir = tmp_path / "lr"
+        main(["simulate", str(data_dir), "--out", str(lr_dir), "--scale", "2"])
+        lr_path = sorted(lr_dir.glob("*_lr.svol"))[0]
+        out = tmp_path / "sr.svol"
+        assert main(["infer", str(trained), str(lr_path), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "physical memory" in capsys.readouterr().err
 
     def test_evaluate_reports(self, tmp_path, data_dir, trained, capsys):
         lr_dir = tmp_path / "lr"

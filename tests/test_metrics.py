@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctsr
 from ctsr.metrics import (
+    SSIM_BLOCK,
     SliceSample,
     _gaussian_window,
     aggregate,
@@ -113,6 +119,25 @@ class TestSsim:
         assert abs(both - base) < 0.02
         assert base - one > 0.05
 
+    @pytest.mark.parametrize("shape", [(75, 140), (140, 75), (40, 11), (11, 40)])
+    def test_matches_per_window_oracle_across_blocks(self, shape):
+        # 75x140 has 65x130 windows: two full blocks of rows and one more row,
+        # four full blocks of columns and two more; 140x75 the transpose.  An
+        # 11-wide image has one column of windows.
+        rng = Rng(11)
+        a = Tensor(uniform_init(list(shape), 0, 1, rng))
+        b = Tensor(np.clip(a.data + 0.1 * uniform_init(list(shape), -1, 1, rng), 0, 1))
+        expected = ssim_windows_loops(a.data, b.data, _outer_window())
+        assert ssim(a, b) == pytest.approx(expected, abs=1e-12)
+
+    def test_identity_and_symmetry_exact_over_blocks(self):
+        shape = [3 * SSIM_BLOCK + 17, 2 * SSIM_BLOCK + 29]
+        rng = Rng(12)
+        a = Tensor(uniform_init(shape, 0, 1, rng))
+        b = Tensor(uniform_init(shape, 0, 1, rng))
+        assert ssim(a, a) == 1.0
+        assert ssim(a, b) == ssim(b, a)
+
     def test_window_too_small(self):
         with pytest.raises(ValueError, match="window"):
             ssim(Tensor(np.zeros((8, 8))), Tensor(np.zeros((8, 8))))
@@ -125,6 +150,40 @@ class TestSsim:
 def _outer_window():
     g = _gaussian_window()
     return np.outer(g, g)
+
+
+_THREAD_PROBE = """
+import zlib
+import numpy as np
+from ctsr.metrics import ssim
+from ctsr.resample import bicubic_upsample, downsample_axial
+from ctsr.tensor import Rng, Tensor, uniform_init
+from ctsr.volume import Volume
+
+hr = Volume(Tensor(uniform_init([2, 69, 1101], 0, 1, Rng(13))))
+lr = downsample_axial(hr, 3)
+up = bicubic_upsample(lr, 3)
+print(zlib.crc32(lr.data.data.tobytes()), zlib.crc32(up.data.data.tobytes()))
+print([ssim(Tensor(u), Tensor(h)).hex() for u, h in zip(up.data.data, hr.data.data)])
+"""
+
+
+def test_ssim_and_resampling_hold_for_one_and_two_blas_threads():
+    """SSIM values and resampled float32 bytes in fresh interpreters with one
+    and with two OpenBLAS threads: the count is fixed when numpy loads.  At
+    1101 wide the row filter's GEMMs are large enough for OpenBLAS to split
+    them over two threads on a machine with two cores."""
+    src = str(Path(ctsr.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestIncompleteBeta:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ctsr import resample
 from ctsr.resample import (
     bicubic_upsample,
     center_crop_to_multiple,
@@ -119,6 +122,35 @@ class TestUpsample:
         mse_cubic = np.mean((up - img) ** 2)
         mse_nn = np.mean((nn - img) ** 2)
         assert mse_cubic < mse_nn
+
+
+class TestDepthSlabs:
+    @pytest.mark.parametrize("slices", [1, 3, 2**40])
+    def test_output_does_not_depend_on_the_slab_size(self, monkeypatch, slices):
+        # 7 slices: one per slab, slabs of 3 with a ragged last one, one slab
+        vol = Volume(Tensor(uniform_init([7, 144, 144], 0, 1, Rng(8))))
+        want_down = downsample_axial(vol, 3).data.data
+        want_up = bicubic_upsample(vol, 2).data.data
+        # the larger gather per slice: 4 taps of 48 x 144, then of 288 x 288
+        monkeypatch.setattr(resample, "GATHER_BUDGET_BYTES", slices * 8 * 4 * 48 * 144)
+        assert np.array_equal(downsample_axial(vol, 3).data.data, want_down)
+        monkeypatch.setattr(resample, "GATHER_BUDGET_BYTES", slices * 8 * 4 * 288 * 288)
+        assert np.array_equal(bicubic_upsample(vol, 2).data.data, want_up)
+
+    def test_peak_memory_below_the_whole_volume_gather(self):
+        # the width gather of 8 x 170 x 170 -> 8 x 510 x 510 is 67 MB for the
+        # whole volume, 8.3 MB per slice; einsum copies the gather it sums, so
+        # a slab peaks at about twice the budget
+        vol = Volume(Tensor(uniform_init([8, 170, 170], 0, 1, Rng(9))))
+        whole_gather = 8 * 8 * 510 * 4 * 510
+        assert whole_gather > 2 * resample.GATHER_BUDGET_BYTES
+        tracemalloc.start()
+        try:
+            bicubic_upsample(vol, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_gather, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 class TestCenterCrop:
