@@ -251,7 +251,7 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> TTestResult:
         raise ValueError(f"need at least 2 pairs, got {n}")
     d = xs - ys
     mean = float(np.mean(d))
-    sd = float(np.sqrt(np.sum((d - mean) ** 2) / (n - 1)))
+    sd = _sample_sd(d)
     df = n - 1
     if sd == 0.0:
         if mean == 0.0:
@@ -280,9 +280,11 @@ def aggregate(samples: Sequence[SliceSample]) -> AggregateStats:
     )
 
 
-def _sample_sd(values: list[float]) -> float:
-    if len(values) < 2:
+def _sample_sd(values: Sequence[float]) -> float:
+    """Sample (n-1) standard deviation; 0 for fewer than two values."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size < 2:
         return 0.0
-    m = float(np.mean(values))
-    return float(np.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1)))
+    mean = float(np.mean(v))
+    return float(np.sqrt(np.sum((v - mean) ** 2) / (v.size - 1)))
 

@@ -372,14 +372,11 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
     return params, report
 
 
-# validation pairs per forward batch
-_VALIDATION_CHUNK = 16
-
-
 def _validation_psnr(params: ModelParams, val_pairs) -> float:
     vals = []
-    for i in range(0, len(val_pairs), _VALIDATION_CHUNK):
-        chunk = val_pairs[i : i + _VALIDATION_CHUNK]
+    step = params.config.batch_size
+    for i in range(0, len(val_pairs), step):
+        chunk = val_pairs[i : i + step]
         xs = np.stack([p.lr_patch for p in chunk]).transpose(1, 0, 2, 3, 4)
         out, _ = _forward_batch(params, xs.astype(np.float64), keep_caches=False)
         for j, pair in enumerate(chunk):

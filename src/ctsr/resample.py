@@ -2,20 +2,12 @@
 
 Output pixel i samples the input at x = (i + 0.5) * (in/out) - 0.5, the
 pixel-center convention, through the 4-tap cubic convolution kernel.  Axes
-are separable: height first, then width, in float64, and results are
+are separable.  Each slice is resampled on its own in float64: height first,
+then width, each output row or column the sum of its four weighted taps
+added in tap order -1, 0, 1, 2.  No BLAS call is involved, so the bits do
+not depend on the thread count or on the volume's depth.  Results are
 clipped back to [0, 1] (the kernel's negative lobes can overshoot) and
 stored as float32.
-
-Each axis gathers its four taps of every output row or column before
-summing them, [d, 4, H_out, W] and then [d, H_out, 4, W_out] float64 arrays.
-A volume is resampled in depth slabs whose larger gather fits
-GATHER_BUDGET_BYTES (16 MiB; at least one slice per slab): the whole-volume
-gather of a 16x170x170 -> 16x510x510 upsample was 133 MB, most of the peak
-memory of evaluating a bicubic baseline.  A volume whose gathers fit the
-budget, such as 16x192x192 -> 16x64x64, runs as one slab.  einsum's width
-sum can round the last float64 bit differently with the slab's depth, so a
-float32 output element could change only where its float64 value lies
-within 4.4e-16 of a float32 rounding tie; none did on the volumes checked.
 """
 
 from __future__ import annotations
@@ -26,7 +18,6 @@ from .tensor import Tensor
 from .volume import Volume
 
 CUBIC_A = -0.5
-GATHER_BUDGET_BYTES = 16 * 2**20
 
 
 def cubic_kernel(s: np.ndarray) -> np.ndarray:
@@ -50,20 +41,29 @@ def _axis_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _resample_planes(vol: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resample the (H, W) axes of a [D, H, W] array, clipped to [0, 1], as
-    float32, one depth slab within GATHER_BUDGET_BYTES at a time."""
-    depth, h, w = vol.shape
-    idx_h, w_h = _axis_taps(h, out_h)
-    idx_w, w_w = _axis_taps(w, out_w)
-    slice_gather = 8 * 4 * out_h * max(w, out_w)
-    slab = max(1, GATHER_BUDGET_BYTES // slice_gather)
-    out = np.empty((depth, out_h, out_w), dtype=np.float32)
-    for d0 in range(0, depth, slab):
-        data = vol[d0 : d0 + slab].astype(np.float64)
-        data = np.einsum("dkhw,hk->dhw", data[:, idx_h.T, :], w_h, optimize=True)
-        data = np.einsum("dhkw,wk->dhw", data[:, :, idx_w.T], w_w, optimize=True)
-        out[d0 : d0 + slab] = np.clip(data, 0.0, 1.0, out=data)
+    """Resample the (H, W) axes of a [D, H, W] array one slice at a time,
+    clipped to [0, 1], as float32."""
+    idx_h, w_h = _axis_taps(vol.shape[1], out_h)
+    idx_w, w_w = _axis_taps(vol.shape[2], out_w)
+    # one (indices, weights) pair per tap, -1 to 2; a row tap scales whole rows
+    row_taps = list(zip(idx_h.T.copy(), w_h.T[:, :, None].copy()))
+    col_taps = list(zip(idx_w.T.copy(), w_w.T.copy()))
+    out = np.empty((vol.shape[0], out_h, out_w), dtype=np.float32)
+    for plane, dst in zip(vol, out):
+        rows = _tap_sum(plane.astype(np.float64), row_taps, axis=0)
+        np.clip(_tap_sum(rows, col_taps, axis=1), 0.0, 1.0, out=dst)
     return out
+
+
+def _tap_sum(x: np.ndarray, taps: list, axis: int) -> np.ndarray:
+    """Sum over the (indices, weights) taps, in order, of x's entries at the
+    indices along axis times the weights."""
+    acc = -0.0  # the additive identity: -0.0 + a == a, signed zeros included
+    for idx, w in taps:
+        tap = x.take(idx, axis=axis)
+        tap *= w
+        acc = np.add(acc, tap, out=tap)
+    return acc
 
 
 def center_crop_to_multiple(volume: Volume, r: int) -> Volume:

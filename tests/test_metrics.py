@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -170,9 +171,10 @@ print([ssim(Tensor(u), Tensor(h)).hex() for u, h in zip(up.data.data, hr.data.da
 
 def test_ssim_and_resampling_hold_for_one_and_two_blas_threads():
     """SSIM values and resampled float32 bytes in fresh interpreters with one
-    and with two OpenBLAS threads: the count is fixed when numpy loads.  At
-    1101 wide the row filter's GEMMs are large enough for OpenBLAS to split
-    them over two threads on a machine with two cores."""
+    and with two OpenBLAS threads: the count is fixed when numpy loads.  Only
+    SSIM calls BLAS here (resampling sums its taps elementwise); at 1101 wide
+    its row filter's GEMMs are large enough for OpenBLAS to split them over
+    two threads on a machine with two cores."""
     src = str(Path(ctsr.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     outputs = []
@@ -302,6 +304,14 @@ class TestAggregate:
         assert agg.psnr_sd == pytest.approx(sd_p, abs=1e-9)
         assert agg.ssim_mean == pytest.approx(mean_s, abs=1e-9)
         assert agg.ssim_sd == pytest.approx(sd_s, abs=1e-9)
+
+    def test_sd_matches_statistics_stdev(self):
+        rng = Rng(11)
+        ps = list(25 + 5 * rng.next_floats(37))
+        ss = list(rng.next_floats(37))
+        agg = aggregate([SliceSample(str(i), p, s) for i, (p, s) in enumerate(zip(ps, ss))])
+        assert agg.psnr_sd == pytest.approx(statistics.stdev(ps), rel=1e-12)
+        assert agg.ssim_sd == pytest.approx(statistics.stdev(ss), rel=1e-12)
 
     def test_infinite_psnr_excluded_and_counted(self):
         agg = aggregate(

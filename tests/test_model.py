@@ -10,6 +10,7 @@ from ctsr.model import (
     _backward_batch,
     _forward_batch,
     _layer_plan,
+    _validation_psnr,
     build_model,
     deserialize_params,
     forward,
@@ -294,6 +295,16 @@ class TestTrain:
         assert r1.val_psnrs == r2.val_psnrs
         assert r1.params_checksum == r2.params_checksum
         assert serialize_params(p1) == serialize_params(p2)
+
+    def test_validation_psnr_does_not_depend_on_the_batch_size(self):
+        # validation runs in batches of cfg.batch_size; 7 pairs make ragged
+        # last batches at 3 and 4
+        pairs = _tiny_pairs(7, Rng(37), ModelConfig(**TINY_CFG))
+        psnrs = set()
+        for batch_size in (1, 3, 4, 16):
+            cfg = ModelConfig(**{**TINY_CFG, "batch_size": batch_size})
+            psnrs.add(_validation_psnr(build_model(cfg, Rng(38)), pairs))
+        assert len(psnrs) == 1
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(**TINY_CFG)

@@ -1,9 +1,10 @@
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
-from ctsr import resample
+from ctsr.pipeline import gen_synthetic
 from ctsr.resample import (
     bicubic_upsample,
     center_crop_to_multiple,
@@ -124,33 +125,47 @@ class TestUpsample:
         assert mse_cubic < mse_nn
 
 
-class TestDepthSlabs:
-    @pytest.mark.parametrize("slices", [1, 3, 2**40])
-    def test_output_does_not_depend_on_the_slab_size(self, monkeypatch, slices):
-        # 7 slices: one per slab, slabs of 3 with a ragged last one, one slab
-        vol = Volume(Tensor(uniform_init([7, 144, 144], 0, 1, Rng(8))))
-        want_down = downsample_axial(vol, 3).data.data
-        want_up = bicubic_upsample(vol, 2).data.data
-        # the larger gather per slice: 4 taps of 48 x 144, then of 288 x 288
-        monkeypatch.setattr(resample, "GATHER_BUDGET_BYTES", slices * 8 * 4 * 48 * 144)
-        assert np.array_equal(downsample_axial(vol, 3).data.data, want_down)
-        monkeypatch.setattr(resample, "GATHER_BUDGET_BYTES", slices * 8 * 4 * 288 * 288)
-        assert np.array_equal(bicubic_upsample(vol, 2).data.data, want_up)
+class TestSliceIndependence:
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("resize", [downsample_axial, bicubic_upsample])
+    def test_volume_equals_its_slices_resampled_alone(self, resize, r):
+        vol = Volume(Tensor(uniform_init([7, 143, 145], 0, 1, Rng(8))))
+        slices = [
+            resize(Volume(Tensor(vol.data.data[i : i + 1])), r).data.data
+            for i in range(vol.shape[0])
+        ]
+        assert np.array_equal(resize(vol, r).data.data, np.concatenate(slices))
 
-    def test_peak_memory_below_the_whole_volume_gather(self):
-        # the width gather of 8 x 170 x 170 -> 8 x 510 x 510 is 67 MB for the
-        # whole volume, 8.3 MB per slice; einsum copies the gather it sums, so
-        # a slab peaks at about twice the budget
+    def test_peak_memory_below_output_plus_five_float64_planes(self):
+        # 8 x 170 x 170 -> 8 x 510 x 510: the float32 output is 7.9 MiB and one
+        # float64 output plane 2.0 MiB; a slice's row and column passes hold a
+        # few such planes at a time
         vol = Volume(Tensor(uniform_init([8, 170, 170], 0, 1, Rng(9))))
-        whole_gather = 8 * 8 * 510 * 4 * 510
-        assert whole_gather > 2 * resample.GATHER_BUDGET_BYTES
+        bound = 8 * 510 * 510 * 4 + 5 * 510 * 510 * 8
         tracemalloc.start()
         try:
             bicubic_upsample(vol, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < whole_gather, f"traced peak {peak / 2**20:.2f} MiB"
+        assert peak < bound, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+class TestPinnedBits:
+    # CRC32 of the float32 output bytes on the golden spheres volume
+    CRCS = {
+        (downsample_axial, 2): 1024786300,
+        (downsample_axial, 3): 2671543776,
+        (bicubic_upsample, 2): 2796709299,
+        (bicubic_upsample, 3): 4283229591,
+    }
+
+    @pytest.mark.parametrize("resize, r", list(CRCS))
+    def test_golden_volume_crc(self, resize, r):
+        vol = gen_synthetic("spheres", (16, 48, 48), seed=5)
+        out = resize(vol, r).data.data
+        assert out.dtype == np.float32
+        assert zlib.crc32(np.ascontiguousarray(out).tobytes()) == self.CRCS[resize, r]
 
 
 class TestCenterCrop:
