@@ -17,9 +17,10 @@ off-by-one (k-s odd) is trimmed from the bottom/right, and a kernel smaller
 than the stride is compensated by appending zero rows/columns, so the
 in-plane output is exactly input*s for every legal configuration.
 
-Weights, biases, training pairs and ``forward``'s input and output are plain
-float32 arrays, checked finite where values enter: volumes, checkpoints,
-weight initialization, and each layer output and gradient.
+Weights, biases, training pairs, activations and gradients are plain
+float32 arrays: training, validation and inference run one float32 path.
+Values are checked finite where they enter: volumes, checkpoints, weight
+initialization, and each layer output and gradient.
 """
 
 from __future__ import annotations
@@ -227,33 +228,35 @@ def _undo_trim(g: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
 def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
     """Forward over a [C=1, B, n, h, w] batch, the one driver of the stack.
 
-    The engine computes in float64 and each layer's output is stored in the
-    dtype of ``xs``: training and validation pass float64, and ``forward``
-    passes its float32 patch, so inference rounds to float32 after every
-    layer.  A layer whose stored output is not finite raises
-    NonFiniteError naming it (ReLU would turn a -inf into a silent zero).
+    Every layer computes in the dtype of ``xs``.  Training, validation and
+    ``forward`` all pass float32, the parameters' dtype, so a sample's
+    output is the same bits in any batch and in inference; the weights are
+    cast only for a float64 ``xs`` (the finite-difference tests).  A layer
+    whose output is not finite raises NonFiniteError naming it (ReLU would
+    turn a -inf into a silent zero).
 
     With ``keep_caches`` it also returns, per layer, all the backward reads:
-    the layer's input and float64 weights.  The next layer's input is the
-    ReLU mask, positive exactly where the pre-activation is.  ReLU runs in
-    place on each layer's output, so no layer holds a pre-activation copy.
+    the layer's input and weights.  The next layer's input is the ReLU
+    mask, positive exactly where the pre-activation is.  ReLU runs in place
+    on each layer's output, so no layer holds a pre-activation copy.
     """
     caches = []
     h = xs
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        w64 = layer.weights.astype(np.float64)
-        b64 = layer.bias.astype(np.float64)
-        if layer.kind == "conv":
-            z = ops._conv_fwd_b(h, w64, b64, layer.geom)
-        else:
-            z = _apply_trim(ops._deconv_fwd_b(h, w64, b64, layer.geom), layer.trim_hw)
-        with np.errstate(over="ignore"):  # a value beyond float32 fails the check below
-            z = z.astype(xs.dtype, copy=False)
+        w = layer.weights.astype(xs.dtype, copy=False)
+        b = layer.bias.astype(xs.dtype, copy=False)
+        # a value beyond the dtype fails the check below; the engine's pool
+        # threads run in copies of this context, so the errstate holds there
+        with np.errstate(over="ignore", invalid="ignore"):
+            if layer.kind == "conv":
+                z = ops._conv_fwd_b(h, w, b, layer.geom)
+            else:
+                z = _apply_trim(ops._deconv_fwd_b(h, w, b, layer.geom), layer.trim_hw)
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
-            caches.append((h, w64))
+            caches.append((h, w))
         h = np.maximum(z, 0.0, out=z) if i < last else z
     return h, caches
 
@@ -261,7 +264,9 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
 def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
     """Super-resolve one window [1, n, h, w] of low-res slices into a single
     float32 slice [1, 1, h*scale, w*scale].  The input is cast to float32
-    and must be finite there; every layer's output is rounded to float32."""
+    and must be finite there; the stack runs as ``_forward_batch`` of a
+    batch of one, in float32, so the slice is the bits that training's
+    validation computes for the same window."""
     with np.errstate(over="ignore"):  # a value beyond float32 fails the check below
         x = np.asarray(lr_patch, np.float32)
     _check_patch(params, x)
@@ -272,38 +277,46 @@ def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
 
 
 def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
-    """Batched adjoint of _forward_batch; returns per-layer (d_w, d_b) in f64.
+    """Batched adjoint of _forward_batch; returns per-layer (d_w, d_b) in the
+    batch's dtype.
 
     It consumes ``caches``: each entry is set to None once its layer input
     has been read for the last time (as the layer's input, then as the ReLU
     mask of the layer below), so the activations are freed as the pass goes
-    down the stack.  The mask is applied to the gradient in place.
+    down the stack.  The mask is applied to the gradient in place.  As in
+    the forward, overflow raises no warning: a gradient that is not finite
+    fails ``sgd_step``'s check, which names the layer.
     """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     g = d_out
-    for i in reversed(range(len(params.layers))):
-        layer = params.layers[i]
-        x_in, w64 = caches[i]
-        if i + 1 < len(caches):  # the next layer's input is this one's ReLU mask
-            np.copyto(g, 0.0, where=caches[i + 1][0] <= 0)
-            caches[i + 1] = None
-            # a d_x from _conv_adjoint is a view into its padded grid: one
-            # copy frees the padding and spares the engine a copy per use
-            g = np.ascontiguousarray(g)
-        need_dx = i > 0
-        if layer.kind == "conv":
-            d_w, d_b, g = ops._conv_bwd_b(x_in, w64, layer.geom, g, need_dx)
-        else:
-            g = _undo_trim(g, layer.trim_hw)
-            d_w, d_b, g = ops._deconv_bwd_b(x_in, w64, layer.geom, g, need_dx)
-        grads[i] = (d_w, d_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in reversed(range(len(params.layers))):
+            layer = params.layers[i]
+            x_in, w = caches[i]
+            if i + 1 < len(caches):  # the next layer's input is this one's ReLU mask
+                np.copyto(g, 0.0, where=caches[i + 1][0] <= 0)
+                caches[i + 1] = None
+                # a d_x from _conv_adjoint is a view into its padded grid: one
+                # copy frees the padding and spares the engine a copy per use
+                g = np.ascontiguousarray(g)
+            need_dx = i > 0
+            if layer.kind == "conv":
+                d_w, d_b, g = ops._conv_bwd_b(x_in, w, layer.geom, g, need_dx)
+            else:
+                g = _undo_trim(g, layer.trim_hw)
+                d_w, d_b, g = ops._deconv_bwd_b(x_in, w, layer.geom, g, need_dx)
+            grads[i] = (d_w, d_b)
     caches[0] = None
     return grads
 
 
 def _pair_sq_sums(diff: np.ndarray) -> list[float]:
-    """Exact squared-error sum of each pair in a [C, B, ...] batch difference."""
-    sq = diff * diff
+    """Exact squared-error sum of each pair in a [C, B, ...] batch difference.
+
+    The squares are taken in float64, where the product of two float32
+    values is exact and cannot overflow, so the sums do not depend on the
+    order of the pairs and a large error is not mistaken for divergence."""
+    sq = np.square(diff, dtype=np.float64)
     try:
         sums = [math.fsum(sq[:, j].ravel().tolist()) for j in range(sq.shape[1])]
     except OverflowError as err:
@@ -346,7 +359,6 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
             # [B, 1, ...] stacked then moved to channel-major batch layout
             xs = np.stack([p.lr_patch for p in batch]).transpose(1, 0, 2, 3, 4)
             ys = np.stack([p.hr_slice for p in batch]).transpose(1, 0, 2, 3, 4)
-            xs = xs.astype(np.float64)
             try:
                 out, caches = _forward_batch(params, xs, keep_caches=cfg.lr > 0)
                 diff = out - ys
@@ -378,7 +390,7 @@ def _validation_psnr(params: ModelParams, val_pairs) -> float:
     for i in range(0, len(val_pairs), step):
         chunk = val_pairs[i : i + step]
         xs = np.stack([p.lr_patch for p in chunk]).transpose(1, 0, 2, 3, 4)
-        out, _ = _forward_batch(params, xs.astype(np.float64), keep_caches=False)
+        out, _ = _forward_batch(params, xs, keep_caches=False)
         for j, pair in enumerate(chunk):
             p = metrics.psnr(Tensor(out[:, j]), Tensor(pair.hr_slice), 1.0)
             if np.isfinite(p):

@@ -1,11 +1,12 @@
 """The network's convolution engine: forward and backward passes.
 
 One engine computes every convolution and transposed convolution, on
-float64 arrays in channel-major batch layout [C, B, D, H, W]; the model
-drives it directly for training, validation and inference.  The public
-ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only wrappers
-that run it with B = 1 on float32 [C, D, H, W] arrays and cast the
-result back to float32.
+arrays in channel-major batch layout [C, B, D, H, W], in the dtype of the
+arrays it is given.  The model drives it directly for training,
+validation and inference, all in float32, the parameters' dtype.  The
+public ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only
+wrappers that take float32 [C, D, H, W] arrays, run the engine with B = 1
+in float64 and cast the result back to float32.
 
 Two primitives, each one GEMM per sample over all kernel taps, serve
 every layer: the im2col gather W @ cols_n (``_gather``), with
@@ -42,8 +43,10 @@ elements; otherwise on the calling thread.  Much of a wide layer's time is
 numpy's single-threaded, memory-bound gather and tap scatter, which a
 second BLAS thread does not speed up and a second task does.  Below the
 cutoff the hand-off, and the narrow layers' per-tap Python loop contending
-for the GIL, cost more than they save.  Milliseconds per call at B = 16, 32x32 patches, one BLAS thread,
-2 vCPUs (medians of 15 calls, serial -> pooled; "zero" pools every loop):
+for the GIL, cost more than they save.  Milliseconds per call, measured
+when the engine still computed in float64, at B = 16, 32x32 patches, one
+BLAS thread, 2 vCPUs (medians of 15 calls, serial -> pooled; "zero" pools
+every loop):
 
     layer                   per-task scratch   forward          backward
     paper L1 conv 64->64    1728 x 1024        160 -> 94        376 -> 211
@@ -59,12 +62,13 @@ keeps its operands and shape (a GEMM element can depend on the extent of
 the other operand), each task writes only its own sample's slices, and d_w
 is summed from zero in sample order on the calling thread.  Each task in
 flight beyond the first costs one more scratch matrix, allocated by the
-caller so that no worker thread's malloc arena keeps it: 14 MB (1728 x 1024
-float64) at the paper's L1.
+caller so that no worker thread's malloc arena keeps it: 7 MB (1728 x 1024
+float32) at the paper's L1.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import queue
@@ -161,9 +165,10 @@ def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool):
 # ---------------------------------------------------------------------------
 # The engine.
 #
-# Arrays are float64 in channel-major batch layout [C, B, D, H, W], so that a
-# whole mini-batch shares each GEMM; the public ops further down run it with
-# B = 1.
+# Arrays are in channel-major batch layout [C, B, D, H, W], so that a whole
+# mini-batch shares each call, and every array the engine makes has the dtype
+# of its input: the model passes float32, the public ops further down float64
+# at B = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -188,7 +193,7 @@ def _window_b(tap, stride, n_positions):
 def _gather(xs, geom: ConvGeometry, out_sp):
     """(fill, shape): ``fill(n, cols)`` copies sample n's im2col columns of
     xs [C, B, *in_sp] for the conv ``geom`` with output extents out_sp into
-    the float64 array cols of ``shape`` [C*k1*k2*k3, N], and returns cols.
+    the array cols of ``shape`` [C*k1*k2*k3, N], and returns cols.
 
     Row order is (c, i, j, k) to match a reshaped weight block; column order
     is row-major over the output grid.  One sliding-window view serves the
@@ -220,21 +225,23 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
 
 
-def _each_sample(task, n_samples: int, scratch_shape):
+def _each_sample(task, n_samples: int, scratch_shape, dtype):
     """The results of ``task(n, scratch)`` for n = 0 .. n_samples - 1, in
-    sample order, where scratch is a float64 array of ``scratch_shape``
-    that the task may overwrite.
+    sample order, where scratch is an array of ``scratch_shape`` and
+    ``dtype`` that the task may overwrite.
 
     A task writes only its own sample's slices.  With one sample, one CPU
     or a scratch below ``_POOL_MIN_ELEMENTS`` elements the tasks run here,
     one after another; otherwise on the module's thread pool, at most
     min(CPUs, n_samples) at once.  Every scratch array is allocated here,
     one per task in flight, so no worker thread allocates a large array.
-    An exception in a task is raised here, with its own type.
+    An exception in a task is raised here, with its own type.  A pooled
+    task runs in its own copy of the caller's context, so numpy's
+    ``errstate``, which is context-local, holds for it as it does here.
     """
     workers = min(_CPUS, n_samples)
     if workers == 1 or math.prod(scratch_shape) < _POOL_MIN_ELEMENTS:
-        scratch = np.empty(scratch_shape)
+        scratch = np.empty(scratch_shape, dtype)
         return (task(n, scratch) for n in range(n_samples))
     global _pool
     if _pool is None:
@@ -245,7 +252,7 @@ def _each_sample(task, n_samples: int, scratch_shape):
         _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ctsr-ops")
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put(np.empty(scratch_shape))
+        free.put(np.empty(scratch_shape, dtype))
 
     def run(n):
         scratch = free.get()
@@ -254,7 +261,9 @@ def _each_sample(task, n_samples: int, scratch_shape):
         finally:
             free.put(scratch)
 
-    return _pool.map(run, range(n_samples))
+    # one context per task: two threads cannot enter the same context at once
+    contexts = [contextvars.copy_context() for _ in range(n_samples)]
+    return _pool.map(lambda ctx, n: ctx.run(run, n), contexts, range(n_samples))
 
 
 # A conv with few output channels (the final smoothing conv) skips im2col of
@@ -274,16 +283,16 @@ def _narrow(geom: ConvGeometry) -> bool:
     )
 
 
-def _flipped(geom: ConvGeometry, w64):
+def _flipped(geom: ConvGeometry, w):
     """(conv B, B's weight block) where B's adjoint is the stride-1 conv
     ``geom``: channels swapped, padding k - 1 - p, and the kernel flipped on
     every spatial axis (Dumoulin & Visin, arXiv:1603.07285)."""
     pad = tuple(k - 1 - p for k, p in zip(geom.kernel, geom.padding))
     conv = ConvGeometry(geom.out_channels, geom.in_channels, geom.kernel, 1, pad)
-    return conv, np.flip(w64, axis=(2, 3, 4)).swapaxes(0, 1)
+    return conv, np.flip(w, axis=(2, 3, 4)).swapaxes(0, 1)
 
 
-def _conv(xs, w64, geom: ConvGeometry):
+def _conv(xs, w, geom: ConvGeometry):
     """The conv of xs [C_in, B, *in_sp] without bias, [C_out, B, *out_sp].
 
     Wide layers take W @ cols_n per sample n, cols_n its im2col columns
@@ -292,20 +301,20 @@ def _conv(xs, w64, geom: ConvGeometry):
     """
     out_sp = geom.conv_output_shape(xs.shape[2:])
     if _narrow(geom):
-        conv, wb = _flipped(geom, w64)
+        conv, wb = _flipped(geom, w)
         return _conv_adjoint(xs, wb, conv, out_sp)
     c_out, n_samples = geom.out_channels, xs.shape[1]
-    out = np.empty((c_out, n_samples) + out_sp)
+    out = np.empty((c_out, n_samples) + out_sp, xs.dtype)
     out_n = out.reshape(c_out, n_samples, -1)
-    wm = w64.reshape(c_out, -1)
+    wm = w.reshape(c_out, -1)
     fill, shape = _gather(xs, geom, out_sp)
     for _ in _each_sample(lambda n, cols: np.matmul(wm, fill(n, cols), out=out_n[:, n]),
-                          n_samples, shape):
+                          n_samples, shape, xs.dtype):
         pass
     return out
 
 
-def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
+def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
     """The adjoint of the conv ``geom`` applied to g [C_out, B, *out_sp]: its
     input gradient [C_in, B, *in_sp], which is the transposed conv of g.
 
@@ -317,8 +326,11 @@ def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
     c_out, c_in = geom.out_channels, geom.in_channels
     out_sp = g.shape[2:]
     shape = (c_in, g.shape[1]) + tuple(n + 2 * p for n, p in zip(in_sp, geom.padding))
-    d_pad = np.zeros(shape) if seed is None else np.full(shape, seed.reshape(c_in, 1, 1, 1, 1))
-    wt = w64.reshape(c_out, -1).T
+    if seed is None:
+        d_pad = np.zeros(shape, g.dtype)
+    else:
+        d_pad = np.full(shape, seed.reshape(c_in, 1, 1, 1, 1), g.dtype)
+    wt = w.reshape(c_out, -1).T
     taps = list(product(*(range(k) for k in geom.kernel)))
 
     def scatter(n, d_cols):
@@ -327,19 +339,19 @@ def _conv_adjoint(g, w64, geom: ConvGeometry, in_sp, seed=None):
         for t, tap in enumerate(taps):
             d_pad[(slice(None), n) + _window(tap, geom.stride, out_sp)] += d_cols[:, t]
 
-    for _ in _each_sample(scatter, g.shape[1], (c_in * len(taps), math.prod(out_sp))):
+    for _ in _each_sample(scatter, g.shape[1], (c_in * len(taps), math.prod(out_sp)), g.dtype):
         pass
     return d_pad[_window_b(geom.padding, (1, 1, 1), in_sp)]
 
 
-def _adjoint_bwd(xs, w64, conv: ConvGeometry, g, need_dx: bool):
-    """(d_w, d_xs) of ys = _conv_adjoint(xs, w64, conv, ...) for output
+def _adjoint_bwd(xs, w, conv: ConvGeometry, g, need_dx: bool):
+    """(d_w, d_xs) of ys = _conv_adjoint(xs, w, conv, ...) for output
     gradient g: d_xs is the conv of g and d_w the conv's weight gradient for
     input g and output gradient xs, both from one gather of g's columns per
     sample; d_xs is None unless ``need_dx``."""
     c, n_samples = conv.out_channels, xs.shape[1]
-    wm = w64.reshape(c, -1)
-    d_xs = np.empty(xs.shape) if need_dx else None
+    wm = w.reshape(c, -1)
+    d_xs = np.empty(xs.shape, xs.dtype) if need_dx else None
     fill, shape = _gather(g, conv, xs.shape[2:])
 
     def task(n, cols):
@@ -348,21 +360,21 @@ def _adjoint_bwd(xs, w64, conv: ConvGeometry, g, need_dx: bool):
             np.matmul(wm, cols, out=d_xs.reshape(c, n_samples, -1)[:, n])
         return xs[:, n].reshape(c, -1) @ cols.T
 
-    d_w = np.zeros(wm.shape)
-    for d_w_n in _each_sample(task, n_samples, shape):
+    d_w = np.zeros(wm.shape, g.dtype)
+    for d_w_n in _each_sample(task, n_samples, shape, g.dtype):
         d_w += d_w_n
-    return d_w.reshape(w64.shape), d_xs
+    return d_w.reshape(w.shape), d_xs
 
 
-def _conv_fwd_b(xs, w64, b64, geom: ConvGeometry):
+def _conv_fwd_b(xs, w, b, geom: ConvGeometry):
     """out [C_out, B, *out_sp] of the conv of xs [C_in, B, *in_sp]: the sum
     over taps and input channels, then the bias."""
-    out = _conv(xs, w64, geom)
-    out += b64[:, None, None, None, None]
+    out = _conv(xs, w, geom)
+    out += b[:, None, None, None, None]
     return out
 
 
-def _conv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
+def _conv_bwd_b(xs, w, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _conv_fwd_b for input xs and output gradient
     g [C_out, B, *out_sp]; d_xs is None unless ``need_dx``.
 
@@ -372,18 +384,18 @@ def _conv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
     weight gradient, both from one gather of g's few-channel columns."""
     d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
     if _narrow(geom):
-        conv, wb = _flipped(geom, w64)
+        conv, wb = _flipped(geom, w)
         d_wb, d_xs = _adjoint_bwd(xs, wb, conv, g, need_dx)
         return np.flip(d_wb.swapaxes(0, 1), axis=(2, 3, 4)), d_b, d_xs
     fill, shape = _gather(xs, geom, g.shape[2:])
-    d_w = np.zeros((geom.out_channels, shape[0]))
+    d_w = np.zeros((geom.out_channels, shape[0]), g.dtype)
     for d_w_n in _each_sample(
         lambda n, cols: g[:, n].reshape(geom.out_channels, -1) @ fill(n, cols).T,
-        xs.shape[1], shape,
+        xs.shape[1], shape, xs.dtype,
     ):
         d_w += d_w_n
-    d_xs = _conv_adjoint(g, w64, geom, xs.shape[2:]) if need_dx else None
-    return d_w.reshape(w64.shape), d_b, d_xs
+    d_xs = _conv_adjoint(g, w, geom, xs.shape[2:]) if need_dx else None
+    return d_w.reshape(w.shape), d_b, d_xs
 
 
 def _transposed(geom: ConvGeometry) -> ConvGeometry:
@@ -393,23 +405,24 @@ def _transposed(geom: ConvGeometry) -> ConvGeometry:
     return ConvGeometry(c_in, c_out, geom.kernel, geom.stride, geom.padding)
 
 
-def _deconv_fwd_b(xs, w64, b64, geom: ConvGeometry):
+def _deconv_fwd_b(xs, w, b, geom: ConvGeometry):
     """Transposed conv of xs [C_in, B, *in_sp]: the adjoint of the conv
     ``_transposed(geom)`` applied to xs, summed from the bias."""
     out_sp = geom.deconv_output_shape(xs.shape[2:])
-    return _conv_adjoint(xs, w64, _transposed(geom), out_sp, seed=b64)
+    return _conv_adjoint(xs, w, _transposed(geom), out_sp, seed=b)
 
 
-def _deconv_bwd_b(xs, w64, geom: ConvGeometry, g, need_dx: bool):
+def _deconv_bwd_b(xs, w, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _deconv_fwd_b for input xs and output gradient g:
     ``_adjoint_bwd`` with ``_transposed(geom)`` as the conv."""
-    d_w, d_xs = _adjoint_bwd(xs, w64, _transposed(geom), g, need_dx)
+    d_w, d_xs = _adjoint_bwd(xs, w, _transposed(geom), g, need_dx)
     return d_w, g.reshape(geom.out_channels, -1).sum(axis=1), d_xs
 
 
 # ---------------------------------------------------------------------------
-# Public per-sample forward ops: the engine at B = 1, on [C, D, H, W] float32
-# arrays.
+# Public per-sample forward ops: the engine at B = 1 in float64, on
+# [C, D, H, W] float32 arrays.  The model does not call them; they are the
+# float64 reference that the oracle tests compare with.
 # ---------------------------------------------------------------------------
 
 
@@ -457,8 +470,8 @@ def sgd_step(params, grads, lr: float) -> None:
             )
         # a gradient or a step beyond float32 fails the check below
         with np.errstate(over="ignore", invalid="ignore"):
-            w = layer.weights - f32lr * d_w.astype(np.float32)
-            b = layer.bias - f32lr * d_b.astype(np.float32)
+            w = layer.weights - f32lr * d_w.astype(np.float32, copy=False)
+            b = layer.bias - f32lr * d_b.astype(np.float32, copy=False)
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise NonFiniteError(f"non-finite update in layer {idx}")
         stepped.append((layer, w, b))

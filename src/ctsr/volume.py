@@ -60,7 +60,8 @@ def serialize_volume(volume: Volume) -> bytes:
         f"dtype f32le\n"
         f"\n"
     )
-    return header.encode("ascii") + volume.data.data.astype("<f4").tobytes()
+    # one copy of the payload: the join reads the array's buffer directly
+    return b"".join((header.encode("ascii"), volume.data.data.astype("<f4", copy=False)))
 
 
 def load_volume(path) -> Volume:
@@ -81,9 +82,13 @@ def _header_fields(line: bytes, name: str, count: int, lineno: int) -> list[str]
 
 
 def deserialize_volume(buf: bytes) -> Volume:
-    lines = buf.split(b"\n", 5)
-    if len(lines) < 6:
-        raise VolumeFormatError("truncated header (expected 5 header lines)")
+    lines, off = [], 0
+    for _ in range(5):
+        end = buf.find(b"\n", off)
+        if end < 0:
+            raise VolumeFormatError("truncated header (expected 5 header lines)")
+        lines.append(buf[off:end])
+        off = end + 1
     if lines[0] != b"SVOL 1":
         raise VolumeFormatError(f"bad magic line {lines[0]!r} (expected 'SVOL 1')")
     dims_s = _header_fields(lines[1], "dims", 3, 2)
@@ -109,11 +114,11 @@ def deserialize_volume(buf: bytes) -> Volume:
         raise VolumeFormatError(f"unsupported dtype {dtype_s!r} (only f32le)")
     if lines[4] != b"":
         raise VolumeFormatError("missing blank line between header and payload")
-    payload = lines[5]
     expected = dims[0] * dims[1] * dims[2] * 4
-    if len(payload) != expected:
+    if len(buf) - off != expected:
         raise VolumeFormatError(
-            f"payload is {len(payload)} bytes, expected {expected} for dims {dims}"
+            f"payload is {len(buf) - off} bytes, expected {expected} for dims {dims}"
         )
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims)
+    # the payload is read where it lies in buf, then copied once
+    data = np.frombuffer(buf, dtype="<f4", offset=off).reshape(dims)
     return Volume(Tensor(data.copy()), spacing)

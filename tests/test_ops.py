@@ -547,7 +547,7 @@ class TestThreadPool:
 
         results = []
         consumer = threading.Thread(
-            target=lambda: results.extend(ops._each_sample(task, 64, (4, 4))))
+            target=lambda: results.extend(ops._each_sample(task, 64, (4, 4), np.float32)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -573,7 +573,7 @@ class TestThreadPool:
             return n
 
         with pytest.raises(Boom):
-            list(ops._each_sample(task, 4, (2, 2)))
+            list(ops._each_sample(task, 4, (2, 2), np.float32))
         assert any(name.startswith("ctsr-ops") for name in threads)
 
     def test_import_and_single_sample_forward_start_no_thread(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,26 @@ class TestVolumeType:
     def test_requires_positive_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             Volume(Tensor(np.zeros((2, 2, 2), dtype=np.float32)), (1.0, -1.0, 1.0))
+
+
+class TestPayloadCopies:
+    def test_round_trip_holds_one_payload_copy(self):
+        # 16x128x128 float32, 1 MiB: serializing allocates the output bytes
+        # and deserializing the volume's own array plus Tensor's finiteness
+        # mask (a quarter of the payload); neither makes a second copy
+        vol = Volume(Tensor(uniform_init([16, 128, 128], 0, 1, Rng(9))))
+        payload = vol.data.data.nbytes
+        tracemalloc.start()
+        try:
+            buf = serialize_volume(vol)
+            _, ser_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            back = deserialize_volume(buf)
+            _, de_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert buf == serialize_volume(back)
+        de_peak -= start
+        assert ser_peak < 1.5 * payload, f"serialize traced {ser_peak / 2**20:.2f} MiB"
+        assert de_peak < 1.5 * payload, f"deserialize traced {de_peak / 2**20:.2f} MiB"
