@@ -20,6 +20,11 @@ whose GEMM sums in another order may need them re-recorded.  They hold with
 the engine's thread pool on as well: each case runs a second time with the
 pool's cutoff at zero, which puts every per-sample loop over a batch on the
 pool (the real cutoff leaves these small layers on the calling thread).
+
+History: the values were last re-recorded when training and validation
+moved from float64 to the parameters' float32, the precision inference
+already ran in; before that they were k5r2 (1984946169, 3042247071) and
+k3r3 (1320548042, 4131869403).
 """
 
 import os
@@ -42,14 +47,14 @@ CASES = {
     "k5r2": (
         dict(feature_depth=3, conv_layers=2, filters=(8, 4, 4, 1), kernel=5, scale=2,
              patch_hw=8, batch_size=4, epochs=3, lr=1e-3, seed=7),
-        1984946169,
-        3042247071,
+        2309427585,
+        1672342201,
     ),
     "k3r3": (
         dict(feature_depth=3, conv_layers=1, filters=(6, 4, 1), kernel=3, scale=3,
              patch_hw=6, batch_size=4, epochs=3, lr=1e-3, seed=8),
-        1320548042,
-        4131869403,
+        4201338220,
+        1440346816,
     ),
 }
 
