@@ -43,10 +43,9 @@ elements; otherwise on the calling thread.  Much of a wide layer's time is
 numpy's single-threaded, memory-bound gather and tap scatter, which a
 second BLAS thread does not speed up and a second task does.  Below the
 cutoff the hand-off, and the narrow layers' per-tap Python loop contending
-for the GIL, cost more than they save.  Milliseconds per call, measured
-when the engine still computed in float64, at B = 16, 32x32 patches, one
-BLAS thread, 2 vCPUs (medians of 15 calls, serial -> pooled; "zero" pools
-every loop):
+for the GIL, cost more than they save.  Milliseconds per call on float64
+arrays at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs (medians of 15
+calls, serial -> pooled; "zero" pools every loop):
 
     layer                   per-task scratch   forward          backward
     paper L1 conv 64->64    1728 x 1024        160 -> 94        376 -> 211
