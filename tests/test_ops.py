@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +601,53 @@ class TestThreadPool:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+# The engine's bits at B = 3 in float32, one case per path of each traced
+# entry point: (geometry, input extents, forward, backward, CRC32 of the
+# forward output, CRC32s of (d_w, d_b, d_x) with need_dx True, then False).
+# The golden tests reach no narrow conv and no deconv with need_dx False.
+_ENGINE_BITS = {
+    "wide conv": (ConvGeometry(3, 6, (2, 3, 3), (1, 2, 1), (0, 1, 1)), (4, 10, 8),
+                  _conv_fwd_b, _conv_bwd_b, 3091335287,
+                  (1440269416, 3017603180, 2691768641), (1440269416, 3017603180, None)),
+    "narrow conv": (ConvGeometry(5, 2, (2, 3, 3), 1, (0, 1, 1)), (3, 8, 7),
+                    _conv_fwd_b, _conv_bwd_b, 2342407149,
+                    (3490691374, 3040218800, 992137786), (3490691374, 3040218800, None)),
+    "deconv": (ConvGeometry(4, 3, (1, 3, 3), (1, 2, 2), (0, 1, 1)), (2, 5, 6),
+               _deconv_fwd_b, _deconv_bwd_b, 126514482,
+               (4110461869, 2739565004, 898009607), (4110461869, 2739565004, None)),
+}
+
+
+def _crc(a):
+    return None if a is None else zlib.crc32(np.ascontiguousarray(a).tobytes())
+
+
+class TestEngineBits:
+    """Each traced entry point's outputs, bit for bit, on the calling thread
+    and with every per-sample loop on the pool (cutoff zero): a change to
+    the engine that keeps each GEMM's operands and shape keeps them.  Like
+    tests/test_golden.py's, the values come from OpenBLAS 0.3.31."""
+
+    @pytest.mark.parametrize("cutoff", [ops._POOL_MIN_ELEMENTS, 0], ids=["default", "zero"])
+    @pytest.mark.parametrize("case", sorted(_ENGINE_BITS))
+    def test_outputs_are_pinned(self, case, cutoff, monkeypatch):
+        monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
+        monkeypatch.setattr(ops, "_CPUS", max(ops._CPUS, 2))
+        geom, in_sp, fwd_b, bwd_b, *want = _ENGINE_BITS[case]
+        rng = Rng(990)
+        w_shape = (geom.out_channels, geom.in_channels) + geom.kernel
+        if fwd_b is _deconv_fwd_b:
+            w_shape = (geom.in_channels, geom.out_channels) + geom.kernel
+        x = _rand((geom.in_channels, 3) + in_sp, rng)
+        w, b = _rand(w_shape, rng), _rand((geom.out_channels,), rng)
+        out = fwd_b(x, w, b, geom)
+        assert out.dtype == np.float32
+        g = _rand(out.shape, rng)
+        got = [_crc(out)] + [tuple(map(_crc, bwd_b(x, w, geom, g, need_dx)))
+                             for need_dx in (True, False)]
+        assert got == want
 
 
 # Every (module, attribute) that benchmarks/tracing.py wraps, with the
