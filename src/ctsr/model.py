@@ -184,13 +184,8 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     """
     layers = []
     for kind, geom, trim in _layer_plan(cfg):
-        k1, k2, k3 = geom.kernel
-        if kind == "conv":
-            wshape = [geom.out_channels, geom.in_channels, k1, k2, k3]
-        else:
-            wshape = [geom.in_channels, geom.out_channels, k1, k2, k3]
-        bound = np.sqrt(6.0 / (geom.in_channels * k1 * k2 * k3))
-        weights = uniform_init(wshape, -bound, bound, rng)
+        bound = np.sqrt(6.0 / (geom.in_channels * math.prod(geom.kernel)))
+        weights = uniform_init(geom.weight_shape(kind == "deconv"), -bound, bound, rng)
         bias = np.zeros(geom.out_channels, dtype=np.float32)
         layers.append(Layer(kind, weights, bias, geom, trim))
     return ModelParams(cfg, layers)
@@ -326,6 +321,12 @@ def _pair_sq_sums(diff: np.ndarray) -> list[float]:
     return sums
 
 
+def _channel_major(arrays) -> np.ndarray:
+    """Same-shaped [C, D, H, W] arrays in channel-major batch layout
+    [C, B, D, H, W]: stacked as [B, C, ...], then a transposed view."""
+    return np.stack(arrays).transpose(1, 0, 2, 3, 4)
+
+
 def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainReport]:
     """SGD over shuffled mini-batches of (LR window, HR slice) pairs.
 
@@ -356,9 +357,8 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
         for b0 in range(0, len(order), cfg.batch_size):
             batch_no = b0 // cfg.batch_size
             batch = [train_pairs[i] for i in order[b0 : b0 + cfg.batch_size]]
-            # [B, 1, ...] stacked then moved to channel-major batch layout
-            xs = np.stack([p.lr_patch for p in batch]).transpose(1, 0, 2, 3, 4)
-            ys = np.stack([p.hr_slice for p in batch]).transpose(1, 0, 2, 3, 4)
+            xs = _channel_major([p.lr_patch for p in batch])
+            ys = _channel_major([p.hr_slice for p in batch])
             try:
                 out, caches = _forward_batch(params, xs, keep_caches=cfg.lr > 0)
                 diff = out - ys
@@ -389,7 +389,7 @@ def _validation_psnr(params: ModelParams, val_pairs) -> float:
     step = params.config.batch_size
     for i in range(0, len(val_pairs), step):
         chunk = val_pairs[i : i + step]
-        xs = np.stack([p.lr_patch for p in chunk]).transpose(1, 0, 2, 3, 4)
+        xs = _channel_major([p.lr_patch for p in chunk])
         out, _ = _forward_batch(params, xs, keep_caches=False)
         for j, pair in enumerate(chunk):
             p = metrics.psnr(Tensor(out[:, j]), Tensor(pair.hr_slice), 1.0)
@@ -523,11 +523,7 @@ def deserialize_params(buf: bytes) -> ModelParams:
     for kind, geom, trim in plan:
         weights, off = _unpack_tensor(buf, off)
         bias, off = _unpack_tensor(buf, off)
-        k1, k2, k3 = geom.kernel
-        if kind == "conv":
-            expect = (geom.out_channels, geom.in_channels, k1, k2, k3)
-        else:
-            expect = (geom.in_channels, geom.out_channels, k1, k2, k3)
+        expect = geom.weight_shape(kind == "deconv")
         if weights.shape != expect or bias.shape != (geom.out_channels,):
             raise ValueError(
                 f"checkpoint tensor shapes {weights.shape}/{bias.shape} do not match "

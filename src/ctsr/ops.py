@@ -8,12 +8,13 @@ public ops ``conv3d_forward`` and ``deconv3d_forward`` are forward-only
 wrappers that take float32 [C, D, H, W] arrays, run the engine with B = 1
 in float64 and cast the result back to float32.
 
-Two primitives, each one GEMM per sample over all kernel taps, serve
-every layer: the im2col gather W @ cols_n (``_gather``), with
-cols_n sample n's columns, and its adjoint W^T @ G_n, whose tap rows are
-added onto their windows of the sample's grid (``_conv_adjoint``).  No
-column matrix of a batch is built, and no sample's forward or input
-gradient depends on another sample.
+Two primitives, each one pass over the samples with one GEMM per sample
+over all kernel taps, serve every layer: the im2col gather pass
+(``_gather_pass``), which copies sample n's columns cols_n and takes
+W @ cols_n, the weight gradient term G_n @ cols_n^T or both, and its
+adjoint W^T @ G_n, whose tap rows are added onto their windows of the
+sample's grid (``_conv_adjoint``).  No column matrix of a batch is built,
+and no sample's forward or input gradient depends on another sample.
 
 * Transposed conv: by definition the adjoint of the conv with the same
   kernel, stride and padding and swapped channels (Dumoulin & Visin,
@@ -32,18 +33,16 @@ gradient depends on another sample.
   read the few-channel output gradient, whose columns are small, never the
   wide input.
 
-Per-sample loops on a thread pool.  Four loops run one task per sample:
-the wide forward (``_conv``), the wide d_w (``_conv_bwd_b``), the adjoint
-(``_conv_adjoint``: W^T @ G_n, then the tap scatter) and the adjoint's
-backward (``_adjoint_bwd``).  ``_each_sample`` runs such a loop on a module
-thread pool, made on first use, with up to min(CPUs, B) tasks at once, when
-B > 1 and each task's scratch matrix (the gather's K x N columns, or the
-rows x N of W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS`` = 2^18
-elements; otherwise on the calling thread.  Much of a wide layer's time is
-numpy's single-threaded, memory-bound gather and tap scatter, which a
-second BLAS thread does not speed up and a second task does.  Below the
-cutoff the hand-off, and the narrow layers' per-tap Python loop contending
-for the GIL, cost more than they save.  Milliseconds per call on float64
+Per-sample loops on a thread pool.  The two primitives run one task per
+sample, and ``_each_sample`` runs their loop on a module thread pool, made
+on first use, with up to min(CPUs, B) tasks at once, when B > 1 and each
+task's scratch matrix (the gather's K x N columns, or the rows x N of
+W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS`` = 2^18 elements; otherwise
+on the calling thread.  Much of a wide layer's time is numpy's
+single-threaded, memory-bound gather and tap scatter, which a second BLAS
+thread does not speed up and a second task does.  Below the cutoff the
+hand-off, and the narrow layers' per-tap Python loop contending for the
+GIL, cost more than they save.  Milliseconds per call on float64
 arrays at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs (medians of 15
 calls, serial -> pooled; "zero" pools every loop):
 
@@ -117,6 +116,12 @@ class ConvGeometry:
         if min(self.padding) < 0:
             raise ValueError(f"padding must be >= 0, got {self.padding}")
 
+    def weight_shape(self, transposed: bool) -> tuple[int, ...]:
+        """The weight block's shape: [C_out, C_in, k1, k2, k3] for a conv,
+        [C_in, C_out, k1, k2, k3] for a transposed conv."""
+        channels = (self.in_channels, self.out_channels)
+        return (channels if transposed else channels[::-1]) + self.kernel
+
     def conv_output_shape(self, spatial: tuple[int, int, int]) -> tuple[int, int, int]:
         out = []
         for ax, (n, k, s, p) in enumerate(
@@ -149,10 +154,7 @@ class ConvGeometry:
 def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool):
     if x.ndim != 4:
         raise ValueError(f"input must be [C, D, H, W], got shape {x.shape}")
-    if transposed:
-        expect_w = (geom.in_channels, geom.out_channels) + geom.kernel
-    else:
-        expect_w = (geom.out_channels, geom.in_channels) + geom.kernel
+    expect_w = geom.weight_shape(transposed)
     if weights.shape != expect_w:
         raise ValueError(f"weights shape {weights.shape} != expected {expect_w}")
     if x.shape[0] != geom.in_channels:
@@ -171,41 +173,10 @@ def _check_conv_args(x, weights, bias, geom: ConvGeometry, transposed: bool):
 # ---------------------------------------------------------------------------
 
 
-def _pad_b(x: np.ndarray, padding: tuple[int, int, int]) -> np.ndarray:
-    if padding == (0, 0, 0):
-        return x
-    p1, p2, p3 = padding
-    return np.pad(x, ((0, 0), (0, 0), (p1, p1), (p2, p2), (p3, p3)))
-
-
 def _window(tap, stride, n_positions):
     """Per axis, the slice of a padded grid that kernel tap ``tap`` reads
     for every one of ``n_positions`` outputs."""
     return tuple(slice(t, t + s * n, s) for t, s, n in zip(tap, stride, n_positions))
-
-
-def _window_b(tap, stride, n_positions):
-    """``_window`` over every channel and sample of a [C, B, ...] array."""
-    return (slice(None), slice(None)) + _window(tap, stride, n_positions)
-
-
-def _gather(xs, geom: ConvGeometry, out_sp):
-    """(fill, shape): ``fill(n, cols)`` copies sample n's im2col columns of
-    xs [C, B, *in_sp] for the conv ``geom`` with output extents out_sp into
-    the array cols of ``shape`` [C*k1*k2*k3, N], and returns cols.
-
-    Row order is (c, i, j, k) to match a reshaped weight block; column order
-    is row-major over the output grid.  One sliding-window view serves the
-    batch, and each sample is one strided copy of it.
-    """
-    win = sliding_window_view(_pad_b(xs, geom.padding), geom.kernel, axis=(2, 3, 4))
-    win = win[_window_b((0, 0, 0), geom.stride, out_sp)].transpose(0, 1, 5, 6, 7, 2, 3, 4)
-
-    def fill(n, cols):
-        np.copyto(cols.reshape(win[:, n].shape), win[:, n])
-        return cols
-
-    return fill, (xs.shape[0] * math.prod(geom.kernel), math.prod(out_sp))
 
 
 # A per-sample loop whose scratch matrix (a gather's columns, or the rows of
@@ -291,26 +262,39 @@ def _flipped(geom: ConvGeometry, w):
     return conv, np.flip(w, axis=(2, 3, 4)).swapaxes(0, 1)
 
 
-def _conv(xs, w, geom: ConvGeometry):
-    """The conv of xs [C_in, B, *in_sp] without bias, [C_out, B, *out_sp].
+def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
+    """(out, d_w) from one im2col gather of xs [C_in, B, *in_sp] for the
+    conv ``geom`` with output extents out_sp.
 
-    Wide layers take W @ cols_n per sample n, cols_n its im2col columns
-    [C_in*k1*k2*k3, N]; narrow layers take the adjoint of ``_flipped(geom)``,
-    one W_B^T @ X_n per sample with its taps added onto the output grid.
+    Per sample n, cols_n [C_in*k1*k2*k3, N] holds the sample's columns, rows
+    in (c, i, j, k) order to match a reshaped weight block and columns
+    row-major over the output grid; one sliding-window view of the padded
+    batch serves every sample.  out [C_out, B, *out_sp] holds W @ cols_n for
+    the weight block w, and d_w, shaped like a weight block of ``geom``, the
+    sum of other_n @ cols_n^T over samples for other [C_out, B, *out_sp];
+    each is None when its operand is.
     """
-    out_sp = geom.conv_output_shape(xs.shape[2:])
-    if _narrow(geom):
-        conv, wb = _flipped(geom, w)
-        return _conv_adjoint(xs, wb, conv, out_sp)
+    if any(geom.padding):
+        xs = np.pad(xs, ((0, 0), (0, 0)) + tuple((p, p) for p in geom.padding))
+    win = sliding_window_view(xs, geom.kernel, axis=(2, 3, 4))
+    win = win[(slice(None),) * 2 + _window((0, 0, 0), geom.stride, out_sp)]
+    win = win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
     c_out, n_samples = geom.out_channels, xs.shape[1]
-    out = np.empty((c_out, n_samples) + out_sp, xs.dtype)
-    out_n = out.reshape(c_out, n_samples, -1)
-    wm = w.reshape(c_out, -1)
-    fill, shape = _gather(xs, geom, out_sp)
-    for _ in _each_sample(lambda n, cols: np.matmul(wm, fill(n, cols), out=out_n[:, n]),
-                          n_samples, shape, xs.dtype):
-        pass
-    return out
+    shape = (xs.shape[0] * math.prod(geom.kernel), math.prod(out_sp))
+    out = None if w is None else np.empty((c_out, n_samples) + tuple(out_sp), xs.dtype)
+    wm = None if w is None else w.reshape(c_out, -1)
+
+    def task(n, cols):
+        np.copyto(cols.reshape(win[:, n].shape), win[:, n])
+        if w is not None:
+            np.matmul(wm, cols, out=out.reshape(c_out, n_samples, -1)[:, n])
+        return None if other is None else other[:, n].reshape(c_out, -1) @ cols.T
+
+    d_w = None if other is None else np.zeros((c_out, shape[0]), xs.dtype)
+    for d_w_n in _each_sample(task, n_samples, shape, xs.dtype):
+        if d_w is not None:
+            d_w += d_w_n
+    return out, None if d_w is None else d_w.reshape(geom.weight_shape(False))
 
 
 def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
@@ -330,45 +314,32 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
     else:
         d_pad = np.full(shape, seed.reshape(c_in, 1, 1, 1, 1), g.dtype)
     wt = w.reshape(c_out, -1).T
-    taps = list(product(*(range(k) for k in geom.kernel)))
+    windows = [(slice(None),) + _window(tap, geom.stride, out_sp)
+               for tap in product(*(range(k) for k in geom.kernel))]
 
     def scatter(n, d_cols):
         np.matmul(wt, g[:, n].reshape(c_out, -1), out=d_cols)
-        d_cols = d_cols.reshape((c_in, len(taps)) + out_sp)
-        for t, tap in enumerate(taps):
-            d_pad[(slice(None), n) + _window(tap, geom.stride, out_sp)] += d_cols[:, t]
+        d_cols = d_cols.reshape((c_in, len(windows)) + out_sp)
+        d_pad_n = d_pad[:, n]
+        for t, window in enumerate(windows):
+            d_pad_n[window] += d_cols[:, t]
 
-    for _ in _each_sample(scatter, g.shape[1], (c_in * len(taps), math.prod(out_sp)), g.dtype):
+    scratch_shape = (c_in * len(windows), math.prod(out_sp))
+    for _ in _each_sample(scatter, g.shape[1], scratch_shape, g.dtype):
         pass
-    return d_pad[_window_b(geom.padding, (1, 1, 1), in_sp)]
-
-
-def _adjoint_bwd(xs, w, conv: ConvGeometry, g, need_dx: bool):
-    """(d_w, d_xs) of ys = _conv_adjoint(xs, w, conv, ...) for output
-    gradient g: d_xs is the conv of g and d_w the conv's weight gradient for
-    input g and output gradient xs, both from one gather of g's columns per
-    sample; d_xs is None unless ``need_dx``."""
-    c, n_samples = conv.out_channels, xs.shape[1]
-    wm = w.reshape(c, -1)
-    d_xs = np.empty(xs.shape, xs.dtype) if need_dx else None
-    fill, shape = _gather(g, conv, xs.shape[2:])
-
-    def task(n, cols):
-        fill(n, cols)
-        if need_dx:
-            np.matmul(wm, cols, out=d_xs.reshape(c, n_samples, -1)[:, n])
-        return xs[:, n].reshape(c, -1) @ cols.T
-
-    d_w = np.zeros(wm.shape, g.dtype)
-    for d_w_n in _each_sample(task, n_samples, shape, g.dtype):
-        d_w += d_w_n
-    return d_w.reshape(w.shape), d_xs
+    return d_pad[(slice(None),) * 2 + _window(geom.padding, (1, 1, 1), in_sp)]
 
 
 def _conv_fwd_b(xs, w, b, geom: ConvGeometry):
     """out [C_out, B, *out_sp] of the conv of xs [C_in, B, *in_sp]: the sum
-    over taps and input channels, then the bias."""
-    out = _conv(xs, w, geom)
+    over taps and input channels, then the bias.  Wide layers take W @ cols_n
+    per sample; narrow layers the adjoint of ``_flipped(geom)``."""
+    out_sp = geom.conv_output_shape(xs.shape[2:])
+    if _narrow(geom):
+        conv, wb = _flipped(geom, w)
+        out = _conv_adjoint(xs, wb, conv, out_sp)
+    else:
+        out, _ = _gather_pass(xs, geom, out_sp, w=w)
     out += b[:, None, None, None, None]
     return out
 
@@ -384,17 +355,11 @@ def _conv_bwd_b(xs, w, geom: ConvGeometry, g, need_dx: bool):
     d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
     if _narrow(geom):
         conv, wb = _flipped(geom, w)
-        d_wb, d_xs = _adjoint_bwd(xs, wb, conv, g, need_dx)
+        d_xs, d_wb = _gather_pass(g, conv, xs.shape[2:], wb if need_dx else None, xs)
         return np.flip(d_wb.swapaxes(0, 1), axis=(2, 3, 4)), d_b, d_xs
-    fill, shape = _gather(xs, geom, g.shape[2:])
-    d_w = np.zeros((geom.out_channels, shape[0]), g.dtype)
-    for d_w_n in _each_sample(
-        lambda n, cols: g[:, n].reshape(geom.out_channels, -1) @ fill(n, cols).T,
-        xs.shape[1], shape, xs.dtype,
-    ):
-        d_w += d_w_n
+    _, d_w = _gather_pass(xs, geom, g.shape[2:], other=g)
     d_xs = _conv_adjoint(g, w, geom, xs.shape[2:]) if need_dx else None
-    return d_w.reshape(w.shape), d_b, d_xs
+    return d_w, d_b, d_xs
 
 
 def _transposed(geom: ConvGeometry) -> ConvGeometry:
@@ -413,8 +378,9 @@ def _deconv_fwd_b(xs, w, b, geom: ConvGeometry):
 
 def _deconv_bwd_b(xs, w, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _deconv_fwd_b for input xs and output gradient g:
-    ``_adjoint_bwd`` with ``_transposed(geom)`` as the conv."""
-    d_w, d_xs = _adjoint_bwd(xs, w, _transposed(geom), g, need_dx)
+    the forward and weight gradient of the conv ``_transposed(geom)`` for
+    input g, from one gather of g's columns."""
+    d_xs, d_w = _gather_pass(g, _transposed(geom), xs.shape[2:], w if need_dx else None, xs)
     return d_w, g.reshape(geom.out_channels, -1).sum(axis=1), d_xs
 
 
