@@ -32,8 +32,9 @@ class GridSpace:
             raise ValueError("every grid dimension needs at least one candidate")
 
     def combinations(self, base: ModelConfig) -> list[ModelConfig]:
-        """Cartesian product; every combination must be a valid ModelConfig."""
-        configs = []
+        """Cartesian product; every combination must be a valid ModelConfig,
+        and no two may share a key, which would train and rank it twice."""
+        configs = {}
         for n, l, f, k in product(
             self.feature_depths, self.conv_layers, self.filter_configs, self.kernels
         ):
@@ -43,8 +44,10 @@ class GridSpace:
                 raise ValueError(
                     f"grid combination {cfg.key()} is invalid: " + "; ".join(problems)
                 )
-            configs.append(cfg)
-        return configs
+            if cfg.key() in configs:
+                raise ValueError(f"grid combination {cfg.key()} is repeated")
+            configs[cfg.key()] = cfg
+        return list(configs.values())
 
 
 def default_epoch_budget(base_cfg: ModelConfig) -> int:

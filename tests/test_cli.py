@@ -480,6 +480,16 @@ class TestConfig:
         assert "grid_epochs: must be >= 0, got -3" in err
         assert not run_dir.exists()
 
+    def test_repeated_combination_is_config_error(self, tmp_path, data_dir, capsys):
+        """A candidate listed twice would train and rank its combination
+        twice, and a resume would journal it twice."""
+        cfg_path, run_dir = _train_config(tmp_path, data_dir)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 3,5,3\ngrid_epochs = 1\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 2
+        assert "grid combination n=3;l=1;f=(3,3,1);k=3;r=2 is repeated" in capsys.readouterr().err
+        assert not run_dir.exists()
+
 
 class TestGridsearch:
     def test_singleton_space_one_row(self, tmp_path, data_dir):
