@@ -579,12 +579,14 @@ class TestThreadPool:
 
     def test_import_and_single_sample_forward_start_no_thread(self):
         """The B = 1 paths (``forward``, so ``infer_volume``) never use the
-        pool, even at a cutoff of zero; checked in a fresh interpreter,
-        since this one may have started the pool already."""
+        pool, even at a cutoff of zero, and the package, CLI included, loads
+        no module beyond numpy's runtime dependency; checked in a fresh
+        interpreter, since this one has the pool and the test tools."""
         code = (
-            "import threading\n"
+            "import sys, threading\n"
             "before = threading.active_count()\n"
             "import numpy as np\n"
+            "import ctsr.cli\n"
             "from ctsr import ops\n"
             "from ctsr.model import ModelConfig, build_model, forward\n"
             "from ctsr.tensor import Rng\n"
@@ -594,6 +596,9 @@ class TestThreadPool:
             "forward(build_model(cfg, Rng(1)), np.ones((1, 3, 6, 6), np.float32))\n"
             "assert threading.active_count() == before, threading.enumerate()\n"
             "assert ops._pool is None\n"
+            "roots = {name.partition('.')[0] for name in sys.modules}\n"
+            "test_tools = roots & {'scipy', 'hypothesis', 'pytest'}\n"
+            "assert not test_tools, test_tools\n"
         )
         src = str(Path(ops.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
