@@ -580,8 +580,9 @@ class TestThreadPool:
     def test_import_and_single_sample_forward_start_no_thread(self):
         """The B = 1 paths (``forward``, so ``infer_volume``) never use the
         pool, even at a cutoff of zero, and the package, CLI included, loads
-        no module beyond numpy's runtime dependency; checked in a fresh
-        interpreter, since this one has the pool and the test tools."""
+        no test-only package: numpy is its one runtime dependency.  Checked
+        in a fresh interpreter, since this one has the pool and the test
+        tools."""
         code = (
             "import sys, threading\n"
             "before = threading.active_count()\n"
@@ -642,11 +643,9 @@ class TestEngineBits:
         monkeypatch.setattr(ops, "_CPUS", max(ops._CPUS, 2))
         geom, in_sp, fwd_b, bwd_b, *want = _ENGINE_BITS[case]
         rng = Rng(990)
-        w_shape = (geom.out_channels, geom.in_channels) + geom.kernel
-        if fwd_b is _deconv_fwd_b:
-            w_shape = (geom.in_channels, geom.out_channels) + geom.kernel
         x = _rand((geom.in_channels, 3) + in_sp, rng)
-        w, b = _rand(w_shape, rng), _rand((geom.out_channels,), rng)
+        w = _rand(geom.weight_shape(fwd_b is _deconv_fwd_b), rng)
+        b = _rand((geom.out_channels,), rng)
         out = fwd_b(x, w, b, geom)
         assert out.dtype == np.float32
         g = _rand(out.shape, rng)
