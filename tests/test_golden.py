@@ -13,9 +13,12 @@ float32 ULP fails here.
   deconv, whose conv has in-plane stride 2.
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
+* k=3/r=4: a kernel smaller than the stride; the deconv output is one
+  row/column short, so the model appends a zero row and column to it
+  (trim -1) and crops them from the gradient.
 
 The values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
-Haswell kernels; the last test reruns both cases with one thread); a BLAS
+Haswell kernels; the last test reruns every case with one thread); a BLAS
 whose GEMM sums in another order may need them re-recorded.  They hold with
 the engine's thread pool on as well: each case runs a second time with the
 pool's cutoff at zero, which puts every per-sample loop over a batch on the
@@ -56,6 +59,12 @@ CASES = {
         4201338220,
         1440346816,
     ),
+    "k3r4": (
+        dict(feature_depth=3, conv_layers=1, filters=(6, 4, 1), kernel=3, scale=4,
+             patch_hw=6, batch_size=4, epochs=3, lr=1e-3, seed=9),
+        2985986760,
+        2345297538,
+    ),
 }
 
 
@@ -87,7 +96,7 @@ def test_checkpoint_and_inference_are_bit_identical(name, pooled, monkeypatch):
 
 
 def test_values_hold_with_one_blas_thread():
-    """Both cases again in a fresh interpreter with one OpenBLAS thread: the
+    """Every case again in a fresh interpreter with one OpenBLAS thread: the
     thread count is fixed when numpy loads, and this suite otherwise runs
     with the default count."""
     src = str(Path(ctsr.__file__).resolve().parents[1])
@@ -100,4 +109,4 @@ def test_values_hold_with_one_blas_thread():
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "6 passed" in proc.stdout

@@ -232,54 +232,79 @@ def _tiny_pairs(count, rng, cfg):
 
 
 def _pre_activation(layer, h, w64):
-    """A layer's output before its ReLU, recomputed from its cached input."""
+    """A layer's output before its ReLU, recomputed from its cached input,
+    without the zero rows and columns that a negative deconv trim appends:
+    no parameter moves them off the ReLU kink."""
     b64 = layer.bias.astype(np.float64)
     if layer.kind == "conv":
         return _conv_fwd_b(h, w64, b64, layer.geom)
-    return _apply_trim(_deconv_fwd_b(h, w64, b64, layer.geom), layer.trim_hw)
+    cut = tuple(max(t, 0) for t in layer.trim_hw)
+    return _apply_trim(_deconv_fwd_b(h, w64, b64, layer.geom), cut)
+
+
+def _check_composite_gradient(cfg_kwargs, dtype, eps, tol, bias_range=(-0.1, 0.1)):
+    """The batched backward of the whole stack in float64 against central
+    differences of the loss, for every layer's weights and bias held in
+    ``dtype``, with step ``eps`` and relative tolerance ``tol``; the biases
+    are drawn from ``bias_range``.  Every layer's gradient must be nonzero,
+    so that no dead layer passes unchecked."""
+    cfg = ModelConfig(**cfg_kwargs)
+    params = build_model(cfg, Rng(21))
+    for layer in params.layers:
+        layer.weights = layer.weights.astype(dtype)
+    rng = Rng(22)
+    hw = cfg.patch_hw
+    x = uniform_init([1, cfg.feature_depth, hw, hw], 0, 1, rng)
+    y = uniform_init([1, 1, hw * cfg.scale, hw * cfg.scale], 0, 1, rng)
+    # zero biases leave most deconv pre-activations exactly on the ReLU
+    # kink, where central differences do not measure the derivative
+    for layer in params.layers:
+        layer.bias = uniform_init(layer.bias.shape, *bias_range, rng).astype(dtype)
+
+    xs = x[:, None].astype(np.float64)
+    ys = y[:, None]
+    out, caches = _forward_batch(params, xs, keep_caches=True)
+    margin = min(
+        np.abs(_pre_activation(layer, h, w64)).min()
+        for layer, (h, w64) in zip(params.layers[:-1], caches)
+    )
+    assert margin > 2 * eps, f"evaluation point within {margin} of a ReLU kink"
+    diff = out - ys
+    grads = _backward_batch(params, caches, (2.0 / diff.size) * diff)
+
+    def loss_with(layer_idx, which, values):
+        saved = getattr(params.layers[layer_idx], which)
+        setattr(params.layers[layer_idx], which, values.astype(dtype))
+        try:
+            out2, _ = _forward_batch(params, xs, keep_caches=False)
+            return float(np.mean((out2 - ys) ** 2))
+        finally:
+            setattr(params.layers[layer_idx], which, saved)
+
+    for idx, layer in enumerate(params.layers):
+        for which, got in zip(("weights", "bias"), grads[idx]):
+            base = getattr(layer, which).astype(np.float64)
+            fd = central_difference(
+                lambda v, i=idx, w=which: loss_with(i, w, v), base, eps
+            )
+            assert np.abs(fd).max() > 0, (idx, which)
+            scale = max(np.abs(fd).max(), 1e-3)
+            assert np.abs(got - fd).max() / scale <= tol, (idx, which)
 
 
 class TestEndToEndGradient:
     def test_composite_gradient_matches_finite_differences(self):
-        cfg = ModelConfig(**TINY_CFG)
-        params = build_model(cfg, Rng(21))
-        rng = Rng(22)
-        x = uniform_init([1, 3, 6, 6], 0, 1, rng)
-        y = uniform_init([1, 1, 12, 12], 0, 1, rng)
-        # zero biases leave most deconv pre-activations exactly on the ReLU
-        # kink, where central differences do not measure the derivative
-        for layer in params.layers:
-            layer.bias = uniform_init(layer.bias.shape, -0.1, 0.1, rng)
-        eps = 1e-3
+        _check_composite_gradient(TINY_CFG, np.float32, 1e-3, 1e-3)
 
-        xs = x[:, None].astype(np.float64)
-        ys = y[:, None]
-        out, caches = _forward_batch(params, xs, keep_caches=True)
-        margin = min(
-            np.abs(_pre_activation(layer, h, w64)).min()
-            for layer, (h, w64) in zip(params.layers[:-1], caches)
-        )
-        assert margin > 2 * eps, f"evaluation point within {margin} of a ReLU kink"
-        diff = out - ys
-        grads = _backward_batch(params, caches, (2.0 / diff.size) * diff)
-
-        def loss_with(layer_idx, which, values):
-            saved = getattr(params.layers[layer_idx], which)
-            setattr(params.layers[layer_idx], which, values.astype(np.float32))
-            try:
-                out2, _ = _forward_batch(params, xs, keep_caches=False)
-                return float(np.mean((out2 - ys) ** 2))
-            finally:
-                setattr(params.layers[layer_idx], which, saved)
-
-        for idx, layer in enumerate(params.layers):
-            for which, got in zip(("weights", "bias"), grads[idx]):
-                base = getattr(layer, which).astype(np.float64)
-                fd = central_difference(
-                    lambda v, i=idx, w=which: loss_with(i, w, v), base, eps
-                )
-                scale = max(np.abs(fd).max(), 1e-3)
-                assert np.abs(got - fd).max() / scale <= 1e-3, (idx, which)
+    # A kernel smaller than the scale: the deconv output is short by r - k
+    # rows and columns, which the model appends as zeros and crops from the
+    # gradient (trim k - r).  Float64 parameters allow a step small enough
+    # to stay clear of every ReLU kink on the larger upsampled output, and
+    # positive biases keep a unit of every layer alive.
+    @pytest.mark.parametrize("kernel, scale", [(1, 2), (1, 3), (3, 4), (3, 5)])
+    def test_kernel_below_scale_matches_finite_differences(self, kernel, scale):
+        cfg = dict(TINY_CFG, kernel=kernel, scale=scale)
+        _check_composite_gradient(cfg, np.float64, 1e-6, 1e-6, bias_range=(0.05, 0.25))
 
 
 class TestTrain:
