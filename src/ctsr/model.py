@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, ops
-from .ops import ConvGeometry, sgd_step
+from .ops import ConvGeometry
 # not called here; benchmarks/tracing.py wraps them (see TestTracingContract)
 from .ops import conv3d_forward, deconv3d_forward  # noqa: F401
 from .tensor import NonFiniteError, Rng, Tensor, derive_seed, uniform_init
@@ -225,22 +225,22 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
 
     Every layer computes in the dtype of ``xs``.  Training, validation and
     ``forward`` all pass float32, the parameters' dtype, so a sample's
-    output is the same bits in any batch and in inference; the weights are
-    cast only for a float64 ``xs`` (the finite-difference tests).  A layer
-    whose output is not finite raises NonFiniteError naming it (ReLU would
-    turn a -inf into a silent zero).
+    output is the same bits in any batch and in inference; for a float64
+    ``xs`` (the finite-difference tests) numpy promotes the float32
+    parameters inside the engine's GEMMs.  A layer whose output is not
+    finite raises NonFiniteError naming it (ReLU would turn a -inf into a
+    silent zero).
 
-    With ``keep_caches`` it also returns, per layer, all the backward reads:
-    the layer's input and weights.  The next layer's input is the ReLU
-    mask, positive exactly where the pre-activation is.  ReLU runs in place
-    on each layer's output, so no layer holds a pre-activation copy.
+    With ``keep_caches`` it also returns each layer's input, all that the
+    backward reads besides the parameters.  The next layer's input is the
+    ReLU mask, positive exactly where the pre-activation is.  ReLU runs in
+    place on each layer's output, so no layer holds a pre-activation copy.
     """
     caches = []
     h = xs
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        w = layer.weights.astype(xs.dtype, copy=False)
-        b = layer.bias.astype(xs.dtype, copy=False)
+        w, b = layer.weights, layer.bias
         # a value beyond the dtype fails the check below; the engine's pool
         # threads run in copies of this context, so the errstate holds there
         with np.errstate(over="ignore", invalid="ignore"):
@@ -251,7 +251,7 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
-            caches.append((h, w))
+            caches.append(h)
         h = np.maximum(z, 0.0, out=z) if i < last else z
     return h, caches
 
@@ -286,20 +286,16 @@ def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
     g = d_out
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(len(params.layers))):
-            layer = params.layers[i]
-            x_in, w = caches[i]
+            layer, x_in = params.layers[i], caches[i]
             if i + 1 < len(caches):  # the next layer's input is this one's ReLU mask
-                np.copyto(g, 0.0, where=caches[i + 1][0] <= 0)
+                np.copyto(g, 0.0, where=caches[i + 1] <= 0)
                 caches[i + 1] = None
-                # a d_x from _conv_adjoint is a view into its padded grid: one
-                # copy frees the padding and spares the engine a copy per use
-                g = np.ascontiguousarray(g)
             need_dx = i > 0
             if layer.kind == "conv":
-                d_w, d_b, g = ops._conv_bwd_b(x_in, w, layer.geom, g, need_dx)
+                d_w, d_b, g = ops._conv_bwd_b(x_in, layer.weights, layer.geom, g, need_dx)
             else:
                 g = _undo_trim(g, layer.trim_hw)
-                d_w, d_b, g = ops._deconv_bwd_b(x_in, w, layer.geom, g, need_dx)
+                d_w, d_b, g = ops._deconv_bwd_b(x_in, layer.weights, layer.geom, g, need_dx)
             grads[i] = (d_w, d_b)
     caches[0] = None
     return grads
@@ -325,6 +321,43 @@ def _channel_major(arrays) -> np.ndarray:
     """Same-shaped [C, D, H, W] arrays in channel-major batch layout
     [C, B, D, H, W]: stacked as [B, C, ...], then a transposed view."""
     return np.stack(arrays).transpose(1, 0, 2, 3, 4)
+
+
+def sgd_step(params: ModelParams, grads, lr: float) -> None:
+    """In-place w -= lr*dw, b -= lr*db over every layer of ``params``.
+
+    The float32 ``weights`` and ``bias`` of each of ``params.layers`` are
+    updated in place; ``grads`` is the matching sequence of (d_w, d_b)
+    arrays.  Every layer's gradients are cast to float32, the parameters'
+    dtype, and its stepped values computed and checked before the first
+    write, so a gradient or step that is not finite in float32 aborts with
+    the offending layer named and leaves every parameter unchanged.
+    """
+    if not np.isfinite(lr) or lr <= 0:
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
+    layers = list(params.layers)
+    grads = list(grads)
+    if len(layers) != len(grads):
+        raise ValueError(f"{len(grads)} gradient sets for {len(layers)} layers")
+    f32lr = np.float32(lr)
+    stepped = []
+    for idx, (layer, (d_w, d_b)) in enumerate(zip(layers, grads)):
+        d_w, d_b = np.asarray(d_w), np.asarray(d_b)
+        if d_w.shape != layer.weights.shape or d_b.shape != layer.bias.shape:
+            raise ValueError(
+                f"layer {idx}: gradient shapes {d_w.shape}/{d_b.shape} "
+                f"do not match parameters {layer.weights.shape}/{layer.bias.shape}"
+            )
+        # a gradient or a step beyond float32 fails the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = layer.weights - f32lr * d_w.astype(np.float32, copy=False)
+            b = layer.bias - f32lr * d_b.astype(np.float32, copy=False)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise NonFiniteError(f"non-finite update in layer {idx}")
+        stepped.append((layer, w, b))
+    for layer, w, b in stepped:
+        layer.weights[...] = w
+        layer.bias[...] = b
 
 
 def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainReport]:

@@ -76,8 +76,6 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import NonFiniteError
-
 
 def _as_triple(v, name: str) -> tuple[int, int, int]:
     if isinstance(v, (int, np.integer)):
@@ -304,7 +302,8 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
     Per sample n, W^T @ G_n gives each tap's rows, added onto the tap's
     window of the sample's padded grid.  The sum starts from ``seed[c]`` for
     channel c (zero when None), so input rows that no window reads
-    (n + 2p - k not a multiple of s) keep that value.
+    (n + 2p - k not a multiple of s) keep that value.  The result is a
+    C-contiguous array: the padding is cropped off by a copy.
     """
     c_out, c_in = geom.out_channels, geom.in_channels
     out_sp = g.shape[2:]
@@ -327,7 +326,8 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
     scratch_shape = (c_in * len(windows), math.prod(out_sp))
     for _ in _each_sample(scatter, g.shape[1], scratch_shape, g.dtype):
         pass
-    return d_pad[(slice(None),) * 2 + _window(geom.padding, (1, 1, 1), in_sp)]
+    crop = (slice(None),) * 2 + _window(geom.padding, (1, 1, 1), in_sp)
+    return np.ascontiguousarray(d_pad[crop])
 
 
 def _conv_fwd_b(xs, w, b, geom: ConvGeometry):
@@ -405,41 +405,3 @@ def deconv3d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, geom:
     _check_conv_args(x, weights, bias, geom, transposed=True)
     x64, w64, b64 = (a.astype(np.float64) for a in (x, weights, bias))
     return _deconv_fwd_b(x64[:, None], w64, b64, geom)[:, 0].astype(np.float32)
-
-
-def sgd_step(params, grads, lr: float) -> None:
-    """In-place w -= lr*dw, b -= lr*db over every layer of ``params``.
-
-    ``params`` is a ModelParams-like object exposing ``layers`` with
-    float32 ``weights`` and ``bias`` arrays, updated in place; ``grads`` is
-    the matching sequence of (d_w, d_b) arrays.  Every layer's gradients are
-    cast to float32, the parameters' dtype, and its stepped values computed
-    and checked before the first write, so a gradient or step that is not
-    finite in float32 aborts with the offending layer named and leaves every
-    parameter unchanged.
-    """
-    if not np.isfinite(lr) or lr <= 0:
-        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
-    layers = list(params.layers)
-    grads = list(grads)
-    if len(layers) != len(grads):
-        raise ValueError(f"{len(grads)} gradient sets for {len(layers)} layers")
-    f32lr = np.float32(lr)
-    stepped = []
-    for idx, (layer, (d_w, d_b)) in enumerate(zip(layers, grads)):
-        d_w, d_b = np.asarray(d_w), np.asarray(d_b)
-        if d_w.shape != layer.weights.shape or d_b.shape != layer.bias.shape:
-            raise ValueError(
-                f"layer {idx}: gradient shapes {d_w.shape}/{d_b.shape} "
-                f"do not match parameters {layer.weights.shape}/{layer.bias.shape}"
-            )
-        # a gradient or a step beyond float32 fails the check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = layer.weights - f32lr * d_w.astype(np.float32, copy=False)
-            b = layer.bias - f32lr * d_b.astype(np.float32, copy=False)
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise NonFiniteError(f"non-finite update in layer {idx}")
-        stepped.append((layer, w, b))
-    for layer, w, b in stepped:
-        layer.weights[...] = w
-        layer.bias[...] = b

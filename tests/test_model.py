@@ -231,15 +231,14 @@ def _tiny_pairs(count, rng, cfg):
     return pairs
 
 
-def _pre_activation(layer, h, w64):
+def _pre_activation(layer, h):
     """A layer's output before its ReLU, recomputed from its cached input,
     without the zero rows and columns that a negative deconv trim appends:
     no parameter moves them off the ReLU kink."""
-    b64 = layer.bias.astype(np.float64)
     if layer.kind == "conv":
-        return _conv_fwd_b(h, w64, b64, layer.geom)
+        return _conv_fwd_b(h, layer.weights, layer.bias, layer.geom)
     cut = tuple(max(t, 0) for t in layer.trim_hw)
-    return _apply_trim(_deconv_fwd_b(h, w64, b64, layer.geom), cut)
+    return _apply_trim(_deconv_fwd_b(h, layer.weights, layer.bias, layer.geom), cut)
 
 
 def _check_composite_gradient(cfg_kwargs, dtype, eps, tol, bias_range=(-0.1, 0.1)):
@@ -265,8 +264,8 @@ def _check_composite_gradient(cfg_kwargs, dtype, eps, tol, bias_range=(-0.1, 0.1
     ys = y[:, None]
     out, caches = _forward_batch(params, xs, keep_caches=True)
     margin = min(
-        np.abs(_pre_activation(layer, h, w64)).min()
-        for layer, (h, w64) in zip(params.layers[:-1], caches)
+        np.abs(_pre_activation(layer, h)).min()
+        for layer, h in zip(params.layers[:-1], caches)
     )
     assert margin > 2 * eps, f"evaluation point within {margin} of a ReLU kink"
     diff = out - ys

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ctsr import grid, metrics, model, ops, pipeline, resample, volume
+from ctsr.model import sgd_step
 from ctsr.ops import (
     ConvGeometry,
     _conv_bwd_b,
@@ -20,7 +21,6 @@ from ctsr.ops import (
     _deconv_fwd_b,
     conv3d_forward,
     deconv3d_forward,
-    sgd_step,
 )
 from ctsr.tensor import NonFiniteError, Rng, uniform_init
 
