@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import os
@@ -607,6 +608,22 @@ class TestThreadPool:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestEngineBoundary:
+    def test_engine_imports_only_numpy_and_the_standard_library(self):
+        """ops.py is the array-only conv engine: a model type (ModelParams,
+        NonFiniteError) belongs to its driver, model.py.  Any relative or
+        ctsr import, at module level or inside a function, fails here."""
+        tree = ast.parse(Path(ops.__file__).read_text(encoding="utf-8"))
+        roots = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                roots.add("." * node.level + (node.module or "").partition(".")[0])
+        assert "numpy" in roots
+        assert {r for r in roots if r != "numpy" and r not in sys.stdlib_module_names} == set()
 
 
 # The engine's bits at B = 3 in float32, one case per path of each traced
