@@ -84,6 +84,8 @@ def _scan_dir(data_dir: Path) -> list[tuple[str, Path]]:
 
 
 def cmd_simulate(args) -> int:
+    if args.scale < 2:
+        raise ConfigError([f"--scale must be >= 2, got {args.scale}"])
     scans = _scan_dir(Path(args.in_dir))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -92,7 +94,10 @@ def cmd_simulate(args) -> int:
         rows = [["scan_id", "hr_path", "lr_path", "scale"]]
         for scan_id, hr_path in scans:
             vol = _load_svol(hr_path)
-            lr = resample.downsample_axial(vol, args.scale)
+            try:
+                lr = resample.downsample_axial(vol, args.scale)
+            except ValueError as err:
+                raise DataError(f"volume {hr_path} cannot be downsampled: {err}") from err
             lr_path = out_dir / f"{scan_id}_lr.svol"
             _atomic_write(lr_path, serialize_volume(lr))
             written.append(lr_path)
@@ -123,10 +128,16 @@ def _load_run(args, *, grid: bool = False) -> tuple[RunConfig, list, list]:
     return run, load(folds.train_ids()), load(folds.val_ids())
 
 
-def _build_pairs(volumes, cfg) -> list:
+def _build_pairs(volumes, cfg, data_dir: Path) -> list:
+    """The training pairs of (scan_id, volume) pairs read from ``data_dir``;
+    a volume too thin or too small for ``cfg`` is a DataError naming it."""
     pairs = []
     for sid, vol in volumes:
-        pairs.extend(pipeline.make_pairs(vol, cfg, sid))
+        try:
+            pairs.extend(pipeline.make_pairs(vol, cfg, sid))
+        except ValueError as err:
+            path = data_dir / f"{sid}.svol"
+            raise DataError(f"volume {path} cannot be paired: {err}") from err
     return pairs
 
 
@@ -139,8 +150,9 @@ def _cap_pairs(pairs: list, cap: int) -> list:
 
 def cmd_train(args) -> int:
     run, train_vols, val_vols = _load_run(args)
-    train_pairs = _build_pairs(train_vols, run.model)
-    val_pairs = _cap_pairs(_build_pairs(val_vols, run.model), run.val_pair_cap)
+    data_dir = Path(run.data_dir)
+    train_pairs = _build_pairs(train_vols, run.model, data_dir)
+    val_pairs = _cap_pairs(_build_pairs(val_vols, run.model, data_dir), run.val_pair_cap)
     if not train_pairs or not val_pairs:
         raise DataError("could not extract any training/validation pairs")
     params, report = model.train(run.model, train_pairs, val_pairs)

@@ -77,6 +77,24 @@ class TestSimulate:
         assert code == 3
         assert "no volumes found" in capsys.readouterr().err
 
+    def test_scale_below_two_is_config_error_before_any_file_is_read(self, tmp_path,
+                                                                      capsys):
+        code = main(["simulate", str(tmp_path / "gone"), "--out", str(tmp_path / "o"),
+                     "--scale", "1"])
+        assert code == 2
+        assert "--scale must be >= 2, got 1" in capsys.readouterr().err
+
+    def test_volume_too_small_for_the_scale_is_data_error_naming_it(self, tmp_path, capsys):
+        hr_dir = tmp_path / "hr"
+        hr_dir.mkdir()
+        save_volume(Volume(Tensor(np.full((2, 2, 2), 0.5, np.float32))), hr_dir / "tiny.svol")
+        code = main(["simulate", str(hr_dir), "--out", str(tmp_path / "o"), "--scale", "3"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(hr_dir / "tiny.svol") in err
+        assert "in-plane extents 2x2 too small for factor 3" in err
+        assert not (tmp_path / "o" / "manifest.csv").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, data_dir):
         out = tmp_path / "lr2"
         main(["simulate", str(data_dir), "--out", str(out), "--scale", "2"])
@@ -123,6 +141,26 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path2)]) == 2
         err2 = capsys.readouterr().err
         assert "kernel" in err2 and "scale" in err2 and "final filter" in err2
+
+    @pytest.mark.parametrize("shape, overrides, message", [
+        ((3, 24, 24), {"feature_depth": 5, "filters": "3,3,3,1", "conv_layers": 2},
+         "volume depth 3 < window depth 5"),
+        ((16, 24, 24), {"patch_hw": 16}, "LR extent 12x12 too small for one 16x16 patch"),
+    ], ids=["too-thin", "too-small"])
+    def test_volume_that_cannot_be_paired_is_data_error_naming_it(self, tmp_path, capsys,
+                                                                   shape, overrides, message):
+        hr_dir = tmp_path / "hr"
+        hr_dir.mkdir()
+        rng = np.random.default_rng(3)
+        paths = [hr_dir / f"scan{i}.svol" for i in range(4)]
+        for path in paths:
+            save_volume(Volume(Tensor(rng.random(shape, dtype=np.float32))), path)
+        cfg_path, run_dir = _train_config(tmp_path, hr_dir, **overrides)
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert any(f"volume {path} cannot be paired" in err for path in paths), err
+        assert not (run_dir / "model.ckpt").exists()
 
     def test_seed_and_out_flags_match_the_config(self, tmp_path, data_dir):
         cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=1)
