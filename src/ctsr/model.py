@@ -42,6 +42,13 @@ from .volume import Volume
 
 CHECKPOINT_MAGIC = b"3DECNN\0"
 CHECKPOINT_VERSION = 1
+# A checkpoint's config block: these ModelConfig fields, in this order, packed
+# as _CONFIG_FORMAT, then the filters as a u32 count and that many u32s.
+_CONFIG_FIELDS = (
+    "feature_depth", "conv_layers", "kernel", "scale", "epochs", "batch_size", "patch_hw",
+    "seed", "lr",
+)
+_CONFIG_FORMAT = "<7IQd"
 
 # child-stream tags for the run seed
 _TAG_INIT = 1
@@ -514,19 +521,7 @@ def serialize_params(params: ModelParams) -> bytes:
     then per-layer weight and bias tensors (u8 ndim, u32 dims, f32le data)."""
     cfg = params.config
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    out.append(
-        struct.pack(
-            "<7I",
-            cfg.feature_depth,
-            cfg.conv_layers,
-            cfg.kernel,
-            cfg.scale,
-            cfg.epochs,
-            cfg.batch_size,
-            cfg.patch_hw,
-        )
-    )
-    out.append(struct.pack("<Qd", cfg.seed, cfg.lr))
+    out.append(struct.pack(_CONFIG_FORMAT, *(getattr(cfg, name) for name in _CONFIG_FIELDS)))
     out.append(struct.pack(f"<I{len(cfg.filters)}I", len(cfg.filters), *cfg.filters))
     out.append(struct.pack("<I", len(params.layers)))
     for layer in params.layers:
@@ -543,11 +538,10 @@ def deserialize_params(buf: bytes) -> ModelParams:
     (version,), off = _read("<I", buf, len(CHECKPOINT_MAGIC), "version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (n, l, k, r, epochs, batch, patch), off = _read("<7I", buf, off, "config")
-    (seed, lr), off = _read("<Qd", buf, off, "config")
+    values, off = _read(_CONFIG_FORMAT, buf, off, "config")
     (nf,), off = _read("<I", buf, off, "filter count")
     filters, off = _read(f"<{nf}I", buf, off, "filters")
-    cfg = ModelConfig(n, l, filters, k, r, lr, seed, epochs, batch, patch)
+    cfg = ModelConfig(filters=filters, **dict(zip(_CONFIG_FIELDS, values)))
     (n_layers,), off = _read("<I", buf, off, "layer count")
     plan = _layer_plan(cfg)
     if n_layers != len(plan):

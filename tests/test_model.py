@@ -1,6 +1,9 @@
+import dataclasses
 import math
+import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,6 +525,31 @@ class TestCheckpoint:
             assert a.kind == b.kind and a.geom == b.geom and a.trim_hw == b.trim_hw
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
+
+    def test_every_config_field_round_trips(self):
+        cfg = ModelConfig(feature_depth=3, conv_layers=2, filters=(5, 6, 7, 1), kernel=5,
+                          scale=4, lr=0.25, seed=2**63 + 5, epochs=7, batch_size=3,
+                          patch_hw=9)
+        for f in dataclasses.fields(ModelConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
+        back = deserialize_params(serialize_params(build_model(cfg, Rng(66))))
+        assert back.config == cfg
+
+    def test_config_block_stores_every_config_field(self):
+        # a field added to ModelConfig fails here until the format stores it
+        stored = set(model._CONFIG_FIELDS) | {"filters"}
+        assert stored == {f.name for f in dataclasses.fields(ModelConfig)}
+        fmt = model._CONFIG_FORMAT
+        assert len(struct.unpack(fmt, bytes(struct.calcsize(fmt)))) == len(model._CONFIG_FIELDS)
+
+    def test_shipped_checkpoint_bytes_round_trip(self):
+        # the benchmark's checkpoint, written by an earlier version of the
+        # writer: it loads to its recorded checksum and is rewritten byte
+        # for byte
+        blob = (Path(__file__).parents[1] / "benchmarks" / "infer_paper.ckpt").read_bytes()
+        params = deserialize_params(blob)
+        assert params.checksum() == 1761374163
+        assert serialize_params(params) == blob
 
     def test_serialization_deterministic(self):
         params = build_model(ModelConfig(**TINY_CFG), Rng(61))
