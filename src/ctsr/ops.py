@@ -42,18 +42,19 @@ on the calling thread.  Much of a wide layer's time is numpy's
 single-threaded, memory-bound gather and tap scatter, which a second BLAS
 thread does not speed up and a second task does.  Below the cutoff the
 hand-off, and the narrow layers' per-tap Python loop contending for the
-GIL, cost more than they save.  Milliseconds per call on float64
-arrays at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs (medians of 15
-calls, serial -> pooled; "zero" pools every loop):
+GIL, cost about as much as they save (the paper's L0 would gain 2 ms a
+call).  Milliseconds per call on float32 arrays, the engine's dtype, at
+B = 16, 32x32 patches, one BLAS thread, 2 vCPUs (medians of 15 calls,
+serial -> pooled; "zero" pools every loop):
 
     layer                   per-task scratch   forward          backward
-    paper L1 conv 64->64    1728 x 1024        160 -> 94        376 -> 211
-    paper L2 conv 64->32     576 x 1024         36 -> 22         86 -> 51
-    paper L3 deconv 32->32   288 x 1024         49 -> 34         35 -> 23
-    grid L1 conv 16->4 k=3   432 x 1024         29 -> 19         28 -> 18
-    paper L0 conv 1->64       27 x 3072   zero: 14 -> 11   zero: 17 -> 13
-    grid narrow conv k=5     100 x 1024   zero:  9 -> 13   zero:  8 -> 8
-    grid narrow conv 4->1      9 x 4096   zero:  3 -> 5    zero:  2 -> 3
+    paper L1 conv 64->64    1728 x 1024        106 -> 64        208 -> 126
+    paper L2 conv 64->32     576 x 1024         21 -> 14         53 -> 32
+    paper L3 deconv 32->32   288 x 1024         25 -> 16         23 -> 15
+    grid L1 conv 16->4 k=3   108 x 3072         14 -> 11         15 -> 9
+    paper L0 conv 1->64       27 x 3072   zero:  8 -> 6    zero:  9 -> 7
+    grid narrow conv k=5     100 x 1024   zero:  7 -> 10   zero:  5 -> 4
+    grid narrow conv 4->1      9 x 4096   zero:  2 -> 4    zero:  1 -> 3
 
 The pooled results are the serial ones bit for bit: each sample's GEMM
 keeps its operands and shape (a GEMM element can depend on the extent of
