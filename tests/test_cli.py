@@ -143,8 +143,7 @@ class TestTrain:
         assert "kernel" in err2 and "scale" in err2 and "final filter" in err2
 
     @pytest.mark.parametrize("shape, overrides, message", [
-        ((3, 24, 24), {"feature_depth": 5, "filters": "3,3,3,1", "conv_layers": 2},
-         "volume depth 3 < window depth 5"),
+        ((3, 24, 24), {"feature_depth": 5}, "volume depth 3 < window depth 5"),
         ((16, 24, 24), {"patch_hw": 16}, "LR extent 12x12 too small for one 16x16 patch"),
     ], ids=["too-thin", "too-small"])
     def test_volume_that_cannot_be_paired_is_data_error_naming_it(self, tmp_path, capsys,
