@@ -42,10 +42,10 @@ on the calling thread.  Much of a wide layer's time is numpy's
 single-threaded, memory-bound gather and tap scatter, which a second BLAS
 thread does not speed up and a second task does.  Below the cutoff the
 hand-off, and the narrow layers' per-tap Python loop contending for the
-GIL, cost about as much as they save (the paper's L0 would gain 2 ms a
-call).  Milliseconds per call on float32 arrays, the engine's dtype, at
-B = 16, 32x32 patches, one BLAS thread, 2 vCPUs (medians of 15 calls,
-serial -> pooled; "zero" pools every loop):
+GIL, cost the narrow layers more than they save; only the paper's L0
+would gain, 2 ms a call.  Milliseconds per call on float32 arrays, the
+engine's dtype, at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs
+(medians of 15 calls, serial -> pooled; "zero" pools every loop):
 
     layer                   per-task scratch   forward          backward
     paper L1 conv 64->64    1728 x 1024        106 -> 64        208 -> 126
