@@ -1,13 +1,23 @@
 """Command-line entry point: simulate, train, infer, evaluate, gridsearch.
 
-Every command is deterministic given its config and seed, writes outputs
-atomically (temp file + rename), and uses distinct exit codes: 0 success,
-1 internal error (a defect in the program, reported in one line as
-``error: internal error (<type>): <message>``), 2 config error, 3 data error
-(any missing or unreadable input file, named in the message), 4 numeric
-failure.  Every CSV report is written by one writer
-(`_write_csv`, RFC 4180 quoting), and every input file is read through one
-reader (`_read_input`).
+Every command is deterministic given its config and seed and writes outputs
+atomically (temp file + rename).  The type of the exception that ends a
+command alone decides its exit code:
+
+* 0: success;
+* 2: ``ConfigError``, a bad config file, option or flag;
+* 3: ``DataError`` or ``OSError``, a missing, unreadable or inconsistent
+  input file, named in the message;
+* 4: ``NonFiniteError``, a numeric failure such as diverged training;
+* 1: anything else, a defect in the program, reported in one line as
+  ``error: internal error (<type>): <message>``.  A bare ``ValueError`` is
+  such a defect: every user input that can fail is checked and raised as
+  one of the types above.
+
+Every CSV report is written by one writer (`_write_csv`, RFC 4180 quoting).
+Volumes and checkpoints are read through one reader (`_read_input`); the
+config file (`config.parse_config_file`) and the grid journal
+(`_read_journal`) have readers of their own, which raise the same types.
 """
 
 from __future__ import annotations
@@ -121,7 +131,9 @@ def _load_run(args, *, grid: bool = False) -> tuple[RunConfig, list, list]:
     )
     scans = _scan_dir(Path(run.data_dir))
     if len(scans) < 4:
-        raise DataError(f"need at least 4 volumes for fold splitting, got {len(scans)}")
+        raise DataError(
+            f"need at least 4 volumes in {run.data_dir} for fold splitting, got {len(scans)}"
+        )
     by_id = dict(scans)
     folds = pipeline.split_folds([sid for sid, _ in scans], run.model.seed)
     load = lambda ids: [(sid, _load_svol(by_id[sid])) for sid in ids]
@@ -153,8 +165,6 @@ def cmd_train(args) -> int:
     data_dir = Path(run.data_dir)
     train_pairs = _build_pairs(train_vols, run.model, data_dir)
     val_pairs = _cap_pairs(_build_pairs(val_vols, run.model, data_dir), run.val_pair_cap)
-    if not train_pairs or not val_pairs:
-        raise DataError("could not extract any training/validation pairs")
     params, report = model.train(run.model, train_pairs, val_pairs)
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,8 +188,8 @@ def cmd_infer(args) -> int:
     n = params.config.feature_depth
     if vol.shape[0] < n:
         raise DataError(
-            f"volume {vol.shape} incompatible with model: depth {vol.shape[0]} < "
-            f"window depth {n}"
+            f"volume {args.lr_volume} {vol.shape} incompatible with model: depth "
+            f"{vol.shape[0]} < window depth {n}"
         )
     r = params.config.scale
     out_shape = (vol.shape[0], vol.shape[1] * r, vol.shape[2] * r)
@@ -226,14 +236,15 @@ def cmd_evaluate(args) -> int:
         name, path = spec_str.split("=", 1)
         if name in (n for n, _ in methods):
             raise ConfigError([f"--method name {name!r} is given more than once"])
-        methods.append((name, _load_svol(Path(path))))
-    if not methods:
-        raise ConfigError(["at least one --method is required"])
-    for name, vol in methods:
+        vol = _load_svol(Path(path))
         if vol.shape != hr.shape:
             raise DataError(
-                f"method {name!r} volume {vol.shape} does not match HR {hr.shape}"
+                f"method {name!r} volume {path} {vol.shape} does not match HR "
+                f"{args.hr} {hr.shape}"
             )
+        methods.append((name, vol))
+    if not methods:
+        raise ConfigError(["at least one --method is required"])
     if len(methods) > 1 and hr.shape[0] < 2:
         raise DataError(
             f"HR volume {args.hr} has {hr.shape[0]} slice; comparing methods "
@@ -439,9 +450,6 @@ def main(argv=None) -> int:
     except NonFiniteError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as err:
         print(f"error: internal error ({type(err).__name__}): {err}", file=sys.stderr)
         return EXIT_INTERNAL

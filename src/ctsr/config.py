@@ -21,7 +21,12 @@ class ConfigError(ValueError):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
+    """The file's ``key = value`` options; a file that is not UTF-8 or not
+    well formed raises ConfigError naming it, a missing one OSError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError([f"config {path} is not UTF-8 text: {err}"]) from err
     values: dict[str, str] = {}
     problems = []
     for lineno, raw in enumerate(text.splitlines(), 1):

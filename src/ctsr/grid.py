@@ -3,9 +3,15 @@
 Each combination trains with the caller's epoch budget (a config asks for
 20% of the base config's epochs by default) and is ranked by final
 validation PSNR, descending, with ties broken by the canonical config
-serialization.  A combination that fails with a ValueError, a geometry its
-volumes cannot pair or a `NonFiniteError` when training diverges, is
-recorded as failed and ranked last; any other exception aborts the sweep.
+serialization.  A combination fails for one of two reasons, and is then
+recorded as failed and ranked last:
+
+* its volumes cannot be paired: ``make_pairs`` raises a ValueError for a
+  window deeper or a patch larger than a volume;
+* its training diverges: ``train`` raises a `NonFiniteError`.
+
+Any other exception, a bare ValueError from ``train`` included, is a defect:
+it aborts the sweep, and the combination is not recorded.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from itertools import product
 
 from .model import ModelConfig, train
 from .pipeline import make_pairs
+from .tensor import NonFiniteError
 from .volume import Volume
 
 
@@ -91,17 +98,20 @@ def grid_search(
             results.append(GridResult(cfg, psnr, error or None))
             continue
         run_cfg = replace(cfg, epochs=epoch_budget)
+        cache_key = (run_cfg.feature_depth, run_cfg.scale, run_cfg.patch_hw)
         try:
-            cache_key = (run_cfg.feature_depth, run_cfg.scale, run_cfg.patch_hw)
             if cache_key not in pair_cache:
                 tp = [p for sid, v in train_volumes for p in make_pairs(v, run_cfg, sid)]
                 vp = [p for sid, v in val_volumes for p in make_pairs(v, run_cfg, sid)]
                 pair_cache[cache_key] = (tp, vp)
-            train_pairs, val_pairs = pair_cache[cache_key]
-            _, report = train(run_cfg, train_pairs, val_pairs)
-            result = GridResult(cfg, report.val_psnrs[-1])
-        except ValueError as err:  # a bad geometry or divergence fails this combo only
+        except ValueError as err:  # its volumes cannot be paired
             result = GridResult(cfg, None, f"{type(err).__name__}: {err}")
+        else:
+            try:
+                _, report = train(run_cfg, *pair_cache[cache_key])
+                result = GridResult(cfg, report.val_psnrs[-1])
+            except NonFiniteError as err:  # its training diverged
+                result = GridResult(cfg, None, f"{type(err).__name__}: {err}")
         results.append(result)
         if on_result is not None:
             on_result(result)

@@ -49,6 +49,10 @@ _CONFIG_FIELDS = (
     "seed", "lr",
 )
 _CONFIG_FORMAT = "<7IQd"
+# the block's u32 fields (besides the filters) and the largest value a u32
+# holds: ModelConfig.problems() rejects a config the block cannot store
+_U32_FIELDS = _CONFIG_FIELDS[:7]
+_U32_MAX = 2 ** (8 * struct.calcsize("<I")) - 1
 
 # child-stream tags for the run seed
 _TAG_INIT = 1
@@ -103,6 +107,17 @@ class ModelConfig:
             out.append(f"patch_hw must be >= 1, got {self.patch_hw}")
         if not 0 <= self.seed < 2**64:
             out.append(f"seed must fit in 64 bits, got {self.seed}")
+        for name in _U32_FIELDS:
+            if getattr(self, name) > _U32_MAX:
+                out.append(
+                    f"{name} must be <= {_U32_MAX} (a u32 in the checkpoint), "
+                    f"got {getattr(self, name)}"
+                )
+        if any(f > _U32_MAX for f in self.filters):
+            out.append(
+                f"filter counts must be <= {_U32_MAX} (u32s in the checkpoint), "
+                f"got {self.filters}"
+            )
         return out
 
     def validate(self) -> None:
@@ -151,7 +166,6 @@ class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_psnrs: list[float] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
-    params_checksum: int = 0
 
 
 def _layer_plan(cfg: ModelConfig) -> list[tuple[str, ConvGeometry, tuple[int, int]]]:
@@ -420,7 +434,6 @@ def train(cfg: ModelConfig, train_pairs, val_pairs) -> tuple[ModelParams, TrainR
             ) from err
         report.val_psnrs.append(_validation_psnr(params, val_pairs))
         report.wall_times.append(time.perf_counter() - t0)
-    report.params_checksum = params.checksum()
     return params, report
 
 

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from ctsr import grid, metrics, model
+from ctsr import cli, grid, metrics, model, pipeline
 from ctsr.cli import EXIT_INTERNAL, JOURNAL_HEADER, _csv_text, _journal_settings, main
 from ctsr.config import load_run_config
 from ctsr.model import (
@@ -198,6 +199,28 @@ class TestTrain:
         expected = [every[i * last // 3].provenance for i in range(4)]
         assert [pair.provenance for pair in seen[0]] == expected
 
+    def test_too_few_volumes_is_data_error_naming_the_directory(self, tmp_path, capsys):
+        hr_dir = tmp_path / "hr"
+        hr_dir.mkdir()
+        for i in range(3):
+            save_volume(gen_synthetic("spheres", (16, 24, 24), seed=i), hr_dir / f"s{i}.svol")
+        cfg_path, run_dir = _train_config(tmp_path, hr_dir)
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "need at least 4 volumes" in err and str(hr_dir) in err
+        assert not run_dir.exists()
+
+    def test_value_beyond_the_checkpoint_is_config_error_before_pairing(self, tmp_path,
+                                                                       data_dir, capsys,
+                                                                       monkeypatch):
+        # the checkpoint stores batch_size as a u32
+        built = []
+        monkeypatch.setattr(pipeline, "make_pairs", lambda *args: built.append(args))
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, batch_size=2**32)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"batch_size must be <= {2**32 - 1}" in capsys.readouterr().err
+        assert built == [] and not run_dir.exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("verb", ["train", "gridsearch"])
     def test_seed_flag_outside_64_bits_is_config_error(self, tmp_path, data_dir, capsys,
@@ -250,7 +273,8 @@ class TestInferEvaluate:
         path = tmp_path / "thin.svol"
         save_volume(thin2, path)
         assert main(["infer", str(trained), str(path), "--out", str(tmp_path / "x.svol")]) == 3
-        assert "depth" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "depth" in err and str(path) in err
 
     @pytest.mark.parametrize("tile", ["0", "-5"])
     def test_infer_nonpositive_tile_is_config_error(self, tmp_path, data_dir, trained, capsys,
@@ -430,6 +454,7 @@ class TestInferEvaluate:
             "--out", str(tmp_path / "rep"),
         ])
         assert code == 3
+        assert str(small_path) in capsys.readouterr().err
 
     def test_evaluate_nan_volume_is_data_error(self, tmp_path, data_dir, capsys):
         hr_path = sorted(data_dir.glob("*.svol"))[0]
@@ -489,6 +514,15 @@ class TestConfig:
         path = tmp_path / "min.cfg"
         path.write_text(f"data_dir = {tmp_path}\nout_dir = {tmp_path / 'run'}\n")
         assert load_run_config(path).model == ModelConfig()
+
+    @pytest.mark.parametrize("verb", ["train", "gridsearch"])
+    def test_non_utf8_config_is_config_error_naming_it(self, tmp_path, data_dir, capsys, verb):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir)
+        cfg_path.write_bytes(b"\xe4" + cfg_path.read_bytes())
+        assert main([verb, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and "UTF-8" in err
+        assert not run_dir.exists()
 
     def test_val_pair_cap_is_unknown_in_grid_mode(self, tmp_path, data_dir, capsys):
         cfg_path, run_dir = _train_config(tmp_path, data_dir, val_pair_cap=4)
@@ -688,6 +722,22 @@ class TestGridsearch:
         assert str(run_dir / "gridsearch_journal.csv") in capsys.readouterr().err
         assert len(_read_csv(run_dir / "gridsearch_journal.csv")) == 2  # nothing trained
 
+    def test_journal_identity_covers_every_setting_but_epochs(self):
+        """A journaled result is reused for a combination with the same key
+        and settings, so every field that a result depends on must change
+        one of them; epochs is replaced by the sweep's budget."""
+        def identity(cfg, budget=1):
+            return cfg.key(), _journal_settings(cfg, budget)
+
+        base = ModelConfig()
+        other_value = {int: lambda v: v + 2, float: lambda v: 2 * v + 1,
+                       tuple: lambda v: v + (1,)}
+        for f in dataclasses.fields(ModelConfig):
+            value = getattr(base, f.name)
+            cfg = dataclasses.replace(base, **{f.name: other_value[type(value)](value)})
+            assert (identity(cfg) == identity(base)) == (f.name == "epochs"), f.name
+        assert identity(base, 2) != identity(base, 1)
+
     def test_resume_journal_without_final_newline(self, tmp_path, data_dir):
         cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
         with open(cfg_path, "a") as fh:
@@ -754,18 +804,20 @@ class TestGridsearch:
         assert len(_read_csv(run_dir / "gridsearch_journal.csv")) == 3
 
     @pytest.mark.parametrize("errors, code", [
-        ((NonFiniteError, NonFiniteError), 4),
-        ((NonFiniteError, ValueError), 3),
+        (("NonFiniteError: no", "NonFiniteError: no"), 4),
+        (("ValueError: volume depth 16 < window depth 17", "NonFiniteError: no"), 3),
     ])
     def test_nothing_trained_is_an_error(self, tmp_path, data_dir, capsys, monkeypatch,
                                          errors, code):
+        # every training diverges; with code 3 the n=17 combination fails
+        # before it, because a 16-slice volume has no 17-slice window
         cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        space = "grid_kernels = 1,3" if code == 4 else "grid_feature_depths = 3,17"
         with open(cfg_path, "a") as fh:
-            fh.write("grid_kernels = 1,3\ngrid_epochs = 1\n")
-        by_kernel = dict(zip((1, 3), errors))
+            fh.write(f"{space}\ngrid_epochs = 1\n")
 
         def failing_train(cfg, train_pairs, val_pairs):
-            raise by_kernel[cfg.kernel]("no")
+            raise NonFiniteError("no")
 
         monkeypatch.setattr(grid, "train", failing_train)
         assert main(["gridsearch", "--config", str(cfg_path)]) == code
@@ -773,9 +825,53 @@ class TestGridsearch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(results) in err
         rows = _read_csv(results)[1:]
-        assert [row[3] for row in rows] == [f"{e.__name__}: no" for e in errors]
+        assert [row[3] for row in rows] == list(errors)
         # resumed from the journal alone, the outcome is the same
         assert main(["gridsearch", "--config", str(cfg_path)]) == code
+
+
+class TestExitCodes:
+    # a function that each command's work calls: the .svol writer, training,
+    # inference, SSIM and grid search's training
+    WORK = {
+        "simulate": (cli, "serialize_volume"),
+        "train": (model, "train"),
+        "infer": (model, "infer_volume"),
+        "evaluate": (metrics, "ssim"),
+        "gridsearch": (grid, "train"),
+    }
+
+    @pytest.mark.parametrize("verb", list(WORK))
+    def test_bare_value_error_is_an_internal_error(self, tmp_path, data_dir, capsys,
+                                                  monkeypatch, verb):
+        """Only the exception types that the CLI documents map to exit codes
+        2-4; a bare ValueError inside a command's work is a defect."""
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=1)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 1,3\ngrid_epochs = 1\n" if verb == "gridsearch" else "")
+        ckpt = tmp_path / "model.ckpt"
+        cfg = ModelConfig(feature_depth=3, conv_layers=1, filters=(3, 3, 1), kernel=3, scale=2)
+        ckpt.write_bytes(serialize_params(build_model(cfg, Rng(0))))
+        hr = sorted(data_dir.glob("*.svol"))
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", str(data_dir), "--out", str(out), "--scale", "2"],
+            "train": ["train", "--config", str(cfg_path)],
+            "infer": ["infer", str(ckpt), str(hr[0]), "--out", str(out / "sr.svol")],
+            "evaluate": ["evaluate", "--hr", str(hr[0]), "--method", f"m={hr[1]}",
+                         "--out", str(out)],
+            "gridsearch": ["gridsearch", "--config", str(cfg_path)],
+        }[verb]
+
+        def broken(*args, **kwargs):
+            raise ValueError("a defect")
+
+        monkeypatch.setattr(*self.WORK[verb], broken)
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: internal error (ValueError): a defect\n"
+        if verb == "gridsearch":
+            assert _read_csv(run_dir / "gridsearch_journal.csv") == [JOURNAL_HEADER]
+            assert not (run_dir / "gridsearch_results.csv").exists()
 
 
 class TestCliSurface:

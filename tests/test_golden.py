@@ -88,8 +88,7 @@ def test_checkpoint_and_inference_are_bit_identical(name, pooled, monkeypatch):
     if pooled:
         monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
     cfg_kwargs, want_ckpt, want_infer = CASES[name]
-    params, report, sr = _run(cfg_kwargs)
-    assert report.params_checksum == params.checksum()
+    params, _, sr = _run(cfg_kwargs)
     got_ckpt = params.checksum()
     got_infer = zlib.crc32(np.ascontiguousarray(sr.data.data).tobytes())
     assert (got_ckpt, got_infer) == (want_ckpt, want_infer)

@@ -98,6 +98,19 @@ def test_a_value_error_fails_only_its_combination(volumes, monkeypatch):
     assert [cfg.key() for cfg in calls] == [_key(1, 1)]
 
 
+def test_a_value_error_from_train_aborts_the_sweep_unrecorded(volumes, monkeypatch):
+    # only pairing's ValueError fails a combination; from train it is a defect
+    def train(cfg, train_pairs, val_pairs):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(grid, "train", train)
+    fresh = []
+    space = grid.GridSpace([1], [1], [(2, 2, 1)], [1, 3])
+    with pytest.raises(ValueError, match="a defect"):
+        grid.grid_search(space, BASE, *volumes, epoch_budget=1, on_result=fresh.append)
+    assert fresh == []
+
+
 def test_rank_results_orders_inf_first_ties_by_key_and_failures_last():
     def result(k, psnr, error=None):
         return grid.GridResult(ModelConfig(kernel=k), psnr, error)

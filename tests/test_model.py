@@ -68,6 +68,27 @@ class TestModelConfig:
         key = ModelConfig(**PAPER_CFG).key()
         assert key == "n=5;l=3;f=(64,64,32,32,1);k=3;r=3"
 
+    @pytest.mark.parametrize("name", [
+        "feature_depth", "conv_layers", "kernel", "scale", "epochs", "batch_size", "patch_hw",
+        "filters",
+    ])
+    def test_value_beyond_the_checkpoints_u32_is_a_problem(self, name):
+        # 2**32 + 1 is odd, so a window depth or kernel breaks only the bound
+        big = 2**32 + 1
+        value = (big, 2, 1) if name == "filters" else big
+        cfg = ModelConfig(**dict(TINY_CFG, **{name: value}))
+        word = "filter counts" if name == "filters" else name
+        assert any(p.startswith(word) and f"<= {2**32 - 1}" in p for p in cfg.problems())
+
+    def test_values_at_the_u32_bound_are_valid_and_stored(self):
+        top = 2**32 - 1
+        for kwargs in ({"feature_depth": top}, {"kernel": top},
+                       {"conv_layers": 1, "filters": (top, 4, 1)}):
+            assert ModelConfig(**kwargs).problems() == []
+        cfg = ModelConfig(**dict(TINY_CFG, scale=top, epochs=top, batch_size=top, patch_hw=top))
+        assert cfg.problems() == []
+        assert deserialize_params(serialize_params(build_model(cfg, Rng(0)))).config == cfg
+
 
 class TestBuildModel:
     def test_paper_stack_channels(self):
@@ -361,7 +382,6 @@ class TestTrain:
         assert p1.checksum() == p2.checksum()
         assert r1.train_losses == r2.train_losses
         assert r1.val_psnrs == r2.val_psnrs
-        assert r1.params_checksum == r2.params_checksum
         assert serialize_params(p1) == serialize_params(p2)
 
     def test_validation_psnr_does_not_depend_on_the_batch_size(self):
