@@ -14,8 +14,9 @@ in-plane extents.
 
 The transposed convolution uses padding (k-s)//2 when k >= s; any leftover
 off-by-one (k-s odd) is trimmed from the bottom/right, and a kernel smaller
-than the stride is compensated by appending zero rows/columns, so the
-in-plane output is exactly input*s for every legal configuration.
+than the stride is compensated by appending rows/columns that hold the
+channel's bias, as every other output that no kernel tap reaches does, so
+the in-plane output is exactly input*s for every legal configuration.
 
 Weights, biases, training pairs, activations and gradients are plain
 float32 arrays: training, validation and inference run one float32 path.
@@ -140,8 +141,9 @@ class Layer:
     weights: np.ndarray  # float32, owned and updated in place by sgd_step
     bias: np.ndarray  # float32 [C_out]
     geom: ConvGeometry
-    # rows/cols removed from the bottom/right after a deconv (negative: zero
-    # rows/cols appended instead) so the in-plane output is exactly input*s
+    # rows/cols removed from the bottom/right after a deconv (negative: rows/
+    # cols holding the bias appended instead) so the in-plane output is
+    # exactly input*s
     trim_hw: tuple[int, int] = (0, 0)
 
 
@@ -220,21 +222,21 @@ def _check_patch(params: ModelParams, patch: np.ndarray) -> None:
         )
 
 
-def _apply_trim(z: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
+def _apply_trim(z: np.ndarray, trim: tuple[int, int], fill=None) -> np.ndarray:
     """The deconv trim of a [C, B, D, H, W] array: rows/cols cut from the
-    bottom/right (negative: zero rows/cols appended)."""
+    bottom/right, or for a negative trim appended there, holding ``fill[c]``
+    in channel c (zero when None)."""
     th, tw = trim
     if th == 0 and tw == 0:
         return z
-    if th > 0:
-        z = z[:, :, :, :-th, :]
-    elif th < 0:
-        z = np.pad(z, ((0, 0), (0, 0), (0, 0), (0, -th), (0, 0)))
-    if tw > 0:
-        z = z[:, :, :, :, :-tw]
-    elif tw < 0:
-        z = np.pad(z, ((0, 0), (0, 0), (0, 0), (0, 0), (0, -tw)))
-    return z
+    z = z[:, :, :, : z.shape[3] - max(th, 0), : z.shape[4] - max(tw, 0)]
+    if th >= 0 and tw >= 0:
+        return z
+    c, b, d, h, w = z.shape
+    out = np.empty((c, b, d, h - min(th, 0), w - min(tw, 0)), z.dtype)
+    out[...] = 0 if fill is None else fill.reshape(c, 1, 1, 1, 1)
+    out[:, :, :, :h, :w] = z
+    return out
 
 
 def _undo_trim(g: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
@@ -268,7 +270,7 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
             if layer.kind == "conv":
                 z = ops._conv_fwd_b(h, w, b, layer.geom)
             else:
-                z = _apply_trim(ops._deconv_fwd_b(h, w, b, layer.geom), layer.trim_hw)
+                z = _apply_trim(ops._deconv_fwd_b(h, w, b, layer.geom), layer.trim_hw, b)
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
@@ -315,8 +317,14 @@ def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
             if layer.kind == "conv":
                 d_w, d_b, g = ops._conv_bwd_b(x_in, layer.weights, layer.geom, g, need_dx)
             else:
+                # the rows a negative trim appends hold the bias, so d_b sums
+                # their gradient too, which _undo_trim crops
+                appended = min(layer.trim_hw) < 0
+                d_b_all = g.reshape(g.shape[0], -1).sum(axis=1) if appended else None
                 g = _undo_trim(g, layer.trim_hw)
                 d_w, d_b, g = ops._deconv_bwd_b(x_in, layer.weights, layer.geom, g, need_dx)
+                if appended:
+                    d_b = d_b_all
             grads[i] = (d_w, d_b)
     caches[0] = None
     return grads

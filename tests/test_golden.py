@@ -14,8 +14,9 @@ float32 ULP fails here.
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
 * k=3/r=4: a kernel smaller than the stride; the deconv output is one
-  row/column short, so the model appends a zero row and column to it
-  (trim -1) and crops them from the gradient.
+  row/column short, so the model appends a row and column holding the
+  bias (trim -1), crops them from the gradient and sums their gradient
+  into the bias's.
 
 The values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
 Haswell kernels; the last test reruns every case with one thread); a BLAS

@@ -136,6 +136,22 @@ class TestBuildModel:
 
 
 class TestForward:
+    @pytest.mark.parametrize("kernel, scale", [(1, 2), (3, 4), (3, 5)])
+    def test_kernel_below_scale_deconv_of_zero_is_its_bias(self, kernel, scale):
+        # every deconv output that no kernel tap reaches holds the bias, the
+        # rows and columns appended for a kernel below the scale included
+        params = build_model(ModelConfig(**dict(TINY_CFG, kernel=kernel, scale=scale)), Rng(4))
+        conv, deconv = params.layers[0], params.layers[1]
+        assert deconv.kind == "deconv" and min(deconv.trim_hw) < 0
+        conv.weights[...] = 0.0
+        deconv.bias[...] = (0.5, 0.25)
+        xs = uniform_init([1, 2, 3, 5, 5], 0, 1, Rng(5))
+        _, caches = _forward_batch(params, xs, keep_caches=True)
+        # the last layer's input is the deconv's output after its ReLU
+        out = caches[-1]
+        assert out.shape[3:] == (5 * scale, 5 * scale)
+        assert np.array_equal(out, np.broadcast_to(deconv.bias.reshape(2, 1, 1, 1, 1), out.shape))
+
     def test_output_shape_grid(self):
         for n in (1, 3, 5):
             for l in (1, 2):
@@ -255,13 +271,11 @@ def _tiny_pairs(count, rng, cfg):
 
 
 def _pre_activation(layer, h):
-    """A layer's output before its ReLU, recomputed from its cached input,
-    without the zero rows and columns that a negative deconv trim appends:
-    no parameter moves them off the ReLU kink."""
+    """A layer's output before its ReLU, recomputed from its cached input."""
     if layer.kind == "conv":
         return _conv_fwd_b(h, layer.weights, layer.bias, layer.geom)
-    cut = tuple(max(t, 0) for t in layer.trim_hw)
-    return _apply_trim(_deconv_fwd_b(h, layer.weights, layer.bias, layer.geom), cut)
+    out = _deconv_fwd_b(h, layer.weights, layer.bias, layer.geom)
+    return _apply_trim(out, layer.trim_hw, layer.bias)
 
 
 def _check_composite_gradient(cfg_kwargs, dtype, eps, tol, bias_range=(-0.1, 0.1)):
