@@ -28,7 +28,9 @@ pool (the real cutoff leaves these small layers on the calling thread).
 History: the values were last re-recorded when training and validation
 moved from float64 to the parameters' float32, the precision inference
 already ran in; before that they were k5r2 (1984946169, 3042247071) and
-k3r3 (1320548042, 4131869403).
+k3r3 (1320548042, 4131869403).  k3r4 was re-recorded once more when the
+appended row and column came to hold the bias; before, they held zero and
+the values were (2985986760, 2345297538).
 """
 
 import os
@@ -63,8 +65,8 @@ CASES = {
     "k3r4": (
         dict(feature_depth=3, conv_layers=1, filters=(6, 4, 1), kernel=3, scale=4,
              patch_hw=6, batch_size=4, epochs=3, lr=1e-3, seed=9),
-        2985986760,
-        2345297538,
+        172451540,
+        2126848006,
     ),
 }
 
