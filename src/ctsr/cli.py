@@ -194,7 +194,7 @@ def cmd_infer(args) -> int:
     r = params.config.scale
     out_shape = (vol.shape[0], vol.shape[1] * r, vol.shape[2] * r)
     need = 4 * math.prod(out_shape)  # infer_volume's float32 output
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = model.physical_memory_bytes()
     if need > have:
         raise DataError(
             f"checkpoint {args.checkpoint}: scale {r} makes a {out_shape} output of "

@@ -27,6 +27,7 @@ initialization, and each layer output and gradient.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
 import zlib
@@ -119,6 +120,17 @@ class ModelConfig:
                 f"filter counts must be <= {_U32_MAX} (u32s in the checkpoint), "
                 f"got {self.filters}"
             )
+        if not out:
+            need = 4 * sum(  # float32 weights and biases
+                c_in * c_out * math.prod(kernel) + c_out
+                for _, (c_in, c_out, kernel, *_), _ in _plan_args(self)
+            )
+            have = physical_memory_bytes()
+            if need > have:
+                out.append(
+                    f"kernel {self.kernel} and filters {self.filters} make {need} bytes of "
+                    f"parameters, more than the {have} bytes of physical memory"
+                )
         return out
 
     def validate(self) -> None:
@@ -170,9 +182,21 @@ class TrainReport:
     wall_times: list[float] = field(default_factory=list)
 
 
+def physical_memory_bytes() -> int:
+    """This machine's physical memory: no allocation larger can succeed."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _layer_plan(cfg: ModelConfig) -> list[tuple[str, ConvGeometry, tuple[int, int]]]:
     """Deterministic stack structure implied by a config."""
     cfg.validate()
+    return [(kind, ConvGeometry(*args), trim) for kind, args, trim in _plan_args(cfg)]
+
+
+def _plan_args(cfg: ModelConfig) -> list[tuple[str, tuple, tuple[int, int]]]:
+    """``_layer_plan`` with each layer's ConvGeometry arguments (C_in, C_out,
+    kernel, stride, padding) in place of the geometry, unchecked: cheap
+    enough for ``ModelConfig.problems`` to size the parameters from it."""
     k, r = cfg.kernel, cfg.scale
     same = (k - 1) // 2
     plan = []
@@ -180,19 +204,17 @@ def _layer_plan(cfg: ModelConfig) -> list[tuple[str, ConvGeometry, tuple[int, in
     c_in = 1
     for i in range(cfg.conv_layers):
         kd = min(k, depth)
-        geom = ConvGeometry(c_in, cfg.filters[i], (kd, k, k), 1, (0, same, same))
-        plan.append(("conv", geom, (0, 0)))
+        plan.append(("conv", (c_in, cfg.filters[i], (kd, k, k), 1, (0, same, same)), (0, 0)))
         depth = depth - kd + 1
         c_in = cfg.filters[i]
     # transposed conv: upsample H,W by r, keep depth
     p_hw = max(0, (k - r) // 2)
     excess = k - r - 2 * p_hw  # 1 when k-r is odd, negative when k < r
-    geom = ConvGeometry(c_in, cfg.filters[cfg.conv_layers], (1, k, k), (1, r, r), (0, p_hw, p_hw))
-    plan.append(("deconv", geom, (excess, excess)))
+    args = (c_in, cfg.filters[cfg.conv_layers], (1, k, k), (1, r, r), (0, p_hw, p_hw))
+    plan.append(("deconv", args, (excess, excess)))
     c_in = cfg.filters[cfg.conv_layers]
     # final smoothing conv collapses the remaining depth into one slice
-    geom = ConvGeometry(c_in, cfg.filters[-1], (depth, k, k), 1, (0, same, same))
-    plan.append(("conv", geom, (0, 0)))
+    plan.append(("conv", (c_in, cfg.filters[-1], (depth, k, k), 1, (0, same, same)), (0, 0)))
     return plan
 
 
@@ -284,7 +306,9 @@ def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
     float32 slice [1, 1, h*scale, w*scale].  The input is cast to float32
     and must be finite there; the stack runs as ``_forward_batch`` of a
     batch of one, in float32, so the slice is the bits that training's
-    validation computes for the same window."""
+    validation computes for the same window.  With a batch of one, the
+    engine splits each wide conv's output rows into blocks on its thread
+    pool (``ops._gather_pass``), so a large window uses every CPU."""
     with np.errstate(over="ignore"):  # a value beyond float32 fails the check below
         x = np.asarray(lr_patch, np.float32)
     _check_patch(params, x)
@@ -477,7 +501,8 @@ def infer_volume(
     it (edge windows replicate the first/last slice).  Slices are processed
     as overlapping in-plane tiles (tile_hw, stride tile_hw/2) and overlaps
     are blended by uniform averaging; output intensities are clipped to
-    [0, 1].
+    [0, 1].  Each tile runs through ``forward`` as a batch of one, whose
+    wide convs the engine splits into row blocks on its thread pool.
     """
     cfg = params.config
     n, r = cfg.feature_depth, cfg.scale

@@ -35,15 +35,16 @@ and no sample's forward or input gradient depends on another sample.
 
 Per-sample loops on a thread pool.  The two primitives run one task per
 sample, and ``_each_sample`` runs their loop on a module thread pool, made
-on first use, with up to min(CPUs, B) tasks at once, when B > 1 and each
-task's scratch matrix (the gather's K x N columns, or the rows x N of
-W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS`` = 2^18 elements; otherwise
-on the calling thread.  Much of a wide layer's time is numpy's
-single-threaded, memory-bound gather and tap scatter, which a second BLAS
-thread does not speed up and a second task does.  Below the cutoff the
-hand-off, and the narrow layers' per-tap Python loop contending for the
-GIL, cost the narrow layers more than they save; only the paper's L0
-would gain, 2 ms a call.  Milliseconds per call on float32 arrays, the
+on first use, with up to min(CPUs, tasks) tasks at once, when there is more
+than one task and each task's scratch matrix (the gather's K x N columns,
+or the rows x N of W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS`` = 2^18
+elements; otherwise on the calling thread.  Much of a wide layer's time is
+numpy's single-threaded, memory-bound gather and tap scatter, which a
+second BLAS thread does not speed up and a second task does, so the
+package defaults BLAS to one thread (``ctsr/__init__.py``).  Below the
+cutoff the hand-off, and the narrow layers' per-tap Python loop contending
+for the GIL, cost the narrow layers more than they save; only the paper's
+L0 would gain, 2 ms a call.  Milliseconds per call on float32 arrays, the
 engine's dtype, at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs
 (medians of 15 calls, serial -> pooled; "zero" pools every loop):
 
@@ -56,13 +57,32 @@ engine's dtype, at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs
     grid narrow conv k=5     100 x 1024   zero:  7 -> 10   zero:  5 -> 4
     grid narrow conv 4->1      9 x 4096   zero:  2 -> 4    zero:  1 -> 3
 
+Row blocks at B < CPUs.  Inference runs B = 1, so a float32 forward gather
+on fewer samples than CPUs splits each sample's output rows into up to
+CPUs // B blocks, one task each: a block of whole rows is a contiguous
+column range of cols_n, gathered into a block-sized scratch, and its task
+writes W @ those columns into its slice of out.  At B = 1 two half-size
+scratch matrices replace one whole one.  The paper's layers at B = 1, one
+32x32 tile, one BLAS thread, 2 vCPUs (medians of 41 calls, whole -> two
+blocks): L1 (1728 x 1024 -> 2 x 1728 x 512) 7.3 -> 4.3 ms; L0's blocks
+(27 x 2048) are below the cutoff, so it runs whole.  Every other pass keeps
+one task per sample: a d_w pass split by columns would regroup d_w's sum
+over them, the adjoint's tap windows overlap between positions, and a split
+of W's rows would pack the whole column matrix once per part.
+
 The pooled results are the serial ones bit for bit: each sample's GEMM
 keeps its operands and shape (a GEMM element can depend on the extent of
-the other operand), each task writes only its own sample's slices, and d_w
-is summed from zero in sample order on the calling thread.  Each task in
-flight beyond the first costs one more scratch matrix, allocated by the
-caller so that no worker thread's malloc arena keeps it: 7 MB (1728 x 1024
-float32) at the paper's L1.
+the other operand), each task writes only its own slices, and d_w is
+summed from zero in sample order on the calling thread.  Row blocks change
+a GEMM's column extent, so they keep its bits only where the column tiles
+of OpenBLAS's sgemm round alike; they did in every whole-row split of the
+paper's layers and in 296 of 296 float32 whole-row splits above the
+cutoff (K 27 to 1728, C_out 5 to 64, rows of 16 to 170 columns), but not
+in 126 of the same splits in float64, so float64 passes never split.
+Each task in flight beyond the first costs one more scratch matrix,
+allocated by the caller, all in one block, so that no worker thread's
+malloc arena keeps it and glibc keeps the block's pages from call to
+call: 7 MB (1728 x 1024 float32) at the paper's L1.
 """
 
 from __future__ import annotations
@@ -183,7 +203,7 @@ def _window(tap, stride, n_positions):
 # module docstring for the measurements behind it.
 _POOL_MIN_ELEMENTS = 1 << 18
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None  # made on first use, so that B = 1 work starts no thread
+_pool = None  # made on first use, so that a process that never pools starts no thread
 
 
 def _forget_pool():
@@ -194,24 +214,32 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
 
 
-def _each_sample(task, n_samples: int, scratch_shape, dtype):
-    """The results of ``task(n, scratch)`` for n = 0 .. n_samples - 1, in
-    sample order, where scratch is an array of ``scratch_shape`` and
+def _pools(n_tasks: int, scratch_shape) -> bool:
+    """Whether ``_each_sample`` runs ``n_tasks`` tasks with scratch arrays
+    of ``scratch_shape`` on the pool."""
+    return min(_CPUS, n_tasks) > 1 and math.prod(scratch_shape) >= _POOL_MIN_ELEMENTS
+
+
+def _each_sample(task, n_tasks: int, scratch_shape, dtype):
+    """The results of ``task(n, scratch)`` for n = 0 .. n_tasks - 1, in
+    task order, where scratch is an array of ``scratch_shape`` and
     ``dtype`` that the task may overwrite.
 
-    A task writes only its own sample's slices.  With one sample, one CPU
-    or a scratch below ``_POOL_MIN_ELEMENTS`` elements the tasks run here,
-    one after another; otherwise on the module's thread pool, at most
-    min(CPUs, n_samples) at once.  Every scratch array is allocated here,
-    one per task in flight, so no worker thread allocates a large array.
+    A task writes only its own slices of the output.  With one task, one
+    CPU or a scratch below ``_POOL_MIN_ELEMENTS`` elements the tasks run
+    here, one after another; otherwise on the module's thread pool, at most
+    min(CPUs, n_tasks) at once.  The scratch arrays, one per task in
+    flight, are allocated here in one block, so no worker thread allocates
+    a large array and glibc keeps the block's pages between calls rather
+    than returning and faulting in each array.
     An exception in a task is raised here, with its own type.  A pooled
     task runs in its own copy of the caller's context, so numpy's
     ``errstate``, which is context-local, holds for it as it does here.
     """
-    workers = min(_CPUS, n_samples)
-    if workers == 1 or math.prod(scratch_shape) < _POOL_MIN_ELEMENTS:
+    workers = min(_CPUS, n_tasks)
+    if not _pools(n_tasks, scratch_shape):
         scratch = np.empty(scratch_shape, dtype)
-        return (task(n, scratch) for n in range(n_samples))
+        return (task(n, scratch) for n in range(n_tasks))
     global _pool
     if _pool is None:
         # imported here: concurrent.futures loads logging, 0.7 MB of RSS that
@@ -220,8 +248,8 @@ def _each_sample(task, n_samples: int, scratch_shape, dtype):
 
         _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ctsr-ops")
     free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(np.empty(scratch_shape, dtype))
+    for scratch in np.empty((workers,) + tuple(scratch_shape), dtype):
+        free.put(scratch)
 
     def run(n):
         scratch = free.get()
@@ -231,8 +259,8 @@ def _each_sample(task, n_samples: int, scratch_shape, dtype):
             free.put(scratch)
 
     # one context per task: two threads cannot enter the same context at once
-    contexts = [contextvars.copy_context() for _ in range(n_samples)]
-    return _pool.map(lambda ctx, n: ctx.run(run, n), contexts, range(n_samples))
+    contexts = [contextvars.copy_context() for _ in range(n_tasks)]
+    return _pool.map(lambda ctx, n: ctx.run(run, n), contexts, range(n_tasks))
 
 
 # A conv with few output channels (the final smoothing conv) skips im2col of
@@ -272,6 +300,13 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     the weight block w, and d_w, shaped like a weight block of ``geom``, the
     sum of other_n @ cols_n^T over samples for other [C_out, B, *out_sp];
     each is None when its operand is.
+
+    A float32 pass without ``other`` on fewer samples than CPUs splits
+    each sample's output rows (along its first axis with extent above one)
+    into up to CPUs // B blocks, one task each, when a block's columns
+    reach the pool's cutoff.  The axes before that one have extent one, so
+    a block of whole rows is a contiguous column range of cols_n, and its
+    task gathers just those columns and takes W @ them into its slice of out.
     """
     if any(geom.padding):
         xs = np.pad(xs, ((0, 0), (0, 0)) + tuple((p, p) for p in geom.padding))
@@ -279,18 +314,32 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     win = win[(slice(None),) * 2 + _window((0, 0, 0), geom.stride, out_sp)]
     win = win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
     c_out, n_samples = geom.out_channels, xs.shape[1]
-    shape = (xs.shape[0] * math.prod(geom.kernel), math.prod(out_sp))
+    k_rows = xs.shape[0] * math.prod(geom.kernel)
+    ax = next((a for a, e in enumerate(out_sp) if e > 1), 0)
+    rows, row_cols = out_sp[ax], math.prod(out_sp[ax + 1 :])
+    blocks = 1
+    if other is None and n_samples < _CPUS and xs.dtype == np.float32:
+        split = min(_CPUS // n_samples, rows)
+        if _pools(n_samples * split, (k_rows, -(-rows // split) * row_cols)):
+            blocks = split
+    cuts = [rows * i // blocks for i in range(blocks + 1)]
     out = None if w is None else np.empty((c_out, n_samples) + tuple(out_sp), xs.dtype)
+    out_cols = None if w is None else out.reshape(c_out, n_samples, -1)
     wm = None if w is None else w.reshape(c_out, -1)
 
-    def task(n, cols):
-        np.copyto(cols.reshape(win[:, n].shape), win[:, n])
+    def task(t, scratch):
+        n, part = divmod(t, blocks)
+        r0, r1 = cuts[part], cuts[part + 1]
+        src = win[:, n][(slice(None),) * (4 + ax) + (slice(r0, r1),)]
+        cols = scratch.reshape(-1)[: src.size].reshape(k_rows, -1)
+        np.copyto(cols.reshape(src.shape), src)
         if w is not None:
-            np.matmul(wm, cols, out=out.reshape(c_out, n_samples, -1)[:, n])
+            np.matmul(wm, cols, out=out_cols[:, n, r0 * row_cols : r1 * row_cols])
         return None if other is None else other[:, n].reshape(c_out, -1) @ cols.T
 
-    d_w = None if other is None else np.zeros((c_out, shape[0]), xs.dtype)
-    for d_w_n in _each_sample(task, n_samples, shape, xs.dtype):
+    scratch_shape = (k_rows, -(-rows // blocks) * row_cols)
+    d_w = None if other is None else np.zeros((c_out, k_rows), xs.dtype)
+    for d_w_n in _each_sample(task, n_samples * blocks, scratch_shape, xs.dtype):
         if d_w is not None:
             d_w += d_w_n
     return out, None if d_w is None else d_w.reshape(geom.weight_shape(False))

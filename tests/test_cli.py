@@ -524,6 +524,24 @@ class TestConfig:
         assert str(cfg_path) in err and "UTF-8" in err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("kernel", [65537, 2147483649])
+    def test_unallocatable_weights_are_config_error(self, tmp_path, data_dir, capsys,
+                                                    monkeypatch, kernel):
+        """A layer plan whose parameters exceed physical memory is a config
+        problem, found before any weight is allocated: 65537 would fail in
+        numpy's allocator, 2147483649 in its index range."""
+
+        def allocate(*args):
+            raise AssertionError("weights allocated")
+
+        monkeypatch.setattr(model, "uniform_init", allocate)
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, kernel=kernel, feature_depth=5,
+                                          conv_layers=3, filters="64,64,32,32,1")
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"kernel {kernel}" in err and "physical memory" in err
+        assert not run_dir.exists()
+
     def test_val_pair_cap_is_unknown_in_grid_mode(self, tmp_path, data_dir, capsys):
         cfg_path, run_dir = _train_config(tmp_path, data_dir, val_pair_cap=4)
         with open(cfg_path, "a") as fh:

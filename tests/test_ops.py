@@ -579,11 +579,11 @@ class TestThreadPool:
         assert any(name.startswith("ctsr-ops") for name in threads)
 
     def test_import_and_single_sample_forward_start_no_thread(self):
-        """The B = 1 paths (``forward``, so ``infer_volume``) never use the
-        pool, even at a cutoff of zero, and the package, CLI included, loads
-        no test-only package: numpy is its one runtime dependency.  Checked
-        in a fresh interpreter, since this one has the pool and the test
-        tools."""
+        """At the default cutoff, a B = 1 forward whose blocks are below it
+        (``forward`` of a small window, so ``infer_volume`` on small tiles)
+        starts no thread, and the package, CLI included, loads no test-only
+        package: numpy is its one runtime dependency.  Checked in a fresh
+        interpreter, since this one has the pool and the test tools."""
         code = (
             "import sys, threading\n"
             "before = threading.active_count()\n"
@@ -592,7 +592,7 @@ class TestThreadPool:
             "from ctsr import ops\n"
             "from ctsr.model import ModelConfig, build_model, forward\n"
             "from ctsr.tensor import Rng\n"
-            "ops._POOL_MIN_ELEMENTS = 0\n"
+            "ops._CPUS = max(ops._CPUS, 2)\n"
             "cfg = ModelConfig(feature_depth=3, conv_layers=1, filters=(6, 4, 1), kernel=3,\n"
             "                  scale=3, patch_hw=6)\n"
             "forward(build_model(cfg, Rng(1)), np.ones((1, 3, 6, 6), np.float32))\n"
@@ -608,6 +608,21 @@ class TestThreadPool:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("user", [None, "2"])
+    def test_blas_defaults_to_one_thread(self, user):
+        """Importing ctsr before numpy sets each BLAS thread variable to 1
+        unless the user set it."""
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env["PYTHONPATH"] = str(Path(ops.__file__).resolve().parents[1])
+        if user is not None:
+            env.update(dict.fromkeys(blas_vars, user))
+        code = f"import os, ctsr\nprint(*(os.environ[k] for k in {blas_vars!r}))\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [user or "1"] * 3
 
 
 class TestEngineBoundary:
@@ -669,6 +684,107 @@ class TestEngineBits:
         got = [_crc(out)] + [tuple(map(_crc, bwd_b(x, w, geom, g, need_dx)))
                              for need_dx in (True, False)]
         assert got == want
+
+
+def _count_tasks(monkeypatch):
+    """The task count of every ``_each_sample`` call from now on."""
+    counts = []
+    each_sample = ops._each_sample
+
+    def spy(task, n_tasks, scratch_shape, dtype):
+        counts.append(n_tasks)
+        return each_sample(task, n_tasks, scratch_shape, dtype)
+
+    monkeypatch.setattr(ops, "_each_sample", spy)
+    return counts
+
+
+# The paper's wide convs at B = 1 on a 32x32 tile: (geometry, input extents).
+# L0's output has 3 depth rows, L1's and L2's one depth row and 32 rows; the
+# 17-row input splits 8/9.
+_PAPER_B1 = {
+    "paper L0": (ConvGeometry(1, 64, 3, 1, (0, 1, 1)), (5, 32, 32)),
+    "paper L1": (ConvGeometry(64, 64, 3, 1, (0, 1, 1)), (3, 32, 32)),
+    "paper L2": (ConvGeometry(64, 32, (1, 3, 3), 1, (0, 1, 1)), (1, 32, 32)),
+    "17 rows": (ConvGeometry(64, 64, 3, 1, (0, 1, 1)), (3, 17, 32)),
+}
+
+
+class TestSingleSampleBlocks:
+    """At B = 1, a float32 forward gather splits its sample's output rows
+    into blocks on the pool, and on the paper's layers the blocks give the
+    serial bits.  Two CPUs, so two blocks, even at a zero cutoff: blocks cut
+    far below the cutoff can round a GEMM's last columns differently
+    (CHANGES.md FOUND on narrow blocks)."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ops, "_CPUS", 2)
+
+    @pytest.mark.parametrize("case", sorted(_PAPER_B1))
+    def test_blocks_equal_serial(self, case, monkeypatch):
+        geom, in_sp = _PAPER_B1[case]
+        rng = Rng(995)
+        x = _rand((geom.in_channels, 1) + in_sp, rng)
+        w = 0.1 * _rand(geom.weight_shape(False), rng)
+        b = _rand((geom.out_channels,), rng)
+        counts = _count_tasks(monkeypatch)
+        outs = []
+        for cutoff in (math.inf, 0):  # serial, then in blocks
+            monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
+            outs.append(_conv_fwd_b(x, w, b, geom))
+        assert outs[1].dtype == np.float32 and np.array_equal(outs[1], outs[0])
+        assert counts == [1, 2]
+
+    def test_each_traced_entry_point_of_the_paper_stack(self, monkeypatch):
+        """One training step of the paper config on one 32x32 window, which
+        calls each traced entry point at B = 1: its output and every layer's
+        gradients are the serial bits with every loop pooled."""
+        params = model.build_model(model.ModelConfig(), Rng(994))
+        rng = Rng(993)
+        xs = _rand((1, 1, 5, 32, 32), rng)
+        d_out = _rand((1, 1, 1, 96, 96), rng)
+        counts = _count_tasks(monkeypatch)
+        runs = []
+        for cutoff in (math.inf, 0):
+            monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
+            out, caches = model._forward_batch(params, xs, keep_caches=True)
+            grads = model._backward_batch(params, caches, d_out.copy())
+            runs.append([out] + [a for pair in grads for a in pair])
+        for i, (serial, pooled) in enumerate(zip(*runs)):
+            assert np.array_equal(pooled, serial), i
+        assert 2 in counts
+
+    def test_paper_forward_on_a_whole_slice(self, monkeypatch):
+        """``forward`` of the paper config on a 170x170 window: the size of
+        a benchmark slice, whose rows do not split into multiples of the
+        GEMM kernel's width (85 x 170 columns per block)."""
+        params = model.build_model(model.ModelConfig(), Rng(996))
+        x = Rng(997).next_floats(5 * 170 * 170).reshape(1, 5, 170, 170).astype(np.float32)
+        counts = _count_tasks(monkeypatch)
+        outs = []
+        for cutoff in (math.inf, ops._POOL_MIN_ELEMENTS):
+            monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
+            outs.append(model.forward(params, x))
+        assert np.array_equal(outs[1], outs[0])
+        assert 2 in counts
+
+    def test_block_task_error_and_errstate(self, monkeypatch):
+        """A float32 overflow in a block's GEMM raises in the caller with its
+        own type under ``errstate(over="raise")``, and under "ignore" gives
+        inf with no warning (pytest turns warnings into errors): the
+        caller's errstate holds in the block tasks."""
+        monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
+        geom = ConvGeometry(2, 6, 3, 1, (0, 1, 1))
+        x = np.full((2, 1, 3, 8, 8), 1e30, np.float32)
+        w = np.full(geom.weight_shape(False), 1e30, np.float32)
+        b = _zeros(6)
+        counts = _count_tasks(monkeypatch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _conv_fwd_b(x, w, b, geom)
+        with np.errstate(over="ignore"):
+            assert np.isposinf(_conv_fwd_b(x, w, b, geom)).all()
+        assert counts == [2, 2]
 
 
 # Every (module, attribute) that benchmarks/tracing.py wraps, with the
