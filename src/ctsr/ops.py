@@ -243,7 +243,7 @@ def _each_sample(task, n_tasks: int, scratch_shape, dtype):
     global _pool
     if _pool is None:
         # imported here: concurrent.futures loads logging, 0.7 MB of RSS that
-        # a process which never pools (inference, evaluation) need not pay
+        # a process which never pools (evaluation, small-tile inference) need not pay
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ctsr-ops")

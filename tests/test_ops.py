@@ -505,7 +505,7 @@ def _paper_l1_case(rng):
 
 class TestThreadPool:
     """The per-sample loops give the same bits on the thread pool as on the
-    calling thread, and B = 1 work starts no thread."""
+    calling thread, and B = 1 work below the cutoff starts no thread."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
