@@ -36,7 +36,7 @@ import numpy as np
 from . import grid, metrics, model, pipeline, resample
 from .config import ConfigError, RunConfig, load_run_config
 from .tensor import NonFiniteError, Tensor
-from .volume import Volume, load_volume, serialize_volume
+from .volume import Volume, check_spacing, load_volume, serialize_volume
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -200,6 +200,11 @@ def cmd_infer(args) -> int:
             f"checkpoint {args.checkpoint}: scale {r} makes a {out_shape} output of "
             f"{need} bytes, more than the {have} bytes of physical memory"
         )
+    dz, dy, dx = vol.spacing
+    try:
+        check_spacing((dz, dy / r, dx / r))  # infer_volume's output spacing
+    except ValueError as err:
+        raise DataError(f"volume {args.lr_volume} at scale {r} has an output {err}") from err
     sr = model.infer_volume(params, vol, tile_hw=args.tile)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -12,11 +12,7 @@ depth equal to whatever depth remains.  Height/width are same-padded
 (p = (k-1)/2, k odd) so only the transposed convolution changes the
 in-plane extents.
 
-The transposed convolution uses padding (k-s)//2 when k >= s; any leftover
-off-by-one (k-s odd) is trimmed from the bottom/right, and a kernel smaller
-than the stride is compensated by appending rows/columns that hold the
-channel's bias, as every other output that no kernel tap reaches does, so
-the in-plane output is exactly input*s for every legal configuration.
+The transposed convolution writes exactly input*s in-plane.
 
 Weights, biases, training pairs, activations and gradients are plain
 float32 arrays: training, validation and inference run one float32 path.
@@ -153,8 +149,8 @@ class Layer:
     weights: np.ndarray  # float32, owned and updated in place by sgd_step
     bias: np.ndarray  # float32 [C_out]
     geom: ConvGeometry
-    # rows/cols removed from the bottom/right after a deconv (negative: rows/
-    # cols holding the bias appended instead) so the in-plane output is
+    # rows/cols by which a deconv's in-plane output falls short of its
+    # textbook extents (negative: reaches beyond them), so that it is
     # exactly input*s
     trim_hw: tuple[int, int] = (0, 0)
 
@@ -244,27 +240,6 @@ def _check_patch(params: ModelParams, patch: np.ndarray) -> None:
         )
 
 
-def _apply_trim(z: np.ndarray, trim: tuple[int, int], fill=None) -> np.ndarray:
-    """The deconv trim of a [C, B, D, H, W] array: rows/cols cut from the
-    bottom/right, or for a negative trim appended there, holding ``fill[c]``
-    in channel c (zero when None)."""
-    th, tw = trim
-    if th == 0 and tw == 0:
-        return z
-    z = z[:, :, :, : z.shape[3] - max(th, 0), : z.shape[4] - max(tw, 0)]
-    if th >= 0 and tw >= 0:
-        return z
-    c, b, d, h, w = z.shape
-    out = np.empty((c, b, d, h - min(th, 0), w - min(tw, 0)), z.dtype)
-    out[...] = 0 if fill is None else fill.reshape(c, 1, 1, 1, 1)
-    out[:, :, :, :h, :w] = z
-    return out
-
-
-def _undo_trim(g: np.ndarray, trim: tuple[int, int]) -> np.ndarray:
-    return _apply_trim(g, (-trim[0], -trim[1]))
-
-
 def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
     """Forward over a [C=1, B, n, h, w] batch, the one driver of the stack.
 
@@ -292,7 +267,9 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
             if layer.kind == "conv":
                 z = ops._conv_fwd_b(h, w, b, layer.geom)
             else:
-                z = _apply_trim(ops._deconv_fwd_b(h, w, b, layer.geom), layer.trim_hw, b)
+                d, oh, ow = layer.geom.deconv_output_shape(h.shape[2:])
+                th, tw = layer.trim_hw
+                z = ops._deconv_fwd_b(h, w, b, layer.geom, (d, oh - th, ow - tw))
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
@@ -337,18 +314,8 @@ def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
             if i + 1 < len(caches):  # the next layer's input is this one's ReLU mask
                 np.copyto(g, 0.0, where=caches[i + 1] <= 0)
                 caches[i + 1] = None
-            need_dx = i > 0
-            if layer.kind == "conv":
-                d_w, d_b, g = ops._conv_bwd_b(x_in, layer.weights, layer.geom, g, need_dx)
-            else:
-                # the rows a negative trim appends hold the bias, so d_b sums
-                # their gradient too, which _undo_trim crops
-                appended = min(layer.trim_hw) < 0
-                d_b_all = g.reshape(g.shape[0], -1).sum(axis=1) if appended else None
-                g = _undo_trim(g, layer.trim_hw)
-                d_w, d_b, g = ops._deconv_bwd_b(x_in, layer.weights, layer.geom, g, need_dx)
-                if appended:
-                    d_b = d_b_all
+            bwd_b = ops._conv_bwd_b if layer.kind == "conv" else ops._deconv_bwd_b
+            d_w, d_b, g = bwd_b(x_in, layer.weights, layer.geom, g, i > 0)
             grads[i] = (d_w, d_b)
     caches[0] = None
     return grads

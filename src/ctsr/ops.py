@@ -22,7 +22,10 @@ and no sample's forward or input gradient depends on another sample.
   transposed conv's [C_in, C_out, k1, k2, k3] in the same memory.  Its
   forward is that conv's input gradient and its backward that conv's
   forward and weight gradient, so <conv(x), y> == <x, deconv(y)> for zero
-  bias holds by construction.
+  bias holds by construction.  The caller picks its output extents, a
+  free choice over the fixed adjoint (ibid.): taps that reach past them
+  are cropped at the bottom/right, and outputs that no tap reaches hold
+  the bias.
 * Conv with more than ``_DIRECT_MAX_COUT`` output channels, a stride above
   one or padding of at least the kernel ("wide"): the forward is the
   gather, d_w sums G_n @ cols_n^T and d_x is the adjoint.
@@ -350,14 +353,18 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
     input gradient [C_in, B, *in_sp], which is the transposed conv of g.
 
     Per sample n, W^T @ G_n gives each tap's rows, added onto the tap's
-    window of the sample's padded grid.  The sum starts from ``seed[c]`` for
-    channel c (zero when None), so input rows that no window reads
-    (n + 2p - k not a multiple of s) keep that value.  The result is a
-    C-contiguous array: the padding is cropped off by a copy.
+    window of the sample's padded grid, which on each axis reaches
+    max(n + 2p, (o - 1)s + k).  The sum starts from ``seed[c]`` for channel
+    c (zero when None), so input rows that no window reads keep that value.
+    The result is a C-contiguous array: the padding, and the taps' rows past
+    in_sp, are cropped off by a copy.
     """
     c_out, c_in = geom.out_channels, geom.in_channels
     out_sp = g.shape[2:]
-    shape = (c_in, g.shape[1]) + tuple(n + 2 * p for n, p in zip(in_sp, geom.padding))
+    shape = (c_in, g.shape[1]) + tuple(
+        max(n + 2 * p, (o - 1) * s + k)
+        for n, p, o, s, k in zip(in_sp, geom.padding, out_sp, geom.stride, geom.kernel)
+    )
     if seed is None:
         d_pad = np.zeros(shape, g.dtype)
     else:
@@ -419,17 +426,23 @@ def _transposed(geom: ConvGeometry) -> ConvGeometry:
     return ConvGeometry(c_in, c_out, geom.kernel, geom.stride, geom.padding)
 
 
-def _deconv_fwd_b(xs, w, b, geom: ConvGeometry):
-    """Transposed conv of xs [C_in, B, *in_sp]: the adjoint of the conv
-    ``_transposed(geom)`` applied to xs, summed from the bias."""
-    out_sp = geom.deconv_output_shape(xs.shape[2:])
+def _deconv_fwd_b(xs, w, b, geom: ConvGeometry, out_sp):
+    """Transposed conv of xs [C_in, B, *in_sp] with output extents out_sp:
+    the adjoint of the conv ``_transposed(geom)`` applied to xs, summed from
+    the bias.  Taps that reach past out_sp are cropped, and outputs that no
+    tap reaches hold the bias."""
     return _conv_adjoint(xs, w, _transposed(geom), out_sp, seed=b)
 
 
 def _deconv_bwd_b(xs, w, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _deconv_fwd_b for input xs and output gradient g:
     the forward and weight gradient of the conv ``_transposed(geom)`` for
-    input g, from one gather of g's columns."""
+    input g, from one gather of g's columns.  A g cropped short of the
+    taps' reach is first zero-padded back to it, the crop's adjoint."""
+    reach = geom.deconv_output_shape(xs.shape[2:])
+    short = [(0, max(t - n, 0)) for t, n in zip(reach, g.shape[2:])]
+    if any(after for _, after in short):
+        g = np.pad(g, [(0, 0), (0, 0)] + short)
     d_xs, d_w = _gather_pass(g, _transposed(geom), xs.shape[2:], w if need_dx else None, xs)
     return d_w, g.reshape(geom.out_channels, -1).sum(axis=1), d_xs
 
@@ -454,4 +467,5 @@ def deconv3d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, geom:
     the output block starting at (s1*n - p1, s2*h - p2, s3*w - p3); overlaps sum."""
     _check_conv_args(x, weights, bias, geom, transposed=True)
     x64, w64, b64 = (a.astype(np.float64) for a in (x, weights, bias))
-    return _deconv_fwd_b(x64[:, None], w64, b64, geom)[:, 0].astype(np.float32)
+    out_sp = geom.deconv_output_shape(x.shape[1:])
+    return _deconv_fwd_b(x64[:, None], w64, b64, geom, out_sp)[:, 0].astype(np.float32)

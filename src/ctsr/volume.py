@@ -15,6 +15,7 @@ so save followed by load reproduces a volume bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,15 @@ from .tensor import Tensor, validate_shape
 
 class VolumeFormatError(ValueError):
     """Malformed header, truncated payload, or invalid dimensions."""
+
+
+def check_spacing(spacing) -> tuple[float, float, float]:
+    """``spacing`` as three floats; a ValueError unless each is positive and
+    finite."""
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be three positive finite values, got {spacing}")
+    return spacing
 
 
 @dataclass
@@ -36,9 +46,7 @@ class Volume:
     def __post_init__(self):
         if len(self.data.shape) != 3:
             raise ValueError(f"volume data must be [D, H, W], got shape {self.data.shape}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be three positive values, got {self.spacing}")
+        self.spacing = check_spacing(self.spacing)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -104,11 +112,9 @@ def deserialize_volume(buf: bytes) -> Volume:
         raise VolumeFormatError(str(err)) from err
     spacing_s = _header_fields(lines[2], "spacing", 3, 3)
     try:
-        spacing = tuple(float(v) for v in spacing_s)
+        spacing = check_spacing(spacing_s)
     except ValueError as err:
-        raise VolumeFormatError(f"non-numeric spacing {spacing_s}") from err
-    if any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise VolumeFormatError(f"spacing must be positive and finite, got {spacing}")
+        raise VolumeFormatError(f"bad spacing {spacing_s}: {err}") from err
     (dtype_s,) = _header_fields(lines[3], "dtype", 1, 4)
     if dtype_s != "f32le":
         raise VolumeFormatError(f"unsupported dtype {dtype_s!r} (only f32le)")

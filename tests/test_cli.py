@@ -96,6 +96,22 @@ class TestSimulate:
         assert "in-plane extents 2x2 too small for factor 3" in err
         assert not (tmp_path / "o" / "manifest.csv").exists()
 
+    def test_spacing_that_overflows_at_the_scale_is_data_error_naming_it(self, tmp_path,
+                                                                          capsys):
+        # 1e308 x 2 is inf, which no .svol reader accepts; the volume read
+        # before it leaves no output behind
+        hr_dir = tmp_path / "hr"
+        hr_dir.mkdir()
+        data = Tensor(np.full((2, 4, 4), 0.5, np.float32))
+        save_volume(Volume(data), hr_dir / "a.svol")
+        save_volume(Volume(data, (2.5, 1e308, 1e308)), hr_dir / "b.svol")
+        out = tmp_path / "o"
+        code = main(["simulate", str(hr_dir), "--out", str(out), "--scale", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(hr_dir / "b.svol") in err and "(2.5, inf, inf)" in err
+        assert list(out.iterdir()) == []
+
     def test_rerun_is_byte_identical(self, tmp_path, data_dir):
         out = tmp_path / "lr2"
         main(["simulate", str(data_dir), "--out", str(out), "--scale", "2"])
@@ -275,6 +291,21 @@ class TestInferEvaluate:
         assert main(["infer", str(trained), str(path), "--out", str(tmp_path / "x.svol")]) == 3
         err = capsys.readouterr().err
         assert "depth" in err and str(path) in err
+
+    def test_infer_spacing_that_underflows_is_data_error_before_the_network(
+        self, tmp_path, trained, capsys, monkeypatch
+    ):
+        # 5e-324 / 2 is 0.0, which no volume accepts
+        calls = []
+        monkeypatch.setattr(model, "infer_volume", lambda *a, **kw: calls.append(a))
+        lr_path = tmp_path / "lr.svol"
+        data = Tensor(np.full((3, 8, 8), 0.5, np.float32))
+        save_volume(Volume(data, (2.5, 5e-324, 5e-324)), lr_path)
+        out = tmp_path / "sr.svol"
+        assert main(["infer", str(trained), str(lr_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(lr_path) in err and "(2.5, 0.0, 0.0)" in err
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("tile", ["0", "-5"])
     def test_infer_nonpositive_tile_is_config_error(self, tmp_path, data_dir, trained, capsys,

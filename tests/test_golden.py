@@ -6,17 +6,17 @@ CRC32 of the ``infer_volume`` output.  A change to the engine or to the
 training and inference loops that moves any weight or output by one
 float32 ULP fails here.
 
-* k=5/r=2: the deconv trims one row/column (k - r odd); the C_out=4 conv and
-  the final conv take the narrow path, the transposed conv of the flipped
-  kernel; the first conv (C_out=8) takes the wide-layer im2col path (one
-  GEMM per sample over all taps, forward and backward), and so does the
-  deconv, whose conv has in-plane stride 2.
+* k=5/r=2: the deconv's taps reach one row/column past input x r (k - r
+  odd), which the engine crops and its backward zero-pads back; the
+  C_out=4 conv and the final conv take the narrow path, the transposed
+  conv of the flipped kernel; the first conv (C_out=8) takes the
+  wide-layer im2col path (one GEMM per sample over all taps, forward and
+  backward), and so does the deconv, whose conv has in-plane stride 2.
 * k=3/r=3: the paper's kernel/stride case, where the deconv kernel tiles
   the stride exactly.
-* k=3/r=4: a kernel smaller than the stride; the deconv output is one
-  row/column short, so the model appends a row and column holding the
-  bias (trim -1), crops them from the gradient and sums their gradient
-  into the bias's.
+* k=3/r=4: a kernel smaller than the stride; the deconv's taps stop one
+  row/column short of input x r, so the engine's last row and column,
+  which no tap reaches, hold the bias and count only in its gradient.
 
 The values hold for one and for two BLAS threads (OpenBLAS 0.3.31, x86-64
 Haswell kernels; the last test reruns every case with one thread); a BLAS

@@ -10,7 +10,6 @@ import pytest
 from ctsr import model, ops
 from ctsr.model import (
     ModelConfig,
-    _apply_trim,
     _backward_batch,
     _forward_batch,
     _layer_plan,
@@ -221,19 +220,23 @@ class TestForward:
         h = xs
         for i, layer in enumerate(params.layers):
             if layer.kind == "conv":
-                fwd_b, bwd_b = _conv_fwd_b, _conv_bwd_b
+                fwd_b, bwd_b, extents = _conv_fwd_b, _conv_bwd_b, ()
             else:
+                # k = r: the textbook extents are input x r
                 fwd_b, bwd_b = _deconv_fwd_b, _deconv_bwd_b
+                extents = (layer.geom.deconv_output_shape(h.shape[2:]),)
             w, b = layer.weights, layer.bias
-            out = fwd_b(h, w, b, layer.geom)
+            out = fwd_b(h, w, b, layer.geom, *extents)
             g = uniform_init(list(out.shape), -1, 1, rng)
             got = (out,) + bwd_b(h, w, layer.geom, g, True)
             f64 = [a.astype(np.float64) for a in (h, w, b, g)]
-            ref = (fwd_b(*f64[:3], layer.geom),) + bwd_b(*f64[:2], layer.geom, f64[3], True)
+            ref = (fwd_b(*f64[:3], layer.geom, *extents),) + bwd_b(
+                *f64[:2], layer.geom, f64[3], True
+            )
             for name, a, r in zip(("forward", "d_w", "d_b", "d_x"), got, ref):
                 assert a.dtype == np.float32 and r.dtype == np.float64
                 assert rel(a, r) <= 4e-6, (i, name)
-            h = np.maximum(_apply_trim(out, layer.trim_hw), 0)
+            h = np.maximum(out, 0)
 
     def test_float64_input_is_cast_to_float32(self):
         params = build_model(ModelConfig(**PAPER_CFG), Rng(6))
@@ -276,8 +279,9 @@ def _pre_activation(layer, h):
     """A layer's output before its ReLU, recomputed from its cached input."""
     if layer.kind == "conv":
         return _conv_fwd_b(h, layer.weights, layer.bias, layer.geom)
-    out = _deconv_fwd_b(h, layer.weights, layer.bias, layer.geom)
-    return _apply_trim(out, layer.trim_hw, layer.bias)
+    d, oh, ow = layer.geom.deconv_output_shape(h.shape[2:])
+    th, tw = layer.trim_hw
+    return _deconv_fwd_b(h, layer.weights, layer.bias, layer.geom, (d, oh - th, ow - tw))
 
 
 def _check_composite_gradient(cfg_kwargs, dtype, eps, tol, bias_range=(-0.1, 0.1)):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -57,6 +58,11 @@ def random_conv_case(rng, max_channels=3, max_kernel=3, strides=(1, 2)):
     return geom, x, w, b
 
 
+def _deconv_textbook_b(xs, w, b, geom):
+    """``_deconv_fwd_b`` at the textbook extents, ``geom.deconv_output_shape``."""
+    return _deconv_fwd_b(xs, w, b, geom, geom.deconv_output_shape(xs.shape[2:]))
+
+
 # The engine at B = 1 on float64 [C, D, H, W] arrays, for checks that need
 # more precision than the float32 public ops keep.
 
@@ -71,7 +77,7 @@ def _conv_bwd_f64(x, w, geom, d_out):
 
 
 def _deconv_f64(x, w, b, geom):
-    return _deconv_fwd_b(x[:, None], w, b, geom)[:, 0]
+    return _deconv_textbook_b(x[:, None], w, b, geom)[:, 0]
 
 
 def _deconv_bwd_f64(x, w, geom, d_out):
@@ -371,7 +377,7 @@ def _engine_case(rng, op, large=False):
     backward for it."""
     if op in ("narrow", "im2col", "few-wide"):
         return _conv_engine_case(rng, op, large) + (_conv_fwd_b, _conv_bwd_b)
-    return _deconv_engine_case(rng, op) + (_deconv_fwd_b, _deconv_bwd_b)
+    return _deconv_engine_case(rng, op) + (_deconv_textbook_b, _deconv_bwd_b)
 
 
 def _per_sample(oracle, x, w, b, geom):
@@ -409,7 +415,7 @@ class TestBatchedEngine:
             else:
                 assert all(k > s for k, s in zip(geom.kernel, geom.stride))
             assert min(geom.stride) > 1 and min(geom.padding) > 0
-            out = _deconv_fwd_b(x, w, b, geom)
+            out = _deconv_textbook_b(x, w, b, geom)
             assert _close(out, _per_sample(deconv3d_scatter_loops, x, w, b, geom))
 
     @pytest.mark.parametrize(
@@ -491,6 +497,85 @@ class TestBatchedEngine:
         ref = _conv_bwd_b(x, w, geom, g, True)
         assert d_x is None
         assert np.array_equal(d_w, ref[0]) and np.array_equal(d_b, ref[1])
+
+
+# Deconv geometries for the output-extent tests: the kernel in-plane below,
+# equal to and above the stride, the last with padding.
+_EXTENT_GEOMS = {
+    "k<r": ConvGeometry(2, 3, (1, 2, 3), (1, 3, 4), 0),
+    "k=r": ConvGeometry(2, 3, (1, 3, 3), (1, 3, 3), 0),
+    "k>r": ConvGeometry(2, 3, (1, 5, 4), (1, 2, 3), (0, 1, 1)),
+}
+
+
+def _extent_case(name, delta):
+    """(geometry, float64 input at B = 3, weights, bias, output extents):
+    the extents are the textbook ones with ``delta`` rows and columns more."""
+    geom = _EXTENT_GEOMS[name]
+    rng = Rng(970 + sorted(_EXTENT_GEOMS).index(name))
+    x = _f64_array((geom.in_channels, 3, 2, 3, 4), rng)
+    w = _f64_array(geom.weight_shape(True), rng)
+    b = _f64_array((geom.out_channels,), rng)
+    d, h, wd = geom.deconv_output_shape(x.shape[2:])
+    return geom, x, w, b, (d, h + delta, wd + delta)
+
+
+class TestDeconvExtents:
+    """``_deconv_fwd_b`` writes the output extents it is given: taps past
+    them are cropped, outputs that no tap reaches hold the bias, and the
+    backward is the adjoint of that."""
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("name", sorted(_EXTENT_GEOMS))
+    def test_forward_is_the_deposit_grid_cropped_or_bias_filled(self, name, delta):
+        """The output is the deconv's whole deposit grid (its textbook
+        output at padding zero) without the first p rows per axis, cut to
+        out_sp, and the bias past the last deposit.  At padding zero that is
+        the textbook output with rows cropped or bias rows appended."""
+        geom, x, w, b, out_sp = _extent_case(name, delta)
+        unpadded = ConvGeometry(geom.in_channels, geom.out_channels, geom.kernel, geom.stride)
+        full = _deconv_textbook_b(x, w, b, unpadded)
+        crop = tuple(slice(p, p + n) for p, n in zip(geom.padding, out_sp))
+        part = full[(slice(None),) * 2 + crop]
+        want = np.empty(full.shape[:2] + out_sp)
+        want[...] = b.reshape(-1, 1, 1, 1, 1)
+        want[(slice(None),) * 2 + tuple(slice(0, m) for m in part.shape[2:])] = part
+        assert np.array_equal(_deconv_fwd_b(x, w, b, geom, out_sp), want)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("name", sorted(_EXTENT_GEOMS))
+    def test_backward_is_adjoint_and_matches_finite_differences(self, name, delta):
+        geom, x, w, b, out_sp = _extent_case(name, delta)
+        y = _f64_array(geom.weight_shape(True)[1:2] + (3,) + out_sp, Rng(980))
+        d_w, d_b, d_x = _deconv_bwd_b(x, w, geom, y, True)
+        zero_b = np.zeros(geom.out_channels)
+        lhs = float(np.sum(_deconv_fwd_b(x, w, zero_b, geom, out_sp) * y))
+        assert abs(lhs - float(np.sum(x * d_x))) <= 1e-12 * max(abs(lhs), 1.0)
+
+        def loss(wv, bv):
+            return float(np.sum(_deconv_fwd_b(x, wv, bv, geom, out_sp) * y))
+
+        # the loss is linear in w and in b, so central differences are exact
+        # up to rounding
+        assert _close(d_w, central_difference(lambda v: loss(v, b), w, 1e-3), tol=1e-9)
+        assert _close(d_b, central_difference(lambda v: loss(w, v), b, 1e-3), tol=1e-9)
+
+    def test_k_equal_to_r_backward_copies_no_gradient(self):
+        """At k = r the output gradient reaches every tap as it is, so the
+        backward allocates less than one copy of it: the paper's L3
+        gradient is 18.9 MB a train step."""
+        geom = _EXTENT_GEOMS["k=r"]
+        rng = Rng(990)
+        x = _f64_array((geom.in_channels, 3, 1, 16, 16), rng)
+        w = _f64_array(geom.weight_shape(True), rng)
+        g = _f64_array((geom.out_channels, 3) + geom.deconv_output_shape((1, 16, 16)), rng)
+        tracemalloc.start()
+        try:
+            _deconv_bwd_b(x, w, geom, g, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nbytes / 2, f"traced {peak} bytes for a {g.nbytes}-byte gradient"
 
 
 def _paper_l1_case(rng):
@@ -653,7 +738,7 @@ _ENGINE_BITS = {
                     _conv_fwd_b, _conv_bwd_b, 2342407149,
                     (3490691374, 3040218800, 992137786), (3490691374, 3040218800, None)),
     "deconv": (ConvGeometry(4, 3, (1, 3, 3), (1, 2, 2), (0, 1, 1)), (2, 5, 6),
-               _deconv_fwd_b, _deconv_bwd_b, 126514482,
+               _deconv_textbook_b, _deconv_bwd_b, 126514482,
                (4110461869, 2739565004, 898009607), (4110461869, 2739565004, None)),
 }
 
@@ -676,7 +761,7 @@ class TestEngineBits:
         geom, in_sp, fwd_b, bwd_b, *want = _ENGINE_BITS[case]
         rng = Rng(990)
         x = _rand((geom.in_channels, 3) + in_sp, rng)
-        w = _rand(geom.weight_shape(fwd_b is _deconv_fwd_b), rng)
+        w = _rand(geom.weight_shape(fwd_b is _deconv_textbook_b), rng)
         b = _rand((geom.out_channels,), rng)
         out = fwd_b(x, w, b, geom)
         assert out.dtype == np.float32

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctsr.tensor import Rng, Tensor, uniform_init
 from ctsr.volume import (
@@ -36,6 +38,14 @@ class TestRoundTrip:
             back = deserialize_volume(serialize_volume(vol))
             assert back.spacing == vol.spacing
             assert np.array_equal(back.data.data, vol.data.data)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.floats(min_value=5e-324, allow_infinity=False)] * 3))
+    @example((5e-324, 1.7976931348623157e308, 1.0))
+    @example((1.7976931348623157e308, 5e-324, 5e-324))
+    def test_finite_positive_spacing_round_trips_exactly(self, spacing):
+        vol = Volume(Tensor(np.zeros((1, 1, 1), np.float32)), spacing)
+        assert deserialize_volume(serialize_volume(vol)).spacing == spacing
 
     def test_serialization_is_deterministic(self):
         a = serialize_volume(_random_volume(Rng(3)))
@@ -83,6 +93,12 @@ class TestFormatErrors:
         with pytest.raises(VolumeFormatError, match="spacing"):
             deserialize_volume(buf)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_spacing(self, value):
+        buf = f"SVOL 1\ndims 1 1 1\nspacing 1.0 {value} 1.0\ndtype f32le\n\n".encode()
+        with pytest.raises(VolumeFormatError, match="spacing"):
+            deserialize_volume(buf + b"\0" * 4)
+
 
 class TestVolumeType:
     def test_requires_3d(self):
@@ -92,6 +108,11 @@ class TestVolumeType:
     def test_requires_positive_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             Volume(Tensor(np.zeros((2, 2, 2), dtype=np.float32)), (1.0, -1.0, 1.0))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_requires_finite_spacing(self, value):
+        with pytest.raises(ValueError, match="spacing"):
+            Volume(Tensor(np.zeros((2, 2, 2), dtype=np.float32)), (1.0, value, 1.0))
 
 
 class TestPayloadCopies:
