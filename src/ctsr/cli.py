@@ -14,29 +14,31 @@ command alone decides its exit code:
   such a defect: every user input that can fail is checked and raised as
   one of the types above.
 
-Every CSV report is written by one writer (`_write_csv`, RFC 4180 quoting).
-Volumes and checkpoints are read through one reader (`_read_input`); the
-config file (`config.parse_config_file`) and the grid journal
-(`_read_journal`) have readers of their own, which raise the same types.
+Every CSV file is written by one writer (`_write_csv`, RFC 4180 quoting),
+the grid journal too: it is written when a sweep starts and rewritten whole,
+atomically, after each grid combination.  Volumes and checkpoints are read
+through one reader (`_read_input`); the config file
+(`config.parse_config_file`) and the grid journal (`_read_journal`) have
+readers of their own, which raise the same types.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import grid, metrics, model, pipeline, resample
 from .config import ConfigError, RunConfig, load_run_config
 from .tensor import NonFiniteError, Tensor
-from .volume import Volume, check_spacing, load_volume, serialize_volume
+from .volume import Volume, load_volume, serialize_volume, upsampled_spacing
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -50,23 +52,26 @@ class DataError(ValueError):
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """``path`` holds ``data``, or what it held before if the write fails."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    # the writer ends a row in "\r\n", so that it also quotes a field holding
+    # a bare "\r", where a reader would end the row; the text ends it in "\n"
+    lines = []
+    sink = SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n"))
+    csv.writer(sink, lineterminator="\r\n").writerows(rows)
+    return "".join(lines)
 
 
 def _write_csv(path: Path, rows) -> None:
-    _atomic_write_text(path, _csv_text(rows))
+    _atomic_write(path, _csv_text(rows).encode("utf-8"))
 
 
 def _read_input(path: Path, load, what: str):
@@ -200,9 +205,8 @@ def cmd_infer(args) -> int:
             f"checkpoint {args.checkpoint}: scale {r} makes a {out_shape} output of "
             f"{need} bytes, more than the {have} bytes of physical memory"
         )
-    dz, dy, dx = vol.spacing
     try:
-        check_spacing((dz, dy / r, dx / r))  # infer_volume's output spacing
+        upsampled_spacing(vol.spacing, r)  # infer_volume's output spacing
     except ValueError as err:
         raise DataError(f"volume {args.lr_volume} at scale {r} has an output {err}") from err
     sr = model.infer_volume(params, vol, tile_hw=args.tile)
@@ -349,6 +353,13 @@ def _read_journal(path: Path, settings: str) -> dict[str, tuple[float | None, st
     return entries
 
 
+def _write_journal(path: Path, entries: dict, settings: str) -> None:
+    """``_read_journal``'s entries under ``settings`` as a journal; the csv
+    module writes a float with repr and None as an empty field."""
+    rows = [[key, settings, psnr, err] for key, (psnr, err) in entries.items()]
+    _write_csv(path, [JOURNAL_HEADER, *rows])
+
+
 def cmd_gridsearch(args) -> int:
     run, train_vols, val_vols = _load_run(args, grid=True)
     settings = _journal_settings(run.model, run.grid_epochs)
@@ -360,18 +371,11 @@ def cmd_gridsearch(args) -> int:
     resumed = sum(cfg.key() in journal for cfg in run.grid.combinations(run.model))
     if resumed:
         print(f"resuming: {resumed} combination(s) already in {journal_path}")
-    if not journal_path.is_file() or journal_path.stat().st_size == 0:
-        journal_path.write_text(_csv_text([JOURNAL_HEADER]), encoding="utf-8", newline="")
-    elif not journal_path.read_bytes().endswith(b"\n"):
-        with open(journal_path, "a", newline="", encoding="utf-8") as fh:
-            fh.write("\n")  # a new row must not extend the last one
+    _write_journal(journal_path, journal, settings)
 
-    def journal_append(result: grid.GridResult) -> None:
-        # the csv module writes a float with repr and None as an empty field
-        row = [result.config.key(), settings, result.val_psnr, result.error or ""]
-        with open(journal_path, "a", newline="", encoding="utf-8") as fh:
-            fh.write(_csv_text([row]))
-            fh.flush()
+    def journal_result(result: grid.GridResult) -> None:
+        journal[result.config.key()] = (result.val_psnr, result.error or "")
+        _write_journal(journal_path, journal, settings)
 
     ranked = grid.grid_search(
         run.grid,
@@ -379,8 +383,8 @@ def cmd_gridsearch(args) -> int:
         train_vols,
         val_vols,
         epoch_budget=run.grid_epochs,
-        done=journal,
-        on_result=journal_append,
+        done=dict(journal),
+        on_result=journal_result,
     )
     ok = [r for r in ranked if r.val_psnr is not None]
     rows = [["rank", "config", "val_psnr", "error"]]

@@ -36,7 +36,7 @@ from .ops import ConvGeometry
 # not called here; benchmarks/tracing.py wraps them (see TestTracingContract)
 from .ops import conv3d_forward, deconv3d_forward  # noqa: F401
 from .tensor import NonFiniteError, Rng, Tensor, derive_seed, uniform_init
-from .volume import Volume
+from .volume import Volume, upsampled_spacing
 
 CHECKPOINT_MAGIC = b"3DECNN\0"
 CHECKPOINT_VERSION = 1
@@ -116,11 +116,9 @@ class ModelConfig:
                 f"filter counts must be <= {_U32_MAX} (u32s in the checkpoint), "
                 f"got {self.filters}"
             )
-        if not out:
-            need = 4 * sum(  # float32 weights and biases
-                c_in * c_out * math.prod(kernel) + c_out
-                for _, (c_in, c_out, kernel, *_), _ in _plan_args(self)
-            )
+        if not out:  # every geometry of the plan is valid: size its float32 parameters
+            need = 4 * sum(math.prod(g.weight_shape(kind == "deconv")) + g.out_channels
+                           for kind, g, _ in _layer_plan(self))
             have = physical_memory_bytes()
             if need > have:
                 out.append(
@@ -184,33 +182,27 @@ def physical_memory_bytes() -> int:
 
 
 def _layer_plan(cfg: ModelConfig) -> list[tuple[str, ConvGeometry, tuple[int, int]]]:
-    """Deterministic stack structure implied by a config."""
-    cfg.validate()
-    return [(kind, ConvGeometry(*args), trim) for kind, args, trim in _plan_args(cfg)]
-
-
-def _plan_args(cfg: ModelConfig) -> list[tuple[str, tuple, tuple[int, int]]]:
-    """``_layer_plan`` with each layer's ConvGeometry arguments (C_in, C_out,
-    kernel, stride, padding) in place of the geometry, unchecked: cheap
-    enough for ``ModelConfig.problems`` to size the parameters from it."""
+    """The stack structure of a config: (kind, geometry, in-plane trim) per
+    layer.  It takes a valid config and does not check it; ``problems``
+    calls it only once every other check has passed."""
     k, r = cfg.kernel, cfg.scale
-    same = (k - 1) // 2
+    same = (0, (k - 1) // 2, (k - 1) // 2)
     plan = []
     depth = cfg.feature_depth
     c_in = 1
     for i in range(cfg.conv_layers):
         kd = min(k, depth)
-        plan.append(("conv", (c_in, cfg.filters[i], (kd, k, k), 1, (0, same, same)), (0, 0)))
+        plan.append(("conv", ConvGeometry(c_in, cfg.filters[i], (kd, k, k), 1, same), (0, 0)))
         depth = depth - kd + 1
         c_in = cfg.filters[i]
     # transposed conv: upsample H,W by r, keep depth
     p_hw = max(0, (k - r) // 2)
     excess = k - r - 2 * p_hw  # 1 when k-r is odd, negative when k < r
-    args = (c_in, cfg.filters[cfg.conv_layers], (1, k, k), (1, r, r), (0, p_hw, p_hw))
-    plan.append(("deconv", args, (excess, excess)))
+    geom = ConvGeometry(c_in, cfg.filters[cfg.conv_layers], (1, k, k), (1, r, r), (0, p_hw, p_hw))
+    plan.append(("deconv", geom, (excess, excess)))
     c_in = cfg.filters[cfg.conv_layers]
     # final smoothing conv collapses the remaining depth into one slice
-    plan.append(("conv", (c_in, cfg.filters[-1], (depth, k, k), 1, (0, same, same)), (0, 0)))
+    plan.append(("conv", ConvGeometry(c_in, cfg.filters[-1], (depth, k, k), 1, same), (0, 0)))
     return plan
 
 
@@ -223,6 +215,7 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     per layer, which leaves plain SGD at small learning rates stuck at a
     mean predictor on desk-scale epoch budgets.
     """
+    cfg.validate()
     layers = []
     for kind, geom, trim in _layer_plan(cfg):
         bound = np.sqrt(6.0 / (geom.in_channels * math.prod(geom.kernel)))
@@ -470,6 +463,8 @@ def infer_volume(
     are blended by uniform averaging; output intensities are clipped to
     [0, 1].  Each tile runs through ``forward`` as a batch of one, whose
     wide convs the engine splits into row blocks on its thread pool.
+    ``tile_hw`` None is the patch size; a tile below one or an invalid
+    output spacing raises ValueError before any slice is computed.
     """
     cfg = params.config
     n, r = cfg.feature_depth, cfg.scale
@@ -477,7 +472,10 @@ def infer_volume(
     depth, h, w = vol.shape
     if depth < n:
         raise ValueError(f"volume depth {depth} < window depth {n}")
-    tile = min(tile_hw or cfg.patch_hw, h, w)
+    if tile_hw is not None and tile_hw < 1:
+        raise ValueError(f"tile_hw must be >= 1, got {tile_hw}")
+    spacing = upsampled_spacing(lr_volume.spacing, r)
+    tile = min(cfg.patch_hw if tile_hw is None else tile_hw, h, w)
     stride = max(1, tile // 2)
     half = n // 2
     out = np.empty((depth, h * r, w * r), dtype=np.float32)
@@ -498,8 +496,7 @@ def infer_volume(
                 acc[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += sr[0, 0]
         acc /= weight
         out[c] = np.clip(acc, 0.0, 1.0, out=acc)
-    dz, dy, dx = lr_volume.spacing
-    return Volume(Tensor(out), (dz, dy / r, dx / r))
+    return Volume(Tensor(out), spacing)
 
 
 def _pack_tensor(a: np.ndarray) -> bytes:
@@ -556,6 +553,7 @@ def deserialize_params(buf: bytes) -> ModelParams:
     filters, off = _read(f"<{nf}I", buf, off, "filters")
     cfg = ModelConfig(filters=filters, **dict(zip(_CONFIG_FIELDS, values)))
     (n_layers,), off = _read("<I", buf, off, "layer count")
+    cfg.validate()
     plan = _layer_plan(cfg)
     if n_layers != len(plan):
         raise ValueError(f"checkpoint has {n_layers} layers, config implies {len(plan)}")

@@ -145,28 +145,21 @@ class ConvGeometry:
         return (channels if transposed else channels[::-1]) + self.kernel
 
     def conv_output_shape(self, spatial: tuple[int, int, int]) -> tuple[int, int, int]:
-        out = []
-        for ax, (n, k, s, p) in enumerate(
-            zip(spatial, self.kernel, self.stride, self.padding)
-        ):
-            o = (n + 2 * p - k) // s + 1
-            if o < 1:
-                raise ValueError(
-                    f"conv output extent {o} on axis {ax} "
-                    f"(input {n}, kernel {k}, stride {s}, padding {p})"
-                )
-            out.append(o)
-        return tuple(out)
+        return self._output_shape("conv", spatial, lambda n, k, s, p: (n + 2 * p - k) // s + 1)
 
     def deconv_output_shape(self, spatial: tuple[int, int, int]) -> tuple[int, int, int]:
+        return self._output_shape("deconv", spatial, lambda n, k, s, p: (n - 1) * s + k - 2 * p)
+
+    def _output_shape(self, kind: str, spatial, extent) -> tuple[int, int, int]:
+        """Per axis, ``extent(input, kernel, stride, padding)``: the conv and
+        transposed-conv extents of Dumoulin & Visin (arXiv:1603.07285).  An
+        extent below one is a ValueError naming the axis."""
         out = []
-        for ax, (n, k, s, p) in enumerate(
-            zip(spatial, self.kernel, self.stride, self.padding)
-        ):
-            o = (n - 1) * s + k - 2 * p
+        for ax, (n, k, s, p) in enumerate(zip(spatial, self.kernel, self.stride, self.padding)):
+            o = extent(n, k, s, p)
             if o < 1:
                 raise ValueError(
-                    f"deconv output extent {o} on axis {ax} "
+                    f"{kind} output extent {o} on axis {ax} "
                     f"(input {n}, kernel {k}, stride {s}, padding {p})"
                 )
             out.append(o)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Tensor
-from .volume import Volume
+from .volume import Volume, check_spacing, upsampled_spacing
 
 CUBIC_A = -0.5
 
@@ -86,18 +86,17 @@ def downsample_axial(volume: Volume, r: int) -> Volume:
     Extents not divisible by r are center-cropped first."""
     if r < 2:
         raise ValueError(f"scale factor must be >= 2, got {r}")
+    dz, dy, dx = volume.spacing
+    spacing = check_spacing((dz, dy * r, dx * r))
     volume = center_crop_to_multiple(volume, r)
     d, h, w = volume.shape
-    data = _resample_planes(volume.data.data, h // r, w // r)
-    dz, dy, dx = volume.spacing
-    return Volume(Tensor(data), (dz, dy * r, dx * r))
+    return Volume(Tensor(_resample_planes(volume.data.data, h // r, w // r)), spacing)
 
 
 def bicubic_upsample(volume: Volume, r: int) -> Volume:
     """Enlarge each axial slice to (H*r, W*r); the baseline SR method."""
     if r < 2:
         raise ValueError(f"scale factor must be >= 2, got {r}")
+    spacing = upsampled_spacing(volume.spacing, r)
     d, h, w = volume.shape
-    data = _resample_planes(volume.data.data, h * r, w * r)
-    dz, dy, dx = volume.spacing
-    return Volume(Tensor(data), (dz, dy / r, dx / r))
+    return Volume(Tensor(_resample_planes(volume.data.data, h * r, w * r)), spacing)

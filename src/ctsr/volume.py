@@ -36,6 +36,12 @@ def check_spacing(spacing) -> tuple[float, float, float]:
     return spacing
 
 
+def upsampled_spacing(spacing, r: int) -> tuple[float, float, float]:
+    """``check_spacing`` of (dz, dy / r, dx / r): slices enlarged r times."""
+    dz, dy, dx = spacing
+    return check_spacing((dz, dy / r, dx / r))
+
+
 @dataclass
 class Volume:
     """Normalized intensities [D, H, W] plus mm-per-voxel spacing (dz, dy, dx)."""
@@ -104,12 +110,10 @@ def deserialize_volume(buf: bytes) -> Volume:
         dims = tuple(int(v) for v in dims_s)
     except ValueError as err:
         raise VolumeFormatError(f"non-integer dims {dims_s}") from err
-    if min(dims) < 1:
-        raise VolumeFormatError(f"dims must be >= 1, got {dims}")
     try:
         validate_shape(dims)
     except ValueError as err:
-        raise VolumeFormatError(str(err)) from err
+        raise VolumeFormatError(f"bad dims {dims_s}: {err}") from err
     spacing_s = _header_fields(lines[2], "spacing", 3, 3)
     try:
         spacing = check_spacing(spacing_s)

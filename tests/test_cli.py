@@ -1,13 +1,26 @@
+import ast
 import csv
 import dataclasses
+import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsr import cli, grid, metrics, model, pipeline
-from ctsr.cli import EXIT_INTERNAL, JOURNAL_HEADER, _csv_text, _journal_settings, main
+from ctsr.cli import (
+    EXIT_INTERNAL,
+    JOURNAL_HEADER,
+    _csv_text,
+    _journal_settings,
+    _read_journal,
+    _write_journal,
+    main,
+)
 from ctsr.config import load_run_config
 from ctsr.model import (
     ModelConfig,
@@ -801,6 +814,47 @@ class TestGridsearch:
         assert journal[:2] == [JOURNAL_HEADER, k1]
         assert [row[0] for row in journal[2:]] == ["n=3;l=1;f=(3,3,1);k=3;r=2"]
 
+    def test_resume_keeps_the_bytes_of_the_old_rows(self, tmp_path, data_dir):
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        base = cfg_path.read_text()
+        journal_path = run_dir / "gridsearch_journal.csv"
+        cfg_path.write_text(base + "grid_kernels = 1\ngrid_epochs = 1\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        old = journal_path.read_bytes()
+        cfg_path.write_text(base + "grid_kernels = 1,3,5\ngrid_epochs = 1\n")
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 0
+        assert journal_path.read_bytes().startswith(old)
+        assert [row[0] for row in _read_csv(journal_path)[1:]] == [
+            f"n=3;l=1;f=(3,3,1);k={k};r=2" for k in (1, 3, 5)
+        ]
+
+    def test_failed_journal_write_keeps_the_last_complete_journal(self, tmp_path, data_dir,
+                                                                  monkeypatch, capsys):
+        # the journal is written when the sweep starts and after each result;
+        # the write after the second result fails
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, epochs=2)
+        with open(cfg_path, "a") as fh:
+            fh.write("grid_kernels = 1,3,5\ngrid_epochs = 1\n")
+        journal_path = run_dir / "gridsearch_journal.csv"
+        written = []
+        real_write = cli._atomic_write
+
+        def failing_write(path, data):
+            if path == journal_path:
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device", str(path))
+                written.append(data)
+            real_write(path, data)
+
+        monkeypatch.setattr(cli, "_atomic_write", failing_write)
+        assert main(["gridsearch", "--config", str(cfg_path)]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert journal_path.read_bytes() == written[1]
+        assert [row[0] for row in _read_csv(journal_path)] == [
+            JOURNAL_HEADER[0], "n=3;l=1;f=(3,3,1);k=1;r=2"
+        ]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["gridsearch_journal.csv"]
+
     def test_results_file_ranks_like_rank_results(self, tmp_path, data_dir):
         # every combination already journaled, so the results file is ranked
         # from the journal alone: ok, tied and failed rows in scrambled order
@@ -877,6 +931,94 @@ class TestGridsearch:
         assert [row[3] for row in rows] == list(errors)
         # resumed from the journal alone, the outcome is the same
         assert main(["gridsearch", "--config", str(cfg_path)]) == code
+
+
+# journal text: the characters a key, a setting or an error text may hold
+# that CSV must quote or that the key syntax uses
+_JOURNAL_TEXT = st.text(st.sampled_from('ak1.,;()="\' \n\r'), max_size=10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    entries=st.dictionaries(
+        _JOURNAL_TEXT,
+        st.tuples(
+            st.one_of(st.none(), st.just(math.inf),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            _JOURNAL_TEXT,
+        ),
+        max_size=4,
+    ),
+    settings_text=_JOURNAL_TEXT,
+)
+def test_journal_round_trips(tmp_path_factory, entries, settings_text):
+    path = tmp_path_factory.mktemp("journal") / "gridsearch_journal.csv"
+    _write_journal(path, entries, settings_text)
+    assert _read_journal(path, settings_text) == entries
+
+
+def test_atomic_write_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"old\n")
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device", str(dst))
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli._atomic_write(path, b"new\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+class TestOneCsvWriter:
+    """``cli.py`` writes every CSV file, the grid journal included, as a
+    whole through ``_csv_text``: no file is opened for appending, and no
+    other function makes a csv writer."""
+
+    TREE = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+    def test_no_file_is_opened_for_appending(self):
+        modes = []
+        for node in ast.walk(self.TREE):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                positional = node.args[1:2]  # open(file, mode)
+            elif isinstance(func, ast.Attribute) and func.attr == "open":
+                positional = node.args[:1]  # Path.open(mode)
+            else:
+                continue
+            modes += positional + [kw.value for kw in node.keywords if kw.arg == "mode"]
+        assert all(isinstance(m, ast.Constant) and "a" not in m.value for m in modes)
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "O_APPEND"
+                       for node in ast.walk(self.TREE))
+
+    def test_csv_writer_is_made_only_in_csv_text(self):
+        def writers(tree):
+            return [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("writer", "DictWriter")
+                and isinstance(node.value, ast.Name) and node.value.id == "csv"
+            ]
+
+        (csv_text,) = [node for node in ast.walk(self.TREE)
+                       if isinstance(node, ast.FunctionDef) and node.name == "_csv_text"]
+        assert len(writers(csv_text)) == 1
+        assert len(writers(self.TREE)) == 1
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "csv"
+                       for node in ast.walk(self.TREE))
+
+
+def test_csv_text_quotes_a_bare_carriage_return(tmp_path):
+    # a reader ends a row at an unquoted "\r"
+    rows = [["a\rb", "c\r\nd", "e"], [], [""], ["x,y", 'q"u', None, 1.5]]
+    text = _csv_text(rows)
+    assert text == '"a\rb","c\r\nd",e\n\n""\n"x,y","q""u",,1.5\n'
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, rows)
+    assert _read_csv(path) == [["a\rb", "c\r\nd", "e"], [], [""], ["x,y", 'q"u', "", "1.5"]]
 
 
 class TestExitCodes:

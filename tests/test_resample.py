@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from ctsr import resample
 from ctsr.pipeline import gen_synthetic
 from ctsr.resample import (
     bicubic_upsample,
@@ -15,6 +16,18 @@ from ctsr.tensor import Rng, Tensor, uniform_init
 from ctsr.volume import Volume
 
 from oracles import nearest_upsample_plane
+
+
+def _count_resamples(monkeypatch):
+    calls = []
+    real = resample._resample_planes
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(resample, "_resample_planes", counting)
+    return calls
 
 
 def _ramp_volume(d=4, h=48, w=48):
@@ -54,6 +67,14 @@ class TestDownsample:
         vol = _ramp_volume()
         with pytest.raises(ValueError):
             downsample_axial(vol, 1)
+
+    def test_output_spacing_checked_before_resampling(self, monkeypatch):
+        # dy * r overflows to inf
+        calls = _count_resamples(monkeypatch)
+        vol = Volume(_ramp_volume().data, (1.0, 1e308, 1e308))
+        with pytest.raises(ValueError, match="spacing"):
+            downsample_axial(vol, 2)
+        assert calls == []
 
     def test_nondivisible_extent_center_cropped(self):
         vol = Volume(Tensor(np.zeros((2, 50, 49), dtype=np.float32)))
@@ -106,6 +127,14 @@ class TestUpsample:
     def test_r1_forbidden(self):
         with pytest.raises(ValueError):
             bicubic_upsample(_ramp_volume(), 1)
+
+    def test_output_spacing_checked_before_resampling(self, monkeypatch):
+        # dy / r underflows to zero
+        calls = _count_resamples(monkeypatch)
+        vol = Volume(_ramp_volume().data, (5e-324, 5e-324, 5e-324))
+        with pytest.raises(ValueError, match="spacing"):
+            bicubic_upsample(vol, 2)
+        assert calls == []
 
     def test_down_then_up_restores_extents(self):
         vol = Volume(Tensor(uniform_init([3, 48, 48], 0, 1, Rng(6))))
