@@ -28,6 +28,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -225,11 +226,15 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     return ModelParams(cfg, layers)
 
 
-def _check_patch(params: ModelParams, patch: np.ndarray) -> None:
+def _check_patch(params: ModelParams, patch: np.ndarray, stacked: bool = False) -> None:
+    """A window [1, n, h, w] for the model's depth n, or with ``stacked`` a
+    stack [B, n, h, w] of B >= 1 windows; anything else is a ValueError."""
     n = params.config.feature_depth
-    if patch.ndim != 4 or patch.shape[0] != 1 or patch.shape[1] != n:
+    windows_ok = patch.ndim == 4 and (patch.shape[0] >= 1 if stacked else patch.shape[0] == 1)
+    if not windows_ok or patch.shape[1] != n:
+        lead = "B" if stacked else "1"
         raise ValueError(
-            f"patch shape {patch.shape} incompatible with model (expected [1, {n}, h, w])"
+            f"patch shape {patch.shape} incompatible with model (expected [{lead}, {n}, h, w])"
         )
 
 
@@ -272,20 +277,21 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
 
 
 def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
-    """Super-resolve one window [1, n, h, w] of low-res slices into a single
-    float32 slice [1, 1, h*scale, w*scale].  The input is cast to float32
-    and must be finite there; the stack runs as ``_forward_batch`` of a
-    batch of one, in float32, so the slice is the bits that training's
-    validation computes for the same window.  With a batch of one, the
-    engine splits each wide conv's output rows into blocks on its thread
-    pool (``ops._gather_pass``), so a large window uses every CPU."""
+    """Super-resolve a stack of B windows [B, n, h, w] of low-res slices
+    into B float32 slices [B, 1, h*scale, w*scale].  The input is cast to
+    float32 and must be finite there; the stack runs as one
+    ``_forward_batch`` of B samples, in float32, so each slice is the bits
+    that the window gives alone and that training's validation computes for
+    it.  Each layer runs one pool task per window; on fewer windows than
+    CPUs the engine also splits each wide conv's output rows into blocks
+    (``ops._gather_pass``), so even one large window uses every CPU."""
     with np.errstate(over="ignore"):  # a value beyond float32 fails the check below
         x = np.asarray(lr_patch, np.float32)
-    _check_patch(params, x)
+    _check_patch(params, x, stacked=True)
     if not np.isfinite(x).all():
         raise NonFiniteError("non-finite input patch")
-    out, _ = _forward_batch(params, x[:, None], keep_caches=False)
-    return out[:, 0]
+    out, _ = _forward_batch(params, x[None], keep_caches=False)
+    return out[0]
 
 
 def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
@@ -461,8 +467,10 @@ def infer_volume(
     it (edge windows replicate the first/last slice).  Slices are processed
     as overlapping in-plane tiles (tile_hw, stride tile_hw/2) and overlaps
     are blended by uniform averaging; output intensities are clipped to
-    [0, 1].  Each tile runs through ``forward`` as a batch of one, whose
-    wide convs the engine splits into row blocks on its thread pool.
+    [0, 1].  A slice's tiles go through ``forward`` in stacks of one tile
+    per CPU, in row-major order, so that each layer runs one pool task per
+    tile; a tile's output is the same bits in any stack, and the overlaps
+    are summed in the same order.
     ``tile_hw`` None is the patch size; a tile below one or an invalid
     output spacing raises ValueError before any slice is computed.
     """
@@ -481,19 +489,19 @@ def infer_volume(
     out = np.empty((depth, h * r, w * r), dtype=np.float32)
     acc = np.empty((h * r, w * r), dtype=np.float64)
     weight = np.zeros((h * r, w * r), dtype=np.float64)
-    oys = _tile_origins(h, tile, stride)
-    oxs = _tile_origins(w, tile, stride)
-    for oy in oys:
-        for ox in oxs:
-            weight[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += 1.0
+    origins = list(product(_tile_origins(h, tile, stride), _tile_origins(w, tile, stride)))
+    for oy, ox in origins:
+        weight[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += 1.0
     for c in range(depth):
         idx = np.clip(np.arange(c - half, c + half + 1), 0, depth - 1)
         window = vol[idx]
         acc.fill(0.0)
-        for oy in oys:
-            for ox in oxs:
-                sr = forward(params, window[None, :, oy : oy + tile, ox : ox + tile])
-                acc[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += sr[0, 0]
+        for s0 in range(0, len(origins), ops._CPUS):
+            stack = origins[s0 : s0 + ops._CPUS]
+            sr = forward(params, np.stack([window[:, oy : oy + tile, ox : ox + tile]
+                                           for oy, ox in stack]))
+            for (oy, ox), tile_sr in zip(stack, sr):
+                acc[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += tile_sr[0]
         acc /= weight
         out[c] = np.clip(acc, 0.0, 1.0, out=acc)
     return Volume(Tensor(out), spacing)

@@ -39,19 +39,20 @@ and no sample's forward or input gradient depends on another sample.
 Per-sample loops on a thread pool.  The two primitives run one task per
 sample, and ``_each_sample`` runs their loop on a module thread pool, made
 on first use, with up to min(CPUs, tasks) tasks at once, when there is more
-than one task and each task's scratch matrix (the gather's K x N columns,
-or the rows x N of W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS`` = 2^18
-elements; otherwise on the calling thread.  Much of a wide layer's time is
-numpy's single-threaded, memory-bound gather and tap scatter, which a
-second BLAS thread does not speed up and a second task does, so the
+than one task and each task's whole scratch matrix (the gather's K x N
+columns, or the rows x N of W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS``
+= 2^18 elements; otherwise on the calling thread.  Much of a wide layer's
+time is numpy's single-threaded, memory-bound gather and tap scatter, which
+a second BLAS thread does not speed up and a second task does, so the
 package defaults BLAS to one thread (``ctsr/__init__.py``).  Below the
 cutoff the hand-off, and the narrow layers' per-tap Python loop contending
 for the GIL, cost the narrow layers more than they save; only the paper's
 L0 would gain, 2 ms a call.  Milliseconds per call on float32 arrays, the
 engine's dtype, at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs
-(medians of 15 calls, serial -> pooled; "zero" pools every loop):
+(medians of 15 calls, serial -> pooled, measured before the forward gather
+went in row chunks; "zero" pools every loop):
 
-    layer                   per-task scratch   forward          backward
+    layer                   per-task matrix    forward          backward
     paper L1 conv 64->64    1728 x 1024        106 -> 64        208 -> 126
     paper L2 conv 64->32     576 x 1024         21 -> 14         53 -> 32
     paper L3 deconv 32->32   288 x 1024         25 -> 16         23 -> 15
@@ -60,32 +61,51 @@ engine's dtype, at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs
     grid narrow conv k=5     100 x 1024   zero:  7 -> 10   zero:  5 -> 4
     grid narrow conv 4->1      9 x 4096   zero:  2 -> 4    zero:  1 -> 3
 
-Row blocks at B < CPUs.  Inference runs B = 1, so a float32 forward gather
-on fewer samples than CPUs splits each sample's output rows into up to
-CPUs // B blocks, one task each: a block of whole rows is a contiguous
-column range of cols_n, gathered into a block-sized scratch, and its task
-writes W @ those columns into its slice of out.  At B = 1 two half-size
-scratch matrices replace one whole one.  The paper's layers at B = 1, one
-32x32 tile, one BLAS thread, 2 vCPUs (medians of 41 calls, whole -> two
-blocks): L1 (1728 x 1024 -> 2 x 1728 x 512) 7.3 -> 4.3 ms; L0's blocks
-(27 x 2048) are below the cutoff, so it runs whole.  Every other pass keeps
-one task per sample: a d_w pass split by columns would regroup d_w's sum
-over them, the adjoint's tap windows overlap between positions, and a split
-of W's rows would pack the whole column matrix once per part.
+Row chunks.  A float32 forward gather (a pass without d_w) never builds a
+task's whole K x N columns: it gathers whole output rows at a time, as many
+as fit in ``_GATHER_CHUNK_ELEMENTS`` = 2^18 elements (1 MB, half of a 2 MB
+L2 cache), and multiplies them by W while they are still in cache.  At a
+32x32 tile the paper's L1 takes 4 rows (1728 x 128) and L2 14 rows
+(576 x 448).  Whole -> chunked, pooled, one BLAS thread, 2 vCPUs (medians
+of 41 and 15 calls): L1 forward 7.6 -> 6.3 ms at B = 2 and 56 -> 46 ms at
+B = 16; L2 2.1 -> 2.0 and 11.3 -> 10.9 ms.  The per-task scratch is one
+chunk, so a stack of B tiles costs B chunks, not B whole column matrices,
+which lets ``model.infer_volume`` run a slice's tiles one per CPU at a lower
+peak RSS than one tile at a time.  The d_w passes keep whole columns:
+chunking them would regroup d_w's sum.
+
+Row blocks at B < CPUs.  A float32 forward gather on fewer samples than
+CPUs (a lone inference tile, or a slice's last, short stack of tiles)
+splits each sample's output rows into up to CPUs // B blocks, one task
+each, when a block's whole columns reach the cutoff.  A block of whole rows
+is a contiguous column range of cols_n, and its task writes W @ those
+columns into its slice of out, chunk by chunk.  A sample of several chunks
+splits between chunks, so its GEMMs are the same chunks at any B and any
+block count; only a sample of one chunk, below the cutoff unless the cutoff
+is lowered, splits inside it.  Every other pass keeps one task per sample:
+a d_w pass split by columns would regroup d_w's sum over them, the
+adjoint's tap windows overlap between positions, and a split of W's rows
+would pack the whole column matrix once per part.
 
 The pooled results are the serial ones bit for bit: each sample's GEMM
 keeps its operands and shape (a GEMM element can depend on the extent of
 the other operand), each task writes only its own slices, and d_w is
-summed from zero in sample order on the calling thread.  Row blocks change
-a GEMM's column extent, so they keep its bits only where the column tiles
-of OpenBLAS's sgemm round alike; they did in every whole-row split of the
-paper's layers and in 296 of 296 float32 whole-row splits above the
-cutoff (K 27 to 1728, C_out 5 to 64, rows of 16 to 170 columns), but not
-in 126 of the same splits in float64, so float64 passes never split.
-Each task in flight beyond the first costs one more scratch matrix,
+summed from zero in sample order on the calling thread.  Chunks and row
+blocks change a GEMM's column extent, so they keep its bits only where the
+column tiles of OpenBLAS's sgemm round alike, which is found by test, not
+by 16-column alignment.  Row blocks did in every whole-row split of the
+paper's layers and in 296 of 296 float32 whole-row splits above the cutoff
+(K 27 to 1728, C_out 5 to 64, rows of 16 to 170 columns), but not in 126
+of the same splits in float64, so float64 passes never split or chunk.
+Chunks of the 2^18 rule keep the paper's whole-column bits at B = 1 and 2
+(``TestChunkedGather``, ``TestBatchedInference``); 1-row L2 chunks do not,
+and nor did 5-row L1 chunks counted from each row block's start, which
+moved 2913 outputs of the benchmark's inference fold by up to 2.2e-7.
+Each task in flight beyond the first costs one more scratch array,
 allocated by the caller, all in one block, so that no worker thread's
 malloc arena keeps it and glibc keeps the block's pages from call to
-call: 7 MB (1728 x 1024 float32) at the paper's L1.
+call: at the paper's L1 a 0.9 MB chunk (1728 x 128 float32) in the
+forward, and the whole 7 MB (1728 x 1024) in the d_w pass and the adjoint.
 """
 
 from __future__ import annotations
@@ -194,10 +214,15 @@ def _window(tap, stride, n_positions):
     return tuple(slice(t, t + s * n, s) for t, s, n in zip(tap, stride, n_positions))
 
 
-# A per-sample loop whose scratch matrix (a gather's columns, or the rows of
-# W^T @ G_n) has fewer elements than this runs on the calling thread; see the
+# A per-sample loop whose whole scratch matrix (a gather's columns, or the rows
+# of W^T @ G_n) has fewer elements than this runs on the calling thread; see the
 # module docstring for the measurements behind it.
 _POOL_MIN_ELEMENTS = 1 << 18
+# A float32 forward gather fills and multiplies its columns in chunks of whole
+# output rows of at most this many scratch elements (1 MB, half of a 2 MB L2
+# cache): the pool's cutoff, under a name of its own so that a test that moves
+# the cutoff to compare pooled with serial bits leaves the chunks as they are.
+_GATHER_CHUNK_ELEMENTS = _POOL_MIN_ELEMENTS
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = None  # made on first use, so that a process that never pools starts no thread
 
@@ -210,20 +235,22 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
 
 
-def _pools(n_tasks: int, scratch_shape) -> bool:
-    """Whether ``_each_sample`` runs ``n_tasks`` tasks with scratch arrays
-    of ``scratch_shape`` on the pool."""
-    return min(_CPUS, n_tasks) > 1 and math.prod(scratch_shape) >= _POOL_MIN_ELEMENTS
+def _pools(n_tasks: int, task_elements: int) -> bool:
+    """Whether ``_each_sample`` runs ``n_tasks`` tasks, each with a scratch
+    matrix of ``task_elements`` elements in all, on the pool."""
+    return min(_CPUS, n_tasks) > 1 and task_elements >= _POOL_MIN_ELEMENTS
 
 
-def _each_sample(task, n_tasks: int, scratch_shape, dtype):
+def _each_sample(task, n_tasks: int, task_elements: int, scratch_shape, dtype):
     """The results of ``task(n, scratch)`` for n = 0 .. n_tasks - 1, in
     task order, where scratch is an array of ``scratch_shape`` and
     ``dtype`` that the task may overwrite.
 
-    A task writes only its own slices of the output.  With one task, one
-    CPU or a scratch below ``_POOL_MIN_ELEMENTS`` elements the tasks run
-    here, one after another; otherwise on the module's thread pool, at most
+    A task writes only its own slices of the output.  ``task_elements`` is
+    the size of a task's whole scratch matrix, which a task may fill and
+    use one part of ``scratch`` at a time.  With one task, one CPU or
+    ``task_elements`` below ``_POOL_MIN_ELEMENTS`` the tasks run here, one
+    after another; otherwise on the module's thread pool, at most
     min(CPUs, n_tasks) at once.  The scratch arrays, one per task in
     flight, are allocated here in one block, so no worker thread allocates
     a large array and glibc keeps the block's pages between calls rather
@@ -233,7 +260,7 @@ def _each_sample(task, n_tasks: int, scratch_shape, dtype):
     ``errstate``, which is context-local, holds for it as it does here.
     """
     workers = min(_CPUS, n_tasks)
-    if not _pools(n_tasks, scratch_shape):
+    if not _pools(n_tasks, task_elements):
         scratch = np.empty(scratch_shape, dtype)
         return (task(n, scratch) for n in range(n_tasks))
     global _pool
@@ -297,12 +324,18 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     sum of other_n @ cols_n^T over samples for other [C_out, B, *out_sp];
     each is None when its operand is.
 
-    A float32 pass without ``other`` on fewer samples than CPUs splits
-    each sample's output rows (along its first axis with extent above one)
-    into up to CPUs // B blocks, one task each, when a block's columns
-    reach the pool's cutoff.  The axes before that one have extent one, so
-    a block of whole rows is a contiguous column range of cols_n, and its
-    task gathers just those columns and takes W @ them into its slice of out.
+    A float32 pass without ``other`` (the forward) fills and multiplies
+    each sample's columns in chunks of whole output rows, along its first
+    axis with extent above one: each chunk has as many rows as fit in
+    ``_GATHER_CHUNK_ELEMENTS`` scratch elements, at least one.  The axes
+    before that one have extent one, so a chunk is a contiguous column
+    range of cols_n, and W @ it goes into its slice of out while the chunk
+    is in cache.  On fewer samples than CPUs such a pass also splits each
+    sample's rows into up to CPUs // B blocks, one task each, when a
+    block's whole columns reach the pool's cutoff.  The blocks are runs of
+    whole chunks when the sample has several, so every chunk, and with it
+    every GEMM, is the same at any B; a sample of one chunk splits its rows.
+    Every other pass takes a sample's whole columns in one task.
     """
     if any(geom.padding):
         xs = np.pad(xs, ((0, 0), (0, 0)) + tuple((p, p) for p in geom.padding))
@@ -313,29 +346,38 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     k_rows = xs.shape[0] * math.prod(geom.kernel)
     ax = next((a for a, e in enumerate(out_sp) if e > 1), 0)
     rows, row_cols = out_sp[ax], math.prod(out_sp[ax + 1 :])
-    blocks = 1
-    if other is None and n_samples < _CPUS and xs.dtype == np.float32:
-        split = min(_CPUS // n_samples, rows)
-        if _pools(n_samples * split, (k_rows, -(-rows // split) * row_cols)):
-            blocks = split
-    cuts = [rows * i // blocks for i in range(blocks + 1)]
+    chunked = other is None and xs.dtype == np.float32
+    chunk = max(1, min(rows, _GATHER_CHUNK_ELEMENTS // (k_rows * row_cols))) if chunked else rows
+    n_chunks = -(-rows // chunk)
+    cuts, block_rows = [0, rows], rows
+    if chunked and n_samples < _CPUS:
+        # blocks of whole chunks, or of rows when the sample is one chunk
+        step, units = (chunk, n_chunks) if n_chunks > 1 else (1, rows)
+        split = min(_CPUS // n_samples, units)
+        widest = min(rows, step * -(-units // split))
+        if _pools(n_samples * split, k_rows * widest * row_cols):
+            cuts = [min(rows, step * (units * i // split)) for i in range(split + 1)]
+            block_rows = widest
+    blocks = len(cuts) - 1
     out = None if w is None else np.empty((c_out, n_samples) + tuple(out_sp), xs.dtype)
     out_cols = None if w is None else out.reshape(c_out, n_samples, -1)
     wm = None if w is None else w.reshape(c_out, -1)
 
     def task(t, scratch):
         n, part = divmod(t, blocks)
-        r0, r1 = cuts[part], cuts[part + 1]
-        src = win[:, n][(slice(None),) * (4 + ax) + (slice(r0, r1),)]
-        cols = scratch.reshape(-1)[: src.size].reshape(k_rows, -1)
-        np.copyto(cols.reshape(src.shape), src)
-        if w is not None:
-            np.matmul(wm, cols, out=out_cols[:, n, r0 * row_cols : r1 * row_cols])
+        for r0 in range(cuts[part], cuts[part + 1], chunk):
+            r1 = min(r0 + chunk, cuts[part + 1])
+            src = win[:, n][(slice(None),) * (4 + ax) + (slice(r0, r1),)]
+            cols = scratch.reshape(-1)[: src.size].reshape(k_rows, -1)
+            np.copyto(cols.reshape(src.shape), src)
+            if w is not None:
+                np.matmul(wm, cols, out=out_cols[:, n, r0 * row_cols : r1 * row_cols])
         return None if other is None else other[:, n].reshape(c_out, -1) @ cols.T
 
-    scratch_shape = (k_rows, -(-rows // blocks) * row_cols)
+    task_elements = k_rows * block_rows * row_cols
+    scratch_shape = (k_rows, min(chunk, block_rows) * row_cols)
     d_w = None if other is None else np.zeros((c_out, k_rows), xs.dtype)
-    for d_w_n in _each_sample(task, n_samples * blocks, scratch_shape, xs.dtype):
+    for d_w_n in _each_sample(task, n_samples * blocks, task_elements, scratch_shape, xs.dtype):
         if d_w is not None:
             d_w += d_w_n
     return out, None if d_w is None else d_w.reshape(geom.weight_shape(False))
@@ -374,7 +416,7 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
             d_pad_n[window] += d_cols[:, t]
 
     scratch_shape = (c_in * len(windows), math.prod(out_sp))
-    for _ in _each_sample(scatter, g.shape[1], scratch_shape, g.dtype):
+    for _ in _each_sample(scatter, g.shape[1], math.prod(scratch_shape), scratch_shape, g.dtype):
         pass
     crop = (slice(None),) * 2 + _window(geom.padding, (1, 1, 1), in_sp)
     return np.ascontiguousarray(d_pad[crop])

@@ -272,6 +272,27 @@ class TestForward:
         with pytest.raises(ValueError, match="incompatible"):
             forward(params, uniform_init([1, 3, 8, 8], 0, 1, Rng(1)))
 
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_stack_equals_separate_windows(self, batch, monkeypatch):
+        """A stack [B, n, h, w] gives each window the bits of its own
+        [1, n, h, w] call.  With two CPUs, B = 2 and B = 3 run one task per
+        window and B = 1 two row blocks per wide conv, and the paper's L1
+        and L2 gathers go in the same row chunks in each."""
+        monkeypatch.setattr(ops, "_CPUS", 2)
+        params = build_model(ModelConfig(**PAPER_CFG), Rng(9))
+        x = uniform_init([batch, 5, 32, 32], 0, 1, Rng(10))
+        out = forward(params, x)
+        assert out.shape == (batch, 1, 96, 96) and out.dtype == np.float32
+        for n in range(batch):
+            assert np.array_equal(out[n : n + 1], forward(params, x[n : n + 1])), n
+
+    @pytest.mark.parametrize("shape", [(5, 8, 8), (1, 1, 5, 8, 8), (2, 3, 8, 8), (0, 5, 8, 8)],
+                             ids=["rank 3", "rank 5", "depth 3", "no window"])
+    def test_wrong_stack_rejected(self, shape):
+        params = build_model(ModelConfig(**PAPER_CFG), Rng(0))
+        with pytest.raises(ValueError, match=r"incompatible .*expected \[B, 5, h, w\]"):
+            forward(params, np.zeros(shape, np.float32))
+
     def test_non_finite_input_is_named(self):
         # NaN, and a float64 value beyond float32, are the input's fault,
         # not the first layer's
@@ -601,6 +622,56 @@ class TestInferVolume:
         vol = Volume(Tensor(uniform_init([4, 8, 8], 0, 1, Rng(55))), (2.5, 1.4, 1.4))
         out = infer_volume(params, vol)
         assert out.spacing == (2.5, 0.7, 0.7)
+
+
+def _one_tile_at_a_time(params, vol, tile):
+    """``infer_volume``'s output, its tiles run through ``forward`` one at a
+    time and averaged in the same order."""
+    n, r = params.config.feature_depth, params.config.scale
+    data = vol.data.data
+    depth, h, w = data.shape
+    origins = [(oy, ox) for oy in model._tile_origins(h, tile, tile // 2)
+               for ox in model._tile_origins(w, tile, tile // 2)]
+    out = np.empty((depth, h * r, w * r), np.float32)
+    for c in range(depth):
+        window = data[np.clip(np.arange(c - n // 2, c + n // 2 + 1), 0, depth - 1)]
+        acc, weight = np.zeros((2, h * r, w * r))
+        for oy, ox in origins:
+            sr = forward(params, window[None, :, oy : oy + tile, ox : ox + tile])
+            acc[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += sr[0, 0]
+            weight[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += 1.0
+        out[c] = np.clip(acc / weight, 0.0, 1.0)
+    return out
+
+
+class TestBatchedInference:
+    def test_stacks_give_the_bits_of_one_tile_at_a_time(self, monkeypatch):
+        """The benchmark's paper checkpoint on a 5x64x64 volume: 9 tiles per
+        slice go through ``forward`` in stacks of 2, 2, 2, 2 and 1 on two
+        CPUs, and the output is, bit for bit, that of one tile at a time
+        with whole-column gathers (each L1 and L2 sample in two row blocks,
+        as before the gathers went in chunks).  The chunk rule must keep
+        every GEMM's bits: 5-row L1 chunks counted from each row block's
+        start, so that a short stack's tiles get other GEMMs than a full
+        stack's, move outputs here."""
+        monkeypatch.setattr(ops, "_CPUS", 2)
+        blob = (Path(__file__).parents[1] / "benchmarks" / "infer_paper.ckpt").read_bytes()
+        params = deserialize_params(blob)
+        vol = gen_synthetic("spheres", (16, 64, 64), seed=21)
+        vol = Volume(Tensor(vol.data.data[:5]), vol.spacing)
+        stacks = []
+        real_forward = model.forward
+
+        def spy(params, lr_patch):
+            stacks.append(len(lr_patch))
+            return real_forward(params, lr_patch)
+
+        monkeypatch.setattr(model, "forward", spy)
+        got = infer_volume(params, vol).data.data
+        assert stacks == [2, 2, 2, 2, 1] * 5
+        monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", math.inf)
+        want = _one_tile_at_a_time(params, vol, params.config.patch_hw)
+        assert np.array_equal(got, want), int((got != want).sum())
 
 
 class TestCheckpoint:

@@ -634,7 +634,7 @@ class TestThreadPool:
 
         results = []
         consumer = threading.Thread(
-            target=lambda: results.extend(ops._each_sample(task, 64, (4, 4), np.float32)))
+            target=lambda: results.extend(ops._each_sample(task, 64, 16, (4, 4), np.float32)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -660,7 +660,7 @@ class TestThreadPool:
             return n
 
         with pytest.raises(Boom):
-            list(ops._each_sample(task, 4, (2, 2), np.float32))
+            list(ops._each_sample(task, 4, 4, (2, 2), np.float32))
         assert any(name.startswith("ctsr-ops") for name in threads)
 
     def test_import_and_single_sample_forward_start_no_thread(self):
@@ -776,9 +776,9 @@ def _count_tasks(monkeypatch):
     counts = []
     each_sample = ops._each_sample
 
-    def spy(task, n_tasks, scratch_shape, dtype):
+    def spy(task, n_tasks, task_elements, scratch_shape, dtype):
         counts.append(n_tasks)
-        return each_sample(task, n_tasks, scratch_shape, dtype)
+        return each_sample(task, n_tasks, task_elements, scratch_shape, dtype)
 
     monkeypatch.setattr(ops, "_each_sample", spy)
     return counts
@@ -870,6 +870,50 @@ class TestSingleSampleBlocks:
         with np.errstate(over="ignore"):
             assert np.isposinf(_conv_fwd_b(x, w, b, geom)).all()
         assert counts == [2, 2]
+
+
+class TestChunkedGather:
+    """A float32 forward gather fills and multiplies each task's columns in
+    chunks of whole output rows of at most ``_GATHER_CHUNK_ELEMENTS``
+    scratch elements, while whether it pools still goes by a task's whole
+    columns; on the paper's layers the chunks keep the whole-column bits."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ops, "_CPUS", 2)
+
+    def test_paper_l1_scratch_is_one_chunk(self, monkeypatch):
+        geom, in_sp = _PAPER_B1["paper L1"]
+        rng = Rng(998)
+        x = _rand((64, 2) + in_sp, rng)
+        w = 0.1 * _rand(geom.weight_shape(False), rng)
+        calls = []
+        each_sample = ops._each_sample
+
+        def spy(task, n_tasks, task_elements, scratch_shape, dtype):
+            calls.append((n_tasks, task_elements, tuple(scratch_shape)))
+            return each_sample(task, n_tasks, task_elements, scratch_shape, dtype)
+
+        monkeypatch.setattr(ops, "_each_sample", spy)
+        _conv_fwd_b(x, w, _zeros(64), geom)
+        # one task per sample, pooled by its 1728 x 1024 columns, in
+        # 4-row chunks of 1728 x 128
+        assert calls == [(2, 1728 * 1024, (1728, 4 * 32))]
+        assert math.prod(calls[0][2]) <= 1 << 18
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_PAPER_B1))
+    def test_chunks_keep_the_whole_column_bits(self, case, batch, monkeypatch):
+        geom, in_sp = _PAPER_B1[case]
+        rng = Rng(999)
+        x = _rand((geom.in_channels, batch) + in_sp, rng)
+        w = 0.1 * _rand(geom.weight_shape(False), rng)
+        b = _rand((geom.out_channels,), rng)
+        outs = []
+        for chunk in (math.inf, ops._GATHER_CHUNK_ELEMENTS):
+            monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", chunk)
+            outs.append(_conv_fwd_b(x, w, b, geom))
+        assert np.array_equal(outs[1], outs[0])
 
 
 # Every (module, attribute) that benchmarks/tracing.py wraps, with the
