@@ -247,8 +247,8 @@ def _each_sample(task, n_tasks: int, task_elements: int, scratch_shape, dtype):
     ``dtype`` that the task may overwrite.
 
     A task writes only its own slices of the output.  ``task_elements`` is
-    the size of a task's whole scratch matrix, which a task may fill and
-    use one part of ``scratch`` at a time.  With one task, one CPU or
+    the size of a task's whole scratch matrix, which the task may fill
+    through ``scratch`` one part at a time.  With one task, one CPU or
     ``task_elements`` below ``_POOL_MIN_ELEMENTS`` the tasks run here, one
     after another; otherwise on the module's thread pool, at most
     min(CPUs, n_tasks) at once.  The scratch arrays, one per task in
