@@ -5,7 +5,8 @@ backpropagation, a bicubic baseline, PSNR/SSIM metrics, and a paired-t-test
 evaluation harness, driven by a small CLI.
 
 Importing the package makes one BLAS thread the default: the conv engine's
-thread pool (``ops._each_sample``) owns the CPUs, and a multi-threaded BLAS
+thread pool (``ops._each_task``), which runs the engine's per-sample loops
+and one task per inference tile, owns the CPUs, and a multi-threaded BLAS
 under it would oversubscribe them.  A value already set in
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` wins.
 The default has no effect when numpy was imported before ``ctsr``, since

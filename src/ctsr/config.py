@@ -1,6 +1,9 @@
 """Flat `key = value` run configuration files.
 
-One option per line, `#` starts a comment, keys are snake_case.  Parsing
+One option per line, keys are snake_case.  A line whose first non-blank
+character is `#` is a comment; a `#` anywhere else is part of the line, so
+a value may hold one (`data_dir = /scans#2`), and a comment after a value
+is part of the value, which a number then fails to parse as.  Parsing
 validates everything at once so a bad file reports every problem in a
 single pass instead of one error per run.
 """
@@ -30,8 +33,8 @@ def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     problems = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             problems.append(f"line {lineno}: expected 'key = value', got {raw!r}")

@@ -61,6 +61,12 @@ went in row chunks; "zero" pools every loop):
     grid narrow conv k=5     100 x 1024   zero:  7 -> 10   zero:  5 -> 4
     grid narrow conv 4->1      9 x 4096   zero:  2 -> 4    zero:  1 -> 3
 
+A pool task never pools: ``_each_task`` marks each pooled task in a context
+variable, and inside one ``_pools`` says no, so the task's engine loops run
+on its own thread rather than queue behind it, which would deadlock once
+every worker waited so.  A tile task of ``model.infer_volume`` thus runs its
+B = 1 forward in the chunks it has anywhere else, only not in row blocks.
+
 Row chunks.  A float32 forward gather (a pass without d_w) never builds a
 task's whole K x N columns: it gathers whole output rows at a time, as many
 as fit in ``_GATHER_CHUNK_ELEMENTS`` = 2^18 elements (1 MB, half of a 2 MB
@@ -69,23 +75,21 @@ L2 cache), and multiplies them by W while they are still in cache.  At a
 (576 x 448).  Whole -> chunked, pooled, one BLAS thread, 2 vCPUs (medians
 of 41 and 15 calls): L1 forward 7.6 -> 6.3 ms at B = 2 and 56 -> 46 ms at
 B = 16; L2 2.1 -> 2.0 and 11.3 -> 10.9 ms.  The per-task scratch is one
-chunk, so a stack of B tiles costs B chunks, not B whole column matrices,
-which lets ``model.infer_volume`` run a slice's tiles one per CPU at a lower
-peak RSS than one tile at a time.  The d_w passes keep whole columns:
-chunking them would regroup d_w's sum.
+chunk, so B samples in flight cost B chunks, not B whole column matrices.
+The d_w passes keep whole columns: chunking them would regroup d_w's sum.
 
 Row blocks at B < CPUs.  A float32 forward gather on fewer samples than
-CPUs (a lone inference tile, or a slice's last, short stack of tiles)
-splits each sample's output rows into up to CPUs // B blocks, one task
-each, when a block's whole columns reach the cutoff.  A block of whole rows
-is a contiguous column range of cols_n, and its task writes W @ those
-columns into its slice of out, chunk by chunk.  A sample of several chunks
-splits between chunks, so its GEMMs are the same chunks at any B and any
-block count; only a sample of one chunk, below the cutoff unless the cutoff
-is lowered, splits inside it.  Every other pass keeps one task per sample:
-a d_w pass split by columns would regroup d_w's sum over them, the
-adjoint's tap windows overlap between positions, and a split of W's rows
-would pack the whole column matrix once per part.
+CPUs, outside a pool task (a lone window, such as a slice that is one
+inference tile), splits each sample's output rows into up to CPUs // B
+blocks, one task each, when a block's whole columns reach the cutoff.  A
+block of whole rows is a contiguous column range of cols_n, and its task
+writes W @ those columns into its slice of out, chunk by chunk.  A sample
+of several chunks splits between chunks, so its GEMMs are the same chunks
+at any B and any block count; only a sample of one chunk, below the cutoff
+unless the cutoff is lowered, splits inside it.  Every other pass keeps
+one task per sample: a d_w pass split by columns would regroup d_w's sum
+over them, the adjoint's tap windows overlap between positions, and a
+split of W's rows would pack the whole column matrix once per part.
 
 The pooled results are the serial ones bit for bit: each sample's GEMM
 keeps its operands and shape (a GEMM element can depend on the extent of
@@ -235,10 +239,43 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
 
 
-def _pools(n_tasks: int, task_elements: int) -> bool:
-    """Whether ``_each_sample`` runs ``n_tasks`` tasks, each with a scratch
-    matrix of ``task_elements`` elements in all, on the pool."""
-    return min(_CPUS, n_tasks) > 1 and task_elements >= _POOL_MIN_ELEMENTS
+_in_pool_task = contextvars.ContextVar("ctsr_in_pool_task", default=False)
+
+
+def _pools(n_tasks: int, task_elements: float) -> bool:
+    """Whether ``n_tasks`` tasks, each with a scratch matrix of
+    ``task_elements`` elements in all, run on the pool: never in a pool
+    task, whose waiting on tasks queued behind it could deadlock."""
+    cleared = task_elements >= _POOL_MIN_ELEMENTS
+    return min(_CPUS, n_tasks) > 1 and cleared and not _in_pool_task.get()
+
+
+def _each_task(task, n_tasks: int):
+    """The results of ``task(n)`` for n = 0 .. n_tasks - 1, in task order:
+    on the module's thread pool, made on first use, at most min(CPUs,
+    n_tasks) at once, when ``_pools`` allows it with no cutoff; otherwise
+    here, one after another.  An exception in a task is raised here, with
+    its own type.  A pooled task runs in its own copy of the caller's
+    context, marked as a pool task, so numpy's ``errstate``, which is
+    context-local, holds for it as it does here.
+    """
+    if not _pools(n_tasks, math.inf):
+        return map(task, range(n_tasks))
+    global _pool
+    if _pool is None:
+        # imported here: concurrent.futures loads logging, 0.7 MB of RSS that
+        # a process which never pools (evaluation, one-tile inference) need not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ctsr-ops")
+
+    def run(n):
+        _in_pool_task.set(True)
+        return task(n)
+
+    # one context per task: two threads cannot enter the same context at once
+    contexts = [contextvars.copy_context() for _ in range(n_tasks)]
+    return _pool.map(lambda ctx, n: ctx.run(run, n), contexts, range(n_tasks))
 
 
 def _each_sample(task, n_tasks: int, task_elements: int, scratch_shape, dtype):
@@ -248,30 +285,19 @@ def _each_sample(task, n_tasks: int, task_elements: int, scratch_shape, dtype):
 
     A task writes only its own slices of the output.  ``task_elements`` is
     the size of a task's whole scratch matrix, which the task may fill
-    through ``scratch`` one part at a time.  With one task, one CPU or
-    ``task_elements`` below ``_POOL_MIN_ELEMENTS`` the tasks run here, one
-    after another; otherwise on the module's thread pool, at most
-    min(CPUs, n_tasks) at once.  The scratch arrays, one per task in
-    flight, are allocated here in one block, so no worker thread allocates
-    a large array and glibc keeps the block's pages between calls rather
-    than returning and faulting in each array.
-    An exception in a task is raised here, with its own type.  A pooled
-    task runs in its own copy of the caller's context, so numpy's
-    ``errstate``, which is context-local, holds for it as it does here.
+    through ``scratch`` one part at a time.  The tasks run here, one after
+    another, with one task, one CPU, ``task_elements`` below
+    ``_POOL_MIN_ELEMENTS`` or inside a pool task; otherwise ``_each_task``
+    runs them on the pool.  The scratch arrays, one per task in flight, are
+    allocated here in one block, so no worker thread allocates a large
+    array and glibc keeps the block's pages between calls rather than
+    returning and faulting in each array.
     """
-    workers = min(_CPUS, n_tasks)
     if not _pools(n_tasks, task_elements):
         scratch = np.empty(scratch_shape, dtype)
         return (task(n, scratch) for n in range(n_tasks))
-    global _pool
-    if _pool is None:
-        # imported here: concurrent.futures loads logging, 0.7 MB of RSS that
-        # a process which never pools (evaluation, small-tile inference) need not pay
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ctsr-ops")
     free = queue.SimpleQueue()
-    for scratch in np.empty((workers,) + tuple(scratch_shape), dtype):
+    for scratch in np.empty((min(_CPUS, n_tasks),) + tuple(scratch_shape), dtype):
         free.put(scratch)
 
     def run(n):
@@ -281,9 +307,7 @@ def _each_sample(task, n_tasks: int, task_elements: int, scratch_shape, dtype):
         finally:
             free.put(scratch)
 
-    # one context per task: two threads cannot enter the same context at once
-    contexts = [contextvars.copy_context() for _ in range(n_tasks)]
-    return _pool.map(lambda ctx, n: ctx.run(run, n), contexts, range(n_tasks))
+    return _each_task(run, n_tasks)
 
 
 # A conv with few output channels (the final smoothing conv) skips im2col of
@@ -331,10 +355,11 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     before that one have extent one, so a chunk is a contiguous column
     range of cols_n, and W @ it goes into its slice of out while the chunk
     is in cache.  On fewer samples than CPUs such a pass also splits each
-    sample's rows into up to CPUs // B blocks, one task each, when a
-    block's whole columns reach the pool's cutoff.  The blocks are runs of
-    whole chunks when the sample has several, so every chunk, and with it
-    every GEMM, is the same at any B; a sample of one chunk splits its rows.
+    sample's rows into up to CPUs // B blocks, one task each, when
+    ``_pools`` allows them by a block's whole columns.  The blocks are runs
+    of whole chunks when the sample has several, so every chunk, and with
+    it every GEMM, is the same at any B; a sample of one chunk splits its
+    rows.
     Every other pass takes a sample's whole columns in one task.
     """
     if any(geom.padding):

@@ -21,7 +21,8 @@ from ctsr.cli import (
     _write_journal,
     main,
 )
-from ctsr.config import load_run_config
+from ctsr.config import RunConfig, load_run_config
+from ctsr.grid import GridSpace
 from ctsr.model import (
     ModelConfig,
     build_model,
@@ -613,6 +614,19 @@ class TestConfig:
         assert "grid_epochs: must be >= 0, got -3" in err
         assert not run_dir.exists()
 
+    def test_hash_is_a_comment_only_at_the_start_of_a_line(self, tmp_path, data_dir, capsys):
+        """A `#` inside a value is kept, so the config names the directory
+        it says; a comment after a number makes it no number (exit 2)."""
+        hashed = tmp_path / "scans#2"
+        cfg_path, _ = _train_config(tmp_path, hashed)
+        with open(cfg_path, "a") as fh:
+            fh.write("   # an indented comment\n")
+        assert load_run_config(cfg_path).data_dir == str(hashed)
+        cfg_path, run_dir = _train_config(tmp_path, data_dir, lr="0.001 # note")
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "lr: expected a number, got '0.001 # note'" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_repeated_combination_is_config_error(self, tmp_path, data_dir, capsys):
         """A candidate listed twice would train and rank its combination
         twice, and a resume would journal it twice."""
@@ -955,6 +969,75 @@ def test_journal_round_trips(tmp_path_factory, entries, settings_text):
     path = tmp_path_factory.mktemp("journal") / "gridsearch_journal.csv"
     _write_journal(path, entries, settings_text)
     assert _read_journal(path, settings_text) == entries
+
+
+# a config value that is a path: printable ASCII, `#` and `=` as often as
+# the rest, and no blank at either end, which the reader strips
+_CONFIG_PATH = st.text(
+    st.one_of(st.sampled_from("#="), st.characters(min_codepoint=0x20, max_codepoint=0x7E)),
+    min_size=1, max_size=20,
+).filter(lambda text: text == text.strip())
+_ODD = st.sampled_from((1, 3, 5, 7))
+_U32 = st.integers(1, model._U32_MAX)
+
+
+@st.composite
+def _filters(draw, layers):
+    return (*draw(st.lists(st.integers(1, 64), min_size=layers + 1, max_size=layers + 1)), 1)
+
+
+@st.composite
+def _run_configs(draw):
+    """(config file text, grid mode, the RunConfig it holds): every
+    ModelConfig field, and val_pair_cap or every grid key, valid."""
+    layers = draw(st.integers(1, 3))
+    model_cfg = ModelConfig(
+        feature_depth=draw(_ODD), conv_layers=layers, filters=draw(_filters(layers)),
+        kernel=draw(_ODD), scale=draw(st.integers(2, 4)),
+        lr=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        seed=draw(st.integers(0, 2**64 - 1)), epochs=draw(_U32),
+        batch_size=draw(_U32), patch_hw=draw(_U32),
+    )
+    want = RunConfig(draw(_CONFIG_PATH), draw(_CONFIG_PATH), model_cfg)
+    options = {"data_dir": want.data_dir, "out_dir": want.out_dir}
+    for f in dataclasses.fields(ModelConfig):
+        value = getattr(model_cfg, f.name)
+        options[f.name] = ",".join(map(str, value)) if f.name == "filters" else repr(value)
+    grid_mode = draw(st.booleans())
+    if not grid_mode:
+        want.val_pair_cap = draw(st.integers(0, model._U32_MAX))
+        options["val_pair_cap"] = want.val_pair_cap
+    else:
+        # an empty candidate list is the base model's value, so the filter
+        # configs may be empty only where the base's conv count holds
+        grid_layers = draw(st.lists(st.integers(1, 3), max_size=1))
+        space = [
+            draw(st.lists(_ODD, unique=True, max_size=3)),
+            grid_layers,
+            draw(st.lists(_filters(grid_layers[0] if grid_layers else layers), unique=True,
+                          min_size=len(grid_layers), max_size=3)),
+            draw(st.lists(_ODD, unique=True, max_size=3)),
+        ]
+        options["grid_feature_depths"] = ",".join(map(str, space[0]))
+        options["grid_conv_layers"] = ",".join(map(str, space[1]))
+        options["grid_filter_configs"] = ";".join(",".join(map(str, f)) for f in space[2])
+        options["grid_kernels"] = ",".join(map(str, space[3]))
+        base = [[model_cfg.feature_depth], [layers], [model_cfg.filters], [model_cfg.kernel]]
+        want.grid = GridSpace(*(got or fallback for got, fallback in zip(space, base)))
+        epochs = draw(st.integers(0, 1000))
+        options["grid_epochs"] = epochs
+        want.grid_epochs = epochs or grid.default_epoch_budget(model_cfg)
+    text = "  # a comment\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+    return text, grid_mode, want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_run_configs())
+def test_valid_config_round_trips(tmp_path_factory, case):
+    text, grid_mode, want = case
+    path = tmp_path_factory.mktemp("config") / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert load_run_config(path, grid=grid_mode) == want
 
 
 def test_atomic_write_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):

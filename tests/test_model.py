@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -272,25 +273,12 @@ class TestForward:
         with pytest.raises(ValueError, match="incompatible"):
             forward(params, uniform_init([1, 3, 8, 8], 0, 1, Rng(1)))
 
-    @pytest.mark.parametrize("batch", [2, 3])
-    def test_stack_equals_separate_windows(self, batch, monkeypatch):
-        """A stack [B, n, h, w] gives each window the bits of its own
-        [1, n, h, w] call.  With two CPUs, B = 2 and B = 3 run one task per
-        window and B = 1 two row blocks per wide conv, and the paper's L1
-        and L2 gathers go in the same row chunks in each."""
-        monkeypatch.setattr(ops, "_CPUS", 2)
-        params = build_model(ModelConfig(**PAPER_CFG), Rng(9))
-        x = uniform_init([batch, 5, 32, 32], 0, 1, Rng(10))
-        out = forward(params, x)
-        assert out.shape == (batch, 1, 96, 96) and out.dtype == np.float32
-        for n in range(batch):
-            assert np.array_equal(out[n : n + 1], forward(params, x[n : n + 1])), n
-
-    @pytest.mark.parametrize("shape", [(5, 8, 8), (1, 1, 5, 8, 8), (2, 3, 8, 8), (0, 5, 8, 8)],
-                             ids=["rank 3", "rank 5", "depth 3", "no window"])
+    @pytest.mark.parametrize(
+        "shape", [(5, 8, 8), (1, 1, 5, 8, 8), (2, 3, 8, 8), (0, 5, 8, 8), (2, 5, 8, 8)],
+        ids=["rank 3", "rank 5", "depth 3", "no window", "two windows"])
     def test_wrong_stack_rejected(self, shape):
         params = build_model(ModelConfig(**PAPER_CFG), Rng(0))
-        with pytest.raises(ValueError, match=r"incompatible .*expected \[B, 5, h, w\]"):
+        with pytest.raises(ValueError, match=r"incompatible .*expected \[1, 5, h, w\]"):
             forward(params, np.zeros(shape, np.float32))
 
     def test_non_finite_input_is_named(self):
@@ -644,34 +632,94 @@ def _one_tile_at_a_time(params, vol, tile):
     return out
 
 
+@pytest.fixture
+def own_pool(monkeypatch):
+    """Two CPUs and a pool of this test's own, shut down after it."""
+    monkeypatch.setattr(ops, "_CPUS", 2)
+    monkeypatch.setattr(ops, "_pool", None)
+    yield
+    if ops._pool is not None:
+        ops._pool.shutdown(cancel_futures=True)
+
+
+def _spy_forward(monkeypatch):
+    """(windows, thread name) of every ``model.forward`` call from now on."""
+    calls = []
+    real_forward = model.forward
+
+    def spy(params, lr_patch):
+        calls.append((len(lr_patch), threading.current_thread().name))
+        return real_forward(params, lr_patch)
+
+    monkeypatch.setattr(model, "forward", spy)
+    return calls
+
+
+def _paper_volume(hw):
+    """The benchmark's paper checkpoint, and 5 slices of a spheres volume."""
+    blob = (Path(__file__).parents[1] / "benchmarks" / "infer_paper.ckpt").read_bytes()
+    vol = gen_synthetic("spheres", (16, hw, hw), seed=21)
+    return deserialize_params(blob), Volume(Tensor(vol.data.data[:5]), vol.spacing)
+
+
 class TestBatchedInference:
-    def test_stacks_give_the_bits_of_one_tile_at_a_time(self, monkeypatch):
-        """The benchmark's paper checkpoint on a 5x64x64 volume: 9 tiles per
-        slice go through ``forward`` in stacks of 2, 2, 2, 2 and 1 on two
-        CPUs, and the output is, bit for bit, that of one tile at a time
-        with whole-column gathers (each L1 and L2 sample in two row blocks,
-        as before the gathers went in chunks).  The chunk rule must keep
-        every GEMM's bits: 5-row L1 chunks counted from each row block's
-        start, so that a short stack's tiles get other GEMMs than a full
-        stack's, move outputs here."""
-        monkeypatch.setattr(ops, "_CPUS", 2)
-        blob = (Path(__file__).parents[1] / "benchmarks" / "infer_paper.ckpt").read_bytes()
-        params = deserialize_params(blob)
-        vol = gen_synthetic("spheres", (16, 64, 64), seed=21)
-        vol = Volume(Tensor(vol.data.data[:5]), vol.spacing)
-        stacks = []
-        real_forward = model.forward
+    """``infer_volume`` runs a slice's tiles one pool task each, every task
+    one ``forward`` of one window, and its output is the bits of one tile
+    at a time on the calling thread."""
 
-        def spy(params, lr_patch):
-            stacks.append(len(lr_patch))
-            return real_forward(params, lr_patch)
-
-        monkeypatch.setattr(model, "forward", spy)
+    def test_tile_tasks_give_the_bits_of_one_tile_at_a_time(self, own_pool, monkeypatch):
+        """A 5x64x64 volume: 9 tiles per slice on two CPUs.  The reference
+        runs each tile on the calling thread with whole-column gathers, each
+        L1 and L2 sample in two row blocks (as before the gathers went in
+        chunks); a tile task runs its gathers in row chunks and in no row
+        block.  So the chunk rule must keep every GEMM's bits: 5-row L1
+        chunks counted from each row block's start moved outputs here."""
+        params, vol = _paper_volume(64)
+        calls = _spy_forward(monkeypatch)
         got = infer_volume(params, vol).data.data
-        assert stacks == [2, 2, 2, 2, 1] * 5
+        assert [windows for windows, _ in calls] == [1] * 9 * 5
+        workers = {name for _, name in calls}
+        assert len(workers) >= 2 and all(name.startswith("ctsr-ops") for name in workers)
         monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", math.inf)
         want = _one_tile_at_a_time(params, vol, params.config.patch_hw)
         assert np.array_equal(got, want), int((got != want).sum())
+
+    def test_one_tile_per_slice_keeps_the_engines_row_blocks(self, own_pool, monkeypatch):
+        """A 5x32x32 volume is one tile per slice: it runs on the calling
+        thread, and the engine splits its wide convs' rows into blocks on
+        the pool, giving the whole-column bits."""
+        params, vol = _paper_volume(32)
+        calls = _spy_forward(monkeypatch)
+        tasks = []
+        each_sample = ops._each_sample
+
+        def count(task, n_tasks, *args):
+            tasks.append(n_tasks)
+            return each_sample(task, n_tasks, *args)
+
+        monkeypatch.setattr(ops, "_each_sample", count)
+        got = infer_volume(params, vol).data.data
+        assert calls == [(1, threading.current_thread().name)] * 5
+        assert 2 in tasks
+        monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", math.inf)
+        want = _one_tile_at_a_time(params, vol, params.config.patch_hw)
+        assert np.array_equal(got, want), int((got != want).sum())
+
+    def test_overflow_in_a_tile_task_names_the_layer(self, own_pool, monkeypatch):
+        """The overflow of ``TestInferVolume`` on a slice of 9 tiles: a tile
+        task raises NonFiniteError naming the layer, and no RuntimeWarning
+        escapes from a worker."""
+        params = build_model(ModelConfig(**TINY_CFG), Rng(56))
+        for idx, value in ((0, 1e20), (1, -1e20)):
+            shape = params.layers[idx].weights.shape
+            params.layers[idx].weights = np.full(shape, value, dtype=np.float32)
+        vol = Volume(Tensor(np.ones((3, 12, 12), dtype=np.float32)))
+        calls = _spy_forward(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="layer 1"):
+                infer_volume(params, vol)
+        assert calls and all(name.startswith("ctsr-ops") for _, name in calls)
 
 
 class TestCheckpoint:

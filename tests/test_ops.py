@@ -663,11 +663,47 @@ class TestThreadPool:
             list(ops._each_sample(task, 4, 4, (2, 2), np.float32))
         assert any(name.startswith("ctsr-ops") for name in threads)
 
+    def test_a_pool_task_never_pools(self, monkeypatch):
+        """Four outer tasks on two workers, each running a loop of three
+        inner tasks through ``_each_sample`` itself, every loop above the
+        cutoff.  Had a task queued its loop behind itself on the pool and
+        waited, both workers would wait for ever; each inner loop runs on
+        its outer task's thread instead, and gives the serial results."""
+        monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(ops, "_CPUS", 2)
+        monkeypatch.setattr(ops, "_pool", None)
+        w = Rng(971).next_floats(16).reshape(4, 4).astype(np.float32)
+
+        def inner(n, scratch):
+            scratch[...] = w + n
+            return threading.current_thread().name, scratch @ w
+
+        def outer(m, scratch):
+            return threading.current_thread().name, list(
+                ops._each_sample(inner, 3, 16, (4, 4), np.float32))
+
+        results = []
+        consumer = threading.Thread(
+            target=lambda: results.extend(ops._each_sample(outer, 4, 16, (1,), np.float32)))
+        consumer.start()
+        consumer.join(timeout=60)
+        hung = consumer.is_alive()
+        # cancelling the queued tasks frees workers that wait on them
+        ops._pool.shutdown(cancel_futures=True)
+        assert not hung
+        assert len(results) == 4
+        for thread, loop in results:
+            assert thread.startswith("ctsr-ops")
+            for n, (inner_thread, got) in enumerate(loop):
+                assert inner_thread == thread
+                assert np.array_equal(got, (w + n) @ w)
+
     def test_import_and_single_sample_forward_start_no_thread(self):
         """At the default cutoff, a B = 1 forward whose blocks are below it
-        (``forward`` of a small window, so ``infer_volume`` on small tiles)
-        starts no thread, and the package, CLI included, loads no test-only
-        package: numpy is its one runtime dependency.  Checked in a fresh
+        (``forward`` of a small window, so ``infer_volume`` on a volume of
+        one small tile per slice; more tiles run on the pool) starts no
+        thread, and the package, CLI included, loads no test-only package:
+        numpy is its one runtime dependency.  Checked in a fresh
         interpreter, since this one has the pool and the test tools."""
         code = (
             "import sys, threading\n"
@@ -675,12 +711,15 @@ class TestThreadPool:
             "import numpy as np\n"
             "import ctsr.cli\n"
             "from ctsr import ops\n"
-            "from ctsr.model import ModelConfig, build_model, forward\n"
-            "from ctsr.tensor import Rng\n"
+            "from ctsr.model import ModelConfig, build_model, forward, infer_volume\n"
+            "from ctsr.tensor import Rng, Tensor\n"
+            "from ctsr.volume import Volume\n"
             "ops._CPUS = max(ops._CPUS, 2)\n"
             "cfg = ModelConfig(feature_depth=3, conv_layers=1, filters=(6, 4, 1), kernel=3,\n"
             "                  scale=3, patch_hw=6)\n"
-            "forward(build_model(cfg, Rng(1)), np.ones((1, 3, 6, 6), np.float32))\n"
+            "params = build_model(cfg, Rng(1))\n"
+            "forward(params, np.ones((1, 3, 6, 6), np.float32))\n"
+            "infer_volume(params, Volume(Tensor(np.ones((4, 6, 6), np.float32))))\n"
             "assert threading.active_count() == before, threading.enumerate()\n"
             "assert ops._pool is None\n"
             "roots = {name.partition('.')[0] for name in sys.modules}\n"
