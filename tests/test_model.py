@@ -478,6 +478,26 @@ class TestTrain:
             train(cfg, pairs, pairs[:1])
 
 
+@pytest.fixture
+def own_pool(monkeypatch):
+    """Two CPUs and a pool of this test's own, shut down after it."""
+    monkeypatch.setattr(ops, "_CPUS", 2)
+    monkeypatch.setattr(ops, "_pool", None)
+    yield
+    if ops._pool is not None:
+        ops._pool.shutdown(cancel_futures=True)
+
+
+def _overflowing_params():
+    """The tiny model with weights whose deconv output (about -1e41)
+    overflows float32: layer 1 fails."""
+    params = build_model(ModelConfig(**TINY_CFG), Rng(56))
+    for idx, value in ((0, 1e20), (1, -1e20)):
+        shape = params.layers[idx].weights.shape
+        params.layers[idx].weights = np.full(shape, value, dtype=np.float32)
+    return params
+
+
 class TestInferVolume:
     def _trained_params(self):
         cfg = ModelConfig(
@@ -537,37 +557,24 @@ class TestInferVolume:
         assert out.shape[0] == 4  # slice count preserved
 
     def test_non_finite_layer_output_is_an_error(self):
-        # the deconv output (about -1e41) overflows float32; ReLU would turn
-        # the -inf into zeros and the slice would come out silently black
-        params = build_model(ModelConfig(**TINY_CFG), Rng(56))
-        for idx, value in ((0, 1e20), (1, -1e20)):
-            shape = params.layers[idx].weights.shape
-            params.layers[idx].weights = np.full(shape, value, dtype=np.float32)
+        # ReLU would turn the -inf into zeros and the slice would come out
+        # silently black
+        params = _overflowing_params()
         vol = Volume(Tensor(np.ones((3, 6, 6), dtype=np.float32)))
         with pytest.raises(NonFiniteError, match="layer 1"):
             infer_volume(params, vol)
 
-    def test_overflow_on_the_pool_is_an_error_not_a_warning(self, monkeypatch):
+    def test_overflow_on_the_pool_is_an_error_not_a_warning(self, own_pool, monkeypatch):
         # the same overflow as above in a batch of two with every per-sample
         # loop on the engine's pool: the layer's errstate must hold in the
         # pool's threads too, or the overflow escapes as a RuntimeWarning
         monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
-        monkeypatch.setattr(ops, "_CPUS", max(ops._CPUS, 2))
-        monkeypatch.setattr(ops, "_pool", None)
-        params = build_model(ModelConfig(**TINY_CFG), Rng(56))
-        for idx, value in ((0, 1e20), (1, -1e20)):
-            shape = params.layers[idx].weights.shape
-            params.layers[idx].weights = np.full(shape, value, dtype=np.float32)
         xs = np.ones((1, 2, 3, 6, 6), dtype=np.float32)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NonFiniteError, match="layer 1"):
-                    _forward_batch(params, xs, keep_caches=False)
-            assert ops._pool is not None  # the layers ran on the pool
-        finally:
-            if ops._pool is not None:
-                ops._pool.shutdown()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="layer 1"):
+                _forward_batch(_overflowing_params(), xs, keep_caches=False)
+        assert ops._pool is not None  # the layers ran on the pool
 
     def test_volume_thinner_than_window_rejected(self):
         params, cfg = self._trained_params()
@@ -630,16 +637,6 @@ def _one_tile_at_a_time(params, vol, tile):
             weight[oy * r : (oy + tile) * r, ox * r : (ox + tile) * r] += 1.0
         out[c] = np.clip(acc / weight, 0.0, 1.0)
     return out
-
-
-@pytest.fixture
-def own_pool(monkeypatch):
-    """Two CPUs and a pool of this test's own, shut down after it."""
-    monkeypatch.setattr(ops, "_CPUS", 2)
-    monkeypatch.setattr(ops, "_pool", None)
-    yield
-    if ops._pool is not None:
-        ops._pool.shutdown(cancel_futures=True)
 
 
 def _spy_forward(monkeypatch):
@@ -709,16 +706,12 @@ class TestBatchedInference:
         """The overflow of ``TestInferVolume`` on a slice of 9 tiles: a tile
         task raises NonFiniteError naming the layer, and no RuntimeWarning
         escapes from a worker."""
-        params = build_model(ModelConfig(**TINY_CFG), Rng(56))
-        for idx, value in ((0, 1e20), (1, -1e20)):
-            shape = params.layers[idx].weights.shape
-            params.layers[idx].weights = np.full(shape, value, dtype=np.float32)
         vol = Volume(Tensor(np.ones((3, 12, 12), dtype=np.float32)))
         calls = _spy_forward(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="layer 1"):
-                infer_volume(params, vol)
+                infer_volume(_overflowing_params(), vol)
         assert calls and all(name.startswith("ctsr-ops") for _, name in calls)
 
 
