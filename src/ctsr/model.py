@@ -297,25 +297,27 @@ def _backward_batch(params: ModelParams, caches, d_out: np.ndarray):
     """Batched adjoint of _forward_batch; returns per-layer (d_w, d_b) in the
     batch's dtype.
 
-    It consumes ``caches``: each entry is set to None once its layer input
-    has been read for the last time (as the layer's input, then as the ReLU
-    mask of the layer below), so the activations are freed as the pass goes
-    down the stack.  The mask is applied to the gradient in place.  As in
-    the forward, overflow raises no warning: a gradient that is not finite
-    fails ``sgd_step``'s check, which names the layer.
+    It consumes ``caches``: each cached input above the first becomes the
+    gradient of the layer below, which the engine writes into its memory,
+    and each entry is set to None once read, so no activation is held twice
+    and the activations are freed as the pass goes down the stack.  Before
+    that, a layer's input gives the layer below its ReLU mask, as a bool
+    array, which is applied to the gradient in place.  As in the forward,
+    overflow raises no warning: a gradient that is not finite fails
+    ``sgd_step``'s check, which names the layer.
     """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     g = d_out
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(len(params.layers))):
             layer, x_in = params.layers[i], caches[i]
-            if i + 1 < len(caches):  # the next layer's input is this one's ReLU mask
-                np.copyto(g, 0.0, where=caches[i + 1] <= 0)
-                caches[i + 1] = None
+            caches[i] = None
+            dead = x_in <= 0 if i > 0 else None  # the layer below's ReLU mask
             bwd_b = ops._conv_bwd_b if layer.kind == "conv" else ops._deconv_bwd_b
             d_w, d_b, g = bwd_b(x_in, layer.weights, layer.geom, g, i > 0)
+            if dead is not None:
+                np.copyto(g, 0.0, where=dead)
             grads[i] = (d_w, d_b)
-    caches[0] = None
     return grads
 
 

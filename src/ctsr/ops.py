@@ -76,7 +76,24 @@ L2 cache), and multiplies them by W while they are still in cache.  At a
 of 41 and 15 calls): L1 forward 7.6 -> 6.3 ms at B = 2 and 56 -> 46 ms at
 B = 16; L2 2.1 -> 2.0 and 11.3 -> 10.9 ms.  The per-task scratch is one
 chunk, so B samples in flight cost B chunks, not B whole column matrices.
-The d_w passes keep whole columns: chunking them would regroup d_w's sum.
+
+Channel chunks.  A row chunk would split d_w's sum over positions, so a
+float32 d_w pass (a gather without W) chunks cols_n by whole input channels
+instead: it gathers as many channels' rows as fit in
+``_GATHER_CHUNK_ELEMENTS`` and multiplies them into their columns of d_w,
+each element of which still sums over every position in one GEMM.  The
+float32 adjoint takes W^T @ G_n in the same chunks of W^T's rows and adds
+each chunk's taps before the next, so each input element gets its taps in
+the same order.  At a 32x32 tile the paper's L1 takes 9 of its 64 channels
+(243 x 1024) and L2 and the deconv forward 28 of theirs (252 x 1024).  A
+pass with both W and d_w (the backward of the deconv and of a narrow conv)
+keeps whole columns: its W @ cols_n sums over every row.
+
+In-place input gradients.  With ``need_dx`` a layer's backward writes d_xs
+into the memory of its input xs, whose last use it is (the memory sharing
+of Chen et al., arXiv:1604.06174): the wide conv's adjoint copies its crop
+into xs, and a pass with both W and d_w takes each sample's d_w term from
+xs before it writes W @ cols_n over it.
 
 Row blocks at B < CPUs.  A float32 forward gather on fewer samples than
 CPUs, outside a pool task (a lone window, such as a slice that is one
@@ -94,22 +111,24 @@ split of W's rows would pack the whole column matrix once per part.
 The pooled results are the serial ones bit for bit: each sample's GEMM
 keeps its operands and shape (a GEMM element can depend on the extent of
 the other operand), each task writes only its own slices, and d_w is
-summed from zero in sample order on the calling thread.  Chunks and row
-blocks change a GEMM's column extent, so they keep its bits only where the
-column tiles of OpenBLAS's sgemm round alike, which is found by test, not
-by 16-column alignment.  Row blocks did in every whole-row split of the
-paper's layers and in 296 of 296 float32 whole-row splits above the cutoff
-(K 27 to 1728, C_out 5 to 64, rows of 16 to 170 columns), but not in 126
-of the same splits in float64, so float64 passes never split or chunk.
-Chunks of the 2^18 rule keep the paper's whole-column bits at B = 1 and 2
-(``TestChunkedGather``, ``TestBatchedInference``); 1-row L2 chunks do not,
-and nor did 5-row L1 chunks counted from each row block's start, which
-moved 2913 outputs of the benchmark's inference fold by up to 2.2e-7.
+summed from zero in sample order on the calling thread.  Row chunks and
+row blocks change a GEMM's column extent, and channel chunks its other
+free extent, so they keep its bits only where OpenBLAS's sgemm tiles round
+alike, which is found by test, not by 16-column alignment.  Row blocks did
+in every whole-row split of the paper's layers and in 296 of 296 float32
+whole-row splits above the cutoff (K 27 to 1728, C_out 5 to 64, rows of 16
+to 170 columns), but not in 126 of the same splits in float64, so float64
+passes never split or chunk.  Chunks of the 2^18 rule keep the paper's
+whole-matrix bits at B = 1 and 2 (``TestChunkedGather``,
+``TestChunkedBackward``, ``TestBatchedInference``); 1-row L2 chunks do
+not, and nor did 5-row L1 chunks counted from each row block's start,
+which moved 2913 outputs of the benchmark's inference fold by up to 2.2e-7.
 Each task in flight beyond the first costs one more scratch array,
 allocated by the caller, all in one block, so that no worker thread's
 malloc arena keeps it and glibc keeps the block's pages from call to
 call: at the paper's L1 a 0.9 MB chunk (1728 x 128 float32) in the
-forward, and the whole 7 MB (1728 x 1024) in the d_w pass and the adjoint.
+forward, and a 1 MB chunk (243 x 1024) in the d_w pass and the adjoint,
+where each took the whole 7 MB (1728 x 1024).
 """
 
 from __future__ import annotations
@@ -346,7 +365,9 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     batch serves every sample.  out [C_out, B, *out_sp] holds W @ cols_n for
     the weight block w, and d_w, shaped like a weight block of ``geom``, the
     sum of other_n @ cols_n^T over samples for other [C_out, B, *out_sp];
-    each is None when its operand is.
+    each is None when its operand is.  A pass with both overwrites other
+    with out (a copy of other when other is not C-contiguous): each task
+    takes sample n's other_n @ cols_n^T before it writes out[:, n].
 
     A float32 pass without ``other`` (the forward) fills and multiplies
     each sample's columns in chunks of whole output rows, along its first
@@ -359,16 +380,23 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     ``_pools`` allows them by a block's whole columns.  The blocks are runs
     of whole chunks when the sample has several, so every chunk, and with
     it every GEMM, is the same at any B; a sample of one chunk splits its
-    rows.
-    Every other pass takes a sample's whole columns in one task.
+    rows.  A float32 pass without ``w`` (a d_w pass) fills and multiplies
+    cols_n in chunks of whole input channels, as many as fit in
+    ``_GATHER_CHUNK_ELEMENTS``, at least one: a chunk is a run of whole rows
+    of cols_n, so each d_w element still sums over every position in one
+    GEMM.  A pass with both operands, or in float64, takes a sample's whole
+    columns in one task.
     """
+    if w is not None and other is not None:
+        other = np.ascontiguousarray(other)
     if any(geom.padding):
         xs = np.pad(xs, ((0, 0), (0, 0)) + tuple((p, p) for p in geom.padding))
     win = sliding_window_view(xs, geom.kernel, axis=(2, 3, 4))
     win = win[(slice(None),) * 2 + _window((0, 0, 0), geom.stride, out_sp)]
     win = win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
-    c_out, n_samples = geom.out_channels, xs.shape[1]
-    k_rows = xs.shape[0] * math.prod(geom.kernel)
+    (c_in, n_samples), c_out = xs.shape[:2], geom.out_channels
+    taps = math.prod(geom.kernel)
+    k_rows, n_cols = c_in * taps, math.prod(out_sp)
     ax = next((a for a, e in enumerate(out_sp) if e > 1), 0)
     rows, row_cols = out_sp[ax], math.prod(out_sp[ax + 1 :])
     chunked = other is None and xs.dtype == np.float32
@@ -384,23 +412,42 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
             cuts = [min(rows, step * (units * i // split)) for i in range(split + 1)]
             block_rows = widest
     blocks = len(cuts) - 1
-    out = None if w is None else np.empty((c_out, n_samples) + tuple(out_sp), xs.dtype)
-    out_cols = None if w is None else out.reshape(c_out, n_samples, -1)
-    wm = None if w is None else w.reshape(c_out, -1)
+    chans = c_in
+    if w is None and xs.dtype == other.dtype == np.float32:
+        chans = max(1, min(c_in, _GATHER_CHUNK_ELEMENTS // (taps * n_cols)))
+    out = out_cols = wm = None
+    if w is not None:
+        out = np.empty((c_out, n_samples) + tuple(out_sp), xs.dtype) if other is None else other
+        out_cols = out.reshape(c_out, n_samples, -1)
+        wm = w.reshape(c_out, -1)
+
+    def fill(src, scratch):
+        cols = scratch.reshape(-1)[: src.size].reshape(len(src) * taps, -1)
+        np.copyto(cols.reshape(src.shape), src)
+        return cols
 
     def task(t, scratch):
         n, part = divmod(t, blocks)
-        for r0 in range(cuts[part], cuts[part + 1], chunk):
-            r1 = min(r0 + chunk, cuts[part + 1])
-            src = win[:, n][(slice(None),) * (4 + ax) + (slice(r0, r1),)]
-            cols = scratch.reshape(-1)[: src.size].reshape(k_rows, -1)
-            np.copyto(cols.reshape(src.shape), src)
-            if w is not None:
+        if other is None:
+            for r0 in range(cuts[part], cuts[part + 1], chunk):
+                r1 = min(r0 + chunk, cuts[part + 1])
+                cols = fill(win[:, n][(slice(None),) * (4 + ax) + (slice(r0, r1),)], scratch)
                 np.matmul(wm, cols, out=out_cols[:, n, r0 * row_cols : r1 * row_cols])
-        return None if other is None else other[:, n].reshape(c_out, -1) @ cols.T
+            return None
+        other_n = other[:, n].reshape(c_out, -1)
+        d_w_n = np.empty((c_out, k_rows), np.result_type(other.dtype, xs.dtype))
+        for c0 in range(0, c_in, chans):
+            cols = fill(win[c0 : c0 + chans, n], scratch)
+            np.matmul(other_n, cols.T, out=d_w_n[:, c0 * taps : c0 * taps + len(cols)])
+        if w is not None:  # out is other, whose term for d_w is taken
+            np.matmul(wm, cols, out=out_cols[:, n])
+        return d_w_n
 
     task_elements = k_rows * block_rows * row_cols
-    scratch_shape = (k_rows, min(chunk, block_rows) * row_cols)
+    if other is None:
+        scratch_shape = (k_rows, min(chunk, block_rows) * row_cols)
+    else:
+        scratch_shape = (chans * taps, n_cols)
     d_w = None if other is None else np.zeros((c_out, k_rows), xs.dtype)
     for d_w_n in _each_sample(task, n_samples * blocks, task_elements, scratch_shape, xs.dtype):
         if d_w is not None:
@@ -408,7 +455,7 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     return out, None if d_w is None else d_w.reshape(geom.weight_shape(False))
 
 
-def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
+def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None, out=None):
     """The adjoint of the conv ``geom`` applied to g [C_out, B, *out_sp]: its
     input gradient [C_in, B, *in_sp], which is the transposed conv of g.
 
@@ -416,8 +463,12 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
     window of the sample's padded grid, which on each axis reaches
     max(n + 2p, (o - 1)s + k).  The sum starts from ``seed[c]`` for channel
     c (zero when None), so input rows that no window reads keep that value.
-    The result is a C-contiguous array: the padding, and the taps' rows past
-    in_sp, are cropped off by a copy.
+    In float32, W^T @ G_n and its adds go in chunks of whole input channels,
+    as many as fit in ``_GATHER_CHUNK_ELEMENTS`` rows x N, at least one: a
+    chunk is a run of whole rows of W^T, so each input element gets its taps
+    in the same order.  The result is cropped off the padding and the taps'
+    rows past in_sp by a copy, into ``out`` when it is given (an array of
+    the result's shape, which is returned), else into a C-contiguous array.
     """
     c_out, c_in = geom.out_channels, geom.in_channels
     out_sp = g.shape[2:]
@@ -432,19 +483,29 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None):
     wt = w.reshape(c_out, -1).T
     windows = [(slice(None),) + _window(tap, geom.stride, out_sp)
                for tap in product(*(range(k) for k in geom.kernel))]
+    taps, n_cols = len(windows), math.prod(out_sp)
+    chans = c_in
+    if g.dtype == np.float32:
+        chans = max(1, min(c_in, _GATHER_CHUNK_ELEMENTS // (taps * n_cols)))
 
-    def scatter(n, d_cols):
-        np.matmul(wt, g[:, n].reshape(c_out, -1), out=d_cols)
-        d_cols = d_cols.reshape((c_in, len(windows)) + out_sp)
-        d_pad_n = d_pad[:, n]
-        for t, window in enumerate(windows):
-            d_pad_n[window] += d_cols[:, t]
+    def scatter(n, scratch):
+        g_n = g[:, n].reshape(c_out, -1)
+        for c0 in range(0, c_in, chans):
+            d_pad_c = d_pad[c0 : c0 + chans, n]
+            d_cols = scratch[: len(d_pad_c) * taps]
+            np.matmul(wt[c0 * taps : c0 * taps + len(d_cols)], g_n, out=d_cols)
+            d_cols = d_cols.reshape((len(d_pad_c), taps) + out_sp)
+            for t, window in enumerate(windows):
+                d_pad_c[window] += d_cols[:, t]
 
-    scratch_shape = (c_in * len(windows), math.prod(out_sp))
-    for _ in _each_sample(scatter, g.shape[1], math.prod(scratch_shape), scratch_shape, g.dtype):
+    task_elements = c_in * taps * n_cols
+    for _ in _each_sample(scatter, g.shape[1], task_elements, (chans * taps, n_cols), g.dtype):
         pass
-    crop = (slice(None),) * 2 + _window(geom.padding, (1, 1, 1), in_sp)
-    return np.ascontiguousarray(d_pad[crop])
+    crop = d_pad[(slice(None),) * 2 + _window(geom.padding, (1, 1, 1), in_sp)]
+    if out is None:
+        return np.ascontiguousarray(crop)
+    np.copyto(out, crop)
+    return out
 
 
 def _conv_fwd_b(xs, w, b, geom: ConvGeometry):
@@ -465,17 +526,23 @@ def _conv_bwd_b(xs, w, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _conv_fwd_b for input xs and output gradient
     g [C_out, B, *out_sp]; d_xs is None unless ``need_dx``.
 
+    With ``need_dx`` the backward consumes xs: d_xs is returned in xs's
+    memory (a narrow layer's in a copy when xs is not C-contiguous), so xs
+    must not be read again; without it, xs is unchanged.  xs and g share a
+    dtype.
+
     Wide layers sum d_w = G_n @ cols_n^T over samples n and take d_xs from
-    ``_conv_adjoint``.  A narrow layer is the adjoint of ``_flipped(geom)``,
-    so its d_xs is that conv of g and its d_w, flipped back, that conv's
-    weight gradient, both from one gather of g's few-channel columns."""
+    ``_conv_adjoint``, which copies its crop into xs.  A narrow layer is
+    the adjoint of ``_flipped(geom)``, so its d_xs is that conv of g and its
+    d_w, flipped back, that conv's weight gradient, both from one gather of
+    g's few-channel columns."""
     d_b = g.reshape(geom.out_channels, -1).sum(axis=1)
     if _narrow(geom):
         conv, wb = _flipped(geom, w)
         d_xs, d_wb = _gather_pass(g, conv, xs.shape[2:], wb if need_dx else None, xs)
         return np.flip(d_wb.swapaxes(0, 1), axis=(2, 3, 4)), d_b, d_xs
     _, d_w = _gather_pass(xs, geom, g.shape[2:], other=g)
-    d_xs = _conv_adjoint(g, w, geom, xs.shape[2:]) if need_dx else None
+    d_xs = _conv_adjoint(g, w, geom, xs.shape[2:], out=xs) if need_dx else None
     return d_w, d_b, d_xs
 
 
@@ -498,7 +565,8 @@ def _deconv_bwd_b(xs, w, geom: ConvGeometry, g, need_dx: bool):
     """(d_w, d_b, d_xs) of _deconv_fwd_b for input xs and output gradient g:
     the forward and weight gradient of the conv ``_transposed(geom)`` for
     input g, from one gather of g's columns.  A g cropped short of the
-    taps' reach is first zero-padded back to it, the crop's adjoint."""
+    taps' reach is first zero-padded back to it, the crop's adjoint.  As in
+    ``_conv_bwd_b``, with ``need_dx`` d_xs is written into xs's memory."""
     reach = geom.deconv_output_shape(xs.shape[2:])
     short = [(0, max(t - n, 0)) for t, n in zip(reach, g.shape[2:])]
     if any(after for _, after in short):

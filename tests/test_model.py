@@ -251,7 +251,7 @@ class TestForward:
             w, b = layer.weights, layer.bias
             out = fwd_b(h, w, b, layer.geom, *extents)
             g = uniform_init(list(out.shape), -1, 1, rng)
-            got = (out,) + bwd_b(h, w, layer.geom, g, True)
+            got = (out,) + bwd_b(h.copy(), w, layer.geom, g, True)
             f64 = [a.astype(np.float64) for a in (h, w, b, g)]
             ref = (fwd_b(*f64[:3], layer.geom, *extents),) + bwd_b(
                 *f64[:2], layer.geom, f64[3], True
@@ -469,6 +469,28 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < l1_cols_bytes, f"traced peak {peak / 2**20:.2f} MiB"
+
+    def test_backward_holds_no_second_copy_of_an_activation(self):
+        # One training step of the paper config at batch 16, 32x32 patches:
+        # 38 MB of cached layer inputs, 18.9 MB of them L4's.  Each input
+        # gradient overwrites its layer's cached input and each ReLU mask is
+        # a bool array, so the traced peak of forward plus backward stays
+        # within 1.25x the caches (1.17x measured; 1.64x when every input
+        # gradient was a fresh array beside its cached input).  The traced
+        # array peak, not RSS, which measures glibc's page retention too.
+        params = build_model(ModelConfig(**PAPER_CFG), Rng(42))
+        rng = Rng(43)
+        xs = uniform_init([1, 16, 5, 32, 32], 0, 1, rng)
+        d_out = uniform_init([1, 16, 1, 96, 96], -1e-3, 1e-3, rng)
+        tracemalloc.start()
+        try:
+            _, caches = _forward_batch(params, xs, keep_caches=True)
+            cached = sum(c.nbytes for c in caches)
+            _backward_batch(params, caches, d_out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cached, f"traced peak {peak / cached:.3f}x the cached inputs"
 
     def test_divergence_reports_coordinates(self):
         cfg = ModelConfig(**{**TINY_CFG, "lr": 1e12, "epochs": 3})

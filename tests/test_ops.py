@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import math
 import os
@@ -72,7 +73,7 @@ def _conv_f64(x, w, b, geom):
 
 
 def _conv_bwd_f64(x, w, geom, d_out):
-    d_w, d_b, d_x = _conv_bwd_b(x[:, None], w, geom, d_out[:, None], True)
+    d_w, d_b, d_x = _conv_bwd_b(x[:, None].copy(), w, geom, d_out[:, None], True)
     return d_w, d_b, d_x[:, 0]
 
 
@@ -81,7 +82,7 @@ def _deconv_f64(x, w, b, geom):
 
 
 def _deconv_bwd_f64(x, w, geom, d_out):
-    d_w, d_b, d_x = _deconv_bwd_b(x[:, None], w, geom, d_out[:, None], True)
+    d_w, d_b, d_x = _deconv_bwd_b(x[:, None].copy(), w, geom, d_out[:, None], True)
     return d_w, d_b, d_x[:, 0]
 
 
@@ -432,7 +433,7 @@ class TestBatchedEngine:
                 return fwd_b(xv, wv, np.zeros(geom.out_channels), geom)
 
             y = _f64_array(fwd(w, x).shape, rng)
-            d_w, d_b, d_x = bwd_b(x, w, geom, y, True)
+            d_w, d_b, d_x = bwd_b(x.copy(), w, geom, y, True)
             # <op(x), y> == <x, op_bwd(y)>
             lhs = float(np.sum(fwd(w, x) * y))
             rhs = float(np.sum(x * d_x))
@@ -452,11 +453,11 @@ class TestBatchedEngine:
             geom, x, w, b, fwd_b, bwd_b = _engine_case(rng, op, large=True)
             out = fwd_b(x, w, b, geom)
             y = _f64_array(out.shape, rng)
-            d_x = bwd_b(x, w, geom, y, True)[2]
+            d_x = bwd_b(x.copy(), w, geom, y, True)[2]
             for n in range(x.shape[1]):
                 one = np.s_[:, n : n + 1]
                 assert np.array_equal(fwd_b(x[one], w, b, geom), out[one])
-                assert np.array_equal(bwd_b(x[one], w, geom, y[one], True)[2], d_x[one])
+                assert np.array_equal(bwd_b(x[one].copy(), w, geom, y[one], True)[2], d_x[one])
 
     @pytest.mark.parametrize("path", ["few-wide", "im2col"])
     def test_unread_input_rows_get_zero_gradient(self, path):
@@ -469,7 +470,7 @@ class TestBatchedEngine:
             geom, x, w, _ = _conv_engine_case(rng, path)
             zero_b = np.zeros(geom.out_channels)
             y = _f64_array(_conv_fwd_b(x, w, zero_b, geom).shape, rng)
-            d_x = _conv_bwd_b(x, w, geom, y, True)[2]
+            d_x = _conv_bwd_b(x.copy(), w, geom, y, True)[2]
             read = _unread_rows(geom, x.shape[2:])
             cases_with_unread_rows += read != x.shape[2:]
             for axis, n in enumerate(read):
@@ -494,7 +495,7 @@ class TestBatchedEngine:
         out = _conv_fwd_b(x, w, b, geom)
         g = _f64_array(out.shape, Rng(931))
         d_w, d_b, d_x = _conv_bwd_b(x, w, geom, g, False)
-        ref = _conv_bwd_b(x, w, geom, g, True)
+        ref = _conv_bwd_b(x.copy(), w, geom, g, True)
         assert d_x is None
         assert np.array_equal(d_w, ref[0]) and np.array_equal(d_b, ref[1])
 
@@ -547,7 +548,7 @@ class TestDeconvExtents:
     def test_backward_is_adjoint_and_matches_finite_differences(self, name, delta):
         geom, x, w, b, out_sp = _extent_case(name, delta)
         y = _f64_array(geom.weight_shape(True)[1:2] + (3,) + out_sp, Rng(980))
-        d_w, d_b, d_x = _deconv_bwd_b(x, w, geom, y, True)
+        d_w, d_b, d_x = _deconv_bwd_b(x.copy(), w, geom, y, True)
         zero_b = np.zeros(geom.out_channels)
         lhs = float(np.sum(_deconv_fwd_b(x, w, zero_b, geom, out_sp) * y))
         assert abs(lhs - float(np.sum(x * d_x))) <= 1e-12 * max(abs(lhs), 1.0)
@@ -612,7 +613,7 @@ class TestThreadPool:
             runs = []
             for cutoff in (math.inf, 0):  # serial, then every loop pooled
                 monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
-                runs.append((fwd_b(x, w, b, geom),) + bwd_b(x, w, geom, g, True))
+                runs.append((fwd_b(x, w, b, geom),) + bwd_b(x.copy(), w, geom, g, True))
             for name, serial, pooled in zip(("forward", "d_w", "d_b", "d_x"), *runs):
                 assert np.array_equal(pooled, serial), name
 
@@ -805,7 +806,7 @@ class TestEngineBits:
         out = fwd_b(x, w, b, geom)
         assert out.dtype == np.float32
         g = _rand(out.shape, rng)
-        got = [_crc(out)] + [tuple(map(_crc, bwd_b(x, w, geom, g, need_dx)))
+        got = [_crc(out)] + [tuple(map(_crc, bwd_b(x.copy(), w, geom, g, need_dx)))
                              for need_dx in (True, False)]
         assert got == want
 
@@ -953,6 +954,134 @@ class TestChunkedGather:
             monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", chunk)
             outs.append(_conv_fwd_b(x, w, b, geom))
         assert np.array_equal(outs[1], outs[0])
+
+
+class TestInPlaceBackward:
+    """With ``need_dx`` a layer's backward writes d_xs into the memory of
+    its input xs, which it consumes; without it, xs is unchanged."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(_ENGINE_BITS))
+    def test_dx_overwrites_the_input(self, case, dtype):
+        geom, in_sp, fwd_b, bwd_b, *_ = _ENGINE_BITS[case]
+        rng = Rng(992)
+        x = _rand((geom.in_channels, 3) + in_sp, rng).astype(dtype)
+        w = _rand(geom.weight_shape(fwd_b is _deconv_textbook_b), rng).astype(dtype)
+        g = _rand(fwd_b(x, w, np.zeros(geom.out_channels, dtype), geom).shape, rng).astype(dtype)
+        kept = x.copy()
+        d_w, d_b, d_x = bwd_b(x, w, geom, g, False)
+        assert d_x is None and np.array_equal(x, kept)
+        d_w2, d_b2, d_x = bwd_b(x, w, geom, g, True)
+        assert d_x.shape == x.shape and d_x.dtype == dtype
+        assert np.shares_memory(d_x, x)
+        assert np.array_equal(d_w2, d_w) and np.array_equal(d_b2, d_b)
+
+    @pytest.mark.parametrize("case", sorted(_ENGINE_BITS))
+    def test_a_strided_input_gives_the_bits_of_a_contiguous_one(self, case):
+        """xs may be a strided view, whose d_xs may be a copy: its results
+        are those of the contiguous input."""
+        geom, in_sp, fwd_b, bwd_b, *_ = _ENGINE_BITS[case]
+        rng = Rng(991)
+        wide = _rand((geom.in_channels, 6) + in_sp, rng)
+        w = _rand(geom.weight_shape(fwd_b is _deconv_textbook_b), rng)
+        x = wide[:, ::2]
+        g = _rand(fwd_b(x, w, _zeros(geom.out_channels), geom).shape, rng)
+        want = bwd_b(np.ascontiguousarray(x), w, geom, g, True)
+        got = bwd_b(x, w, geom, g, True)
+        for name, a, b in zip(("d_w", "d_b", "d_x"), got, want):
+            assert np.array_equal(a, b), name
+
+
+# The backward passes that channel chunks reach: (geometry, input extents,
+# forward, backward, output extents of a deconv).  The paper's L1 and L2 on a
+# 32x32 tile, its deconv (32 channels: 28 + 4 per 2^18-element chunk in the
+# forward's adjoint), a k = 5, r = 2 deconv cropped by one row and column, as
+# in the grid search, the final narrow 4 -> 1 conv at the upsampled size, and
+# the grid search's narrow 16 -> 4 conv, whose forward is an adjoint of 4
+# channels in chunks of 3 + 1.
+_CHUNKED_BWD = {
+    "paper L1": _PAPER_B1["paper L1"] + (_conv_fwd_b, _conv_bwd_b, None),
+    "paper L2": _PAPER_B1["paper L2"] + (_conv_fwd_b, _conv_bwd_b, None),
+    "paper deconv": (ConvGeometry(32, 32, (1, 3, 3), (1, 3, 3), 0), (1, 32, 32),
+                     _deconv_fwd_b, _deconv_bwd_b, (1, 96, 96)),
+    "k5 r2 deconv": (ConvGeometry(16, 16, (1, 5, 5), (1, 2, 2), (0, 1, 1)), (1, 32, 32),
+                     _deconv_fwd_b, _deconv_bwd_b, (1, 64, 64)),
+    "narrow 4->1": (ConvGeometry(4, 1, (1, 3, 3), 1, (0, 1, 1)), (1, 96, 96),
+                    _conv_fwd_b, _conv_bwd_b, None),
+    "narrow 16->4": (ConvGeometry(16, 4, 3, 1, (0, 1, 1)), (3, 32, 32),
+                     _conv_fwd_b, _conv_bwd_b, None),
+}
+
+
+def _chunked_case(case, batch, dtype):
+    """(geometry, forward, backward, input, weights, bias, output gradient)
+    of a ``_CHUNKED_BWD`` case at ``batch`` samples."""
+    geom, in_sp, fwd_b, bwd_b, out_sp = _CHUNKED_BWD[case]
+    rng = Rng(988)
+    x = _rand((geom.in_channels, batch) + in_sp, rng).astype(dtype)
+    w = (0.1 * _rand(geom.weight_shape(fwd_b is _deconv_fwd_b), rng)).astype(dtype)
+    b = _rand((geom.out_channels,), rng).astype(dtype)
+    if out_sp is not None:
+        fwd_b = functools.partial(fwd_b, out_sp=out_sp)
+    g = _rand(fwd_b(x, w, b, geom).shape, rng).astype(dtype)
+    return geom, fwd_b, bwd_b, x, w, b, g
+
+
+class TestChunkedBackward:
+    """A float32 d_w pass, and the adjoint's W^T @ G_n with its tap adds, go
+    in chunks of whole input channels of at most ``_GATHER_CHUNK_ELEMENTS``
+    scratch elements, while whether they pool still goes by a task's whole
+    matrix; on these layers the chunks keep the whole-matrix bits, and
+    float64 passes keep one chunk."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ops, "_CPUS", 2)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_CHUNKED_BWD))
+    def test_chunks_keep_the_whole_matrix_bits(self, case, batch, monkeypatch):
+        geom, fwd_b, bwd_b, x, w, b, g = _chunked_case(case, batch, np.float32)
+        runs = []
+        for chunk in (math.inf, ops._GATHER_CHUNK_ELEMENTS):
+            monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", chunk)
+            runs.append((fwd_b(x, w, b, geom),) + bwd_b(x, w, geom, g, False)
+                        + bwd_b(x.copy(), w, geom, g, True))
+        names = ("forward", "d_w", "d_b", "no d_x", "d_w", "d_b", "d_x")
+        for name, whole, chunked in zip(names, *runs):
+            assert np.array_equal(chunked, whole), name
+
+    def _scratch_shapes(self, case, dtype, monkeypatch):
+        """The scratch shape of each ``_each_sample`` call of a forward and a
+        backward with d_x at B = 2, by the pass's whole scratch size."""
+        geom, fwd_b, bwd_b, x, w, b, g = _chunked_case(case, 2, dtype)
+        calls = {}
+        each_sample = ops._each_sample
+
+        def spy(task, n_tasks, task_elements, scratch_shape, dtype):
+            calls.setdefault(task_elements, []).append(tuple(scratch_shape))
+            return each_sample(task, n_tasks, task_elements, scratch_shape, dtype)
+
+        monkeypatch.setattr(ops, "_each_sample", spy)
+        fwd_b(x, w, b, geom)
+        bwd_b(x, w, geom, g, True)
+        return calls
+
+    def test_paper_chunks(self, monkeypatch):
+        # L1: 9 of 64 channels, 243 of 1728 rows, in its d_w pass and adjoint
+        l1 = self._scratch_shapes("paper L1", np.float32, monkeypatch)
+        assert l1[1728 * 1024] == [(1728, 4 * 32), (9 * 27, 1024), (9 * 27, 1024)]
+        # the deconv forward's adjoint: 28 of 32 channels, then 4
+        deconv = self._scratch_shapes("paper deconv", np.float32, monkeypatch)
+        assert deconv[288 * 1024] == [(28 * 9, 1024), (288, 1024)]
+        # the narrow forward's adjoint: 3 of 4 channels, then 1
+        narrow = self._scratch_shapes("narrow 16->4", np.float32, monkeypatch)
+        assert narrow[108 * 3072] == [(3 * 27, 3072), (108, 3072)]
+
+    @pytest.mark.parametrize("case", sorted(_CHUNKED_BWD))
+    def test_float64_passes_keep_one_chunk(self, case, monkeypatch):
+        for whole, shapes in self._scratch_shapes(case, np.float64, monkeypatch).items():
+            assert all(math.prod(shape) == whole for shape in shapes), (whole, shapes)
 
 
 # Every (module, attribute) that benchmarks/tracing.py wraps, with the
