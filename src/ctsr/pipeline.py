@@ -1,6 +1,7 @@
 """Fold splitting, training-pair extraction, and synthetic volume generation
-for desk-scale experiments.  Training pairs are float32 arrays copied out of
-a ``Volume``, whose data was checked finite when it was built."""
+for desk-scale experiments.  Training pairs are read-only float32 views into
+a ``Volume`` and its downsampled copy, whose data was checked finite when it
+was built."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig
-from .resample import center_crop_to_multiple, downsample_axial
+from .resample import center_crop_slices, downsample_axial
 from .tensor import Rng, Tensor, derive_seed
 from .volume import Volume
 
@@ -56,22 +57,31 @@ def split_folds(scan_ids: list[str], seed: int) -> FoldAssignment:
 
 @dataclass
 class TrainingPair:
-    lr_patch: np.ndarray  # float32 [1, n, patch, patch]
-    hr_slice: np.ndarray  # float32 [1, 1, patch*r, patch*r]
+    lr_patch: np.ndarray  # read-only float32 view [1, n, patch, patch] of the LR volume
+    hr_slice: np.ndarray  # read-only float32 view [1, 1, patch*r, patch*r] of the HR volume
     provenance: tuple[str, int, tuple[int, int]]  # (scan, slice, patch origin)
 
 
 def make_pairs(volume_hr: Volume, cfg: ModelConfig, scan_id: str = "") -> list[TrainingPair]:
     """Pair n-slice LR windows with their center HR slice, as in-plane
     patches of cfg.patch_hw with stride patch_hw/2 (interior depth windows
-    only).  The HR target is the co-located r-scaled crop."""
+    only).  The HR target is the co-located r-scaled patch of the HR volume
+    center-cropped to multiples of r.
+
+    No pair holds a copy: each ``lr_patch`` is a view of the LR volume that
+    ``downsample_axial`` returns, and each ``hr_slice`` a view of
+    ``volume_hr``'s data, so the pairs keep both arrays alive.  The views
+    are read-only: no write through one pair can reach its volume, or the
+    pairs that overlap it."""
     n, r, patch = cfg.feature_depth, cfg.scale, cfg.patch_hw
-    cropped = center_crop_to_multiple(volume_hr, r)
-    depth, h, w = cropped.shape
+    rows, cols = center_crop_slices(volume_hr.shape, r)
+    depth = volume_hr.shape[0]
     if depth < n:
         raise ValueError(f"volume depth {depth} < window depth {n}")
-    lr = downsample_axial(cropped, r)
-    hl, wl = lr.shape[1], lr.shape[2]
+    lr_data = downsample_axial(volume_hr, r).data.data.view()
+    hr_data = volume_hr.data.data[:, rows, cols]
+    lr_data.flags.writeable = hr_data.flags.writeable = False
+    hl, wl = lr_data.shape[1], lr_data.shape[2]
     if hl < patch or wl < patch:
         raise ValueError(
             f"LR extent {hl}x{wl} too small for one {patch}x{patch} patch"
@@ -80,8 +90,6 @@ def make_pairs(volume_hr: Volume, cfg: ModelConfig, scan_id: str = "") -> list[T
     oys = range(0, hl - patch + 1, stride)
     oxs = range(0, wl - patch + 1, stride)
     half = n // 2
-    lr_data = lr.data.data
-    hr_data = cropped.data.data
     pairs = []
     for c in range(half, depth - half):
         window = lr_data[c - half : c + half + 1]
@@ -95,7 +103,7 @@ def make_pairs(volume_hr: Volume, cfg: ModelConfig, scan_id: str = "") -> list[T
                     r * oy : r * (oy + patch),
                     r * ox : r * (ox + patch),
                 ]
-                pairs.append(TrainingPair(lp.copy(), hp.copy(), (scan_id, c, (oy, ox))))
+                pairs.append(TrainingPair(lp, hp, (scan_id, c, (oy, ox))))
     return pairs
 
 

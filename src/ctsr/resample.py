@@ -66,31 +66,39 @@ def _tap_sum(x: np.ndarray, taps: list, axis: int) -> np.ndarray:
     return acc
 
 
-def center_crop_to_multiple(volume: Volume, r: int) -> Volume:
-    """Crop H and W symmetrically to the largest multiples of r."""
-    d, h, w = volume.shape
+def center_crop_slices(shape, r: int) -> tuple[slice, slice]:
+    """The (rows, cols) slices that crop the H and W of a [D, H, W] shape
+    symmetrically to the largest multiples of r."""
+    _, h, w = shape
     h2, w2 = (h // r) * r, (w // r) * r
     if h2 < r or w2 < r:
         raise ValueError(f"volume in-plane extents {h}x{w} too small for factor {r}")
-    if (h2, w2) == (h, w):
-        return volume
     y0, x0 = (h - h2) // 2, (w - w2) // 2
-    return Volume(
-        Tensor(volume.data.data[:, y0 : y0 + h2, x0 : x0 + w2].copy()), volume.spacing
-    )
+    return slice(y0, y0 + h2), slice(x0, x0 + w2)
+
+
+def center_crop_to_multiple(volume: Volume, r: int) -> Volume:
+    """Crop H and W symmetrically to the largest multiples of r: the volume
+    itself when they already are, else a cropped copy."""
+    rows, cols = center_crop_slices(volume.shape, r)
+    cropped = volume.data.data[:, rows, cols]
+    if cropped.shape == volume.shape:
+        return volume
+    return Volume(Tensor(cropped.copy()), volume.spacing)
 
 
 def downsample_axial(volume: Volume, r: int) -> Volume:
     """Reduce each axial slice to (H/r, W/r) by bicubic decimation (no
     pre-blur); depth is untouched and in-plane spacing grows by r.
-    Extents not divisible by r are center-cropped first."""
+    Extents not divisible by r are center-cropped first; the crop is a view
+    of ``volume``, not a copy."""
     if r < 2:
         raise ValueError(f"scale factor must be >= 2, got {r}")
     dz, dy, dx = volume.spacing
     spacing = check_spacing((dz, dy * r, dx * r))
-    volume = center_crop_to_multiple(volume, r)
-    d, h, w = volume.shape
-    return Volume(Tensor(_resample_planes(volume.data.data, h // r, w // r)), spacing)
+    rows, cols = center_crop_slices(volume.shape, r)
+    hr = volume.data.data[:, rows, cols]
+    return Volume(Tensor(_resample_planes(hr, hr.shape[1] // r, hr.shape[2] // r)), spacing)
 
 
 def bicubic_upsample(volume: Volume, r: int) -> Volume:

@@ -445,6 +445,19 @@ class TestTrain:
             psnrs.add(_validation_psnr(build_model(cfg, Rng(38)), pairs))
         assert len(psnrs) == 1
 
+    def test_views_train_to_the_bits_of_copies(self):
+        # 50 x 50 slices at r = 3 are center-cropped, so the HR views are
+        # strided in both in-plane axes
+        cfg = ModelConfig(
+            feature_depth=3, conv_layers=1, filters=(4, 4, 1), kernel=3, scale=3,
+            patch_hw=6, batch_size=4, epochs=2, lr=1e-3, seed=8,
+        )
+        views = make_pairs(gen_synthetic("spheres", (16, 50, 50), seed=5), cfg, "v")
+        copies = [TrainingPair(p.lr_patch.copy(), p.hr_slice.copy(), p.provenance) for p in views]
+        (pv, rv), (pc, rc) = (train(cfg, ps[:24], ps[24:32]) for ps in (views, copies))
+        assert pv.checksum() == pc.checksum()
+        assert (rv.train_losses, rv.val_psnrs) == (rc.train_losses, rc.val_psnrs)
+
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(**TINY_CFG)
         with pytest.raises(ValueError, match="non-empty"):

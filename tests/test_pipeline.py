@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ctsr import pipeline
 from ctsr.model import ModelConfig
 from ctsr.pipeline import (
     FoldAssignment,
@@ -9,6 +12,7 @@ from ctsr.pipeline import (
     make_pairs,
     split_folds,
 )
+from ctsr.resample import center_crop_to_multiple, downsample_axial
 from ctsr.tensor import Rng, Tensor, uniform_init
 from ctsr.volume import Volume
 
@@ -85,6 +89,54 @@ class TestMakePairs:
         scan, c, (oy, ox) = first.provenance
         expected = vol.data.data[c, 3 * oy : 3 * (oy + 8), 3 * ox : 3 * (ox + 8)]
         assert np.array_equal(first.hr_slice[0, 0], expected)
+
+    def test_pairs_are_read_only_views_with_the_values_of_the_crops(self, monkeypatch):
+        # 50 x 50 at r = 3 is center-cropped to 48 x 48 from offset 1
+        lr_volumes = []
+
+        def spy(volume, r):
+            lr_volumes.append(downsample_axial(volume, r))
+            return lr_volumes[-1]
+
+        monkeypatch.setattr(pipeline, "downsample_axial", spy)
+        vol = Volume(Tensor(uniform_init([9, 50, 50], 0, 1, Rng(9))))
+        pairs = make_pairs(vol, _cfg(patch_hw=8), "s")
+        assert len(pairs) == 45  # 5 depth windows x 3 x 3 origins
+        (lr,) = lr_volumes
+        want_lr = downsample_axial(vol, 3).data.data
+        want_hr = center_crop_to_multiple(vol, 3).data.data
+        for p in pairs:
+            _, c, (oy, ox) = p.provenance
+            assert np.shares_memory(p.lr_patch, lr.data.data)
+            assert np.shares_memory(p.hr_slice, vol.data.data)
+            assert np.array_equal(
+                p.lr_patch[0], want_lr[c - 2 : c + 3, oy : oy + 8, ox : ox + 8]
+            )
+            assert np.array_equal(
+                p.hr_slice[0, 0], want_hr[c, 3 * oy : 3 * (oy + 8), 3 * ox : 3 * (ox + 8)]
+            )
+            for view in (p.lr_patch, p.hr_slice):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[...] = 0.0
+        assert vol.data.data.flags.writeable
+
+    def test_held_memory_does_not_grow_with_the_pair_count(self):
+        # the paper config: copied, each pair held 57 KiB; as views, the pairs
+        # hold the 256 KiB LR volume and a few hundred bytes of objects each
+        cfg = ModelConfig(
+            feature_depth=5, conv_layers=3, filters=(64, 64, 32, 32, 1), kernel=3,
+            scale=3, patch_hw=32,
+        )
+        vol = gen_synthetic("spheres", (16, 192, 192), seed=1)
+        tracemalloc.start()
+        try:
+            pairs = make_pairs(vol, cfg, "s")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 108
+        lr_bytes = 16 * 64 * 64 * 4
+        assert held < lr_bytes + 2048 * len(pairs), f"held {held / 2**10:.0f} KiB"
 
     def test_provenance_unique(self):
         vol = Volume(Tensor(uniform_init([9, 48, 48], 0, 1, Rng(5))))

@@ -8,6 +8,7 @@ from ctsr import resample
 from ctsr.pipeline import gen_synthetic
 from ctsr.resample import (
     bicubic_upsample,
+    center_crop_slices,
     center_crop_to_multiple,
     cubic_kernel,
     downsample_axial,
@@ -80,6 +81,11 @@ class TestDownsample:
         vol = Volume(Tensor(np.zeros((2, 50, 49), dtype=np.float32)))
         out = downsample_axial(vol, 3)
         assert out.shape == (2, 16, 16)
+
+    def test_crop_view_gives_the_bits_of_the_cropped_copy(self):
+        vol = Volume(Tensor(uniform_init([3, 50, 49], 0, 1, Rng(4))))
+        want = downsample_axial(center_crop_to_multiple(vol, 3), 3).data.data
+        assert np.array_equal(downsample_axial(vol, 3).data.data, want)
 
     def test_bicubic_equals_bilinear_on_ramp(self):
         # at r=3 the sample points are grid-aligned, where both kernels are
@@ -179,6 +185,19 @@ class TestSliceIndependence:
             tracemalloc.stop()
         assert peak < bound, f"traced peak {peak / 2**20:.2f} MiB"
 
+    def test_downsample_peak_memory_below_the_input_when_cropped(self):
+        # 32 x 172 x 172 at r = 3 crops to 171 x 171: a cropped copy alone
+        # would be 3.7 MiB of the input's 3.8 MiB; the crop is a view, so only
+        # the 0.4 MiB output and a few float64 planes are allocated
+        vol = Volume(Tensor(uniform_init([32, 172, 172], 0, 1, Rng(10))))
+        tracemalloc.start()
+        try:
+            downsample_axial(vol, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vol.data.data.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
+
 
 class TestPinnedBits:
     # CRC32 of the float32 output bytes on the golden spheres volume
@@ -213,3 +232,9 @@ class TestCenterCrop:
         vol = Volume(Tensor(np.zeros((1, 2, 2), dtype=np.float32)))
         with pytest.raises(ValueError):
             center_crop_to_multiple(vol, 3)
+        with pytest.raises(ValueError):
+            center_crop_slices(vol.shape, 3)
+
+    def test_slices_are_the_crop(self):
+        assert center_crop_slices((1, 8, 7), 3) == (slice(1, 7), slice(0, 6))
+        assert center_crop_slices((4, 12, 12), 3) == (slice(0, 12), slice(0, 12))
