@@ -279,11 +279,9 @@ def forward(params: ModelParams, lr_patch: np.ndarray) -> np.ndarray:
     float32 slice [1, 1, h*scale, w*scale].  The input is cast to float32
     and must be finite there; it runs as a ``_forward_batch`` of one
     sample, in float32, so the slice is the bits that training's validation
-    computes for the window in any batch.  On the calling thread the engine
-    splits each wide conv's output rows into blocks on the pool
-    (``ops._gather_pass``), so one large window uses every CPU; in a pool
-    task, such as one of ``infer_volume``'s tiles, every layer runs on the
-    task's thread, in the same GEMMs."""
+    computes for the window in any batch.  One sample is one engine task,
+    so the window runs on one CPU: on the calling thread, or on the thread
+    of a pool task such as one of ``infer_volume``'s tiles."""
     with np.errstate(over="ignore"):  # a value beyond float32 fails the check below
         x = np.asarray(lr_patch, np.float32)
     _check_patch(params, x)

@@ -38,44 +38,26 @@ and no sample's forward or input gradient depends on another sample.
 
 Per-sample loops on a thread pool.  The two primitives run one task per
 sample, and ``_each_sample`` runs their loop on a module thread pool, made
-on first use, with up to min(CPUs, tasks) tasks at once, when there is more
+on first use, with up to min(CPUs, B) tasks at once, when there is more
 than one task and each task's whole scratch matrix (the gather's K x N
 columns, or the rows x N of W^T @ G_n) has at least ``_POOL_MIN_ELEMENTS``
-= 2^18 elements; otherwise on the calling thread.  Much of a wide layer's
-time is numpy's single-threaded, memory-bound gather and tap scatter, which
-a second BLAS thread does not speed up and a second task does, so the
-package defaults BLAS to one thread (``ctsr/__init__.py``).  Below the
-cutoff the hand-off, and the narrow layers' per-tap Python loop contending
-for the GIL, cost the narrow layers more than they save; only the paper's
-L0 would gain, 2 ms a call.  Milliseconds per call on float32 arrays, the
-engine's dtype, at B = 16, 32x32 patches, one BLAS thread, 2 vCPUs
-(medians of 15 calls, serial -> pooled, measured before the forward gather
-went in row chunks; "zero" pools every loop):
-
-    layer                   per-task matrix    forward          backward
-    paper L1 conv 64->64    1728 x 1024        106 -> 64        208 -> 126
-    paper L2 conv 64->32     576 x 1024         21 -> 14         53 -> 32
-    paper L3 deconv 32->32   288 x 1024         25 -> 16         23 -> 15
-    grid L1 conv 16->4 k=3   108 x 3072         14 -> 11         15 -> 9
-    paper L0 conv 1->64       27 x 3072   zero:  8 -> 6    zero:  9 -> 7
-    grid narrow conv k=5     100 x 1024   zero:  7 -> 10   zero:  5 -> 4
-    grid narrow conv 4->1      9 x 4096   zero:  2 -> 4    zero:  1 -> 3
+= 2^18 elements; otherwise on the calling thread.  Below the cutoff the
+hand-off, and the narrow layers' per-tap Python loop contending for the
+GIL, cost more than a second task saves.  Much of a wide layer's time is
+numpy's single-threaded, memory-bound gather and tap scatter, which a
+second BLAS thread does not speed up and a second task does, so the
+package defaults BLAS to one thread (``ctsr/__init__.py``).
 
 A pool task never pools: ``_each_task`` marks each pooled task in a context
 variable, and inside one ``_pools`` says no, so the task's engine loops run
 on its own thread rather than queue behind it, which would deadlock once
 every worker waited so.  A tile task of ``model.infer_volume`` thus runs its
-B = 1 forward in the chunks it has anywhere else, only not in row blocks.
+B = 1 forward on its own thread, in the chunks it has anywhere else.
 
 Row chunks.  A float32 forward gather (a pass without d_w) never builds a
-task's whole K x N columns: it gathers whole output rows at a time, as many
-as fit in ``_GATHER_CHUNK_ELEMENTS`` = 2^18 elements (1 MB, half of a 2 MB
-L2 cache), and multiplies them by W while they are still in cache.  At a
-32x32 tile the paper's L1 takes 4 rows (1728 x 128) and L2 14 rows
-(576 x 448).  Whole -> chunked, pooled, one BLAS thread, 2 vCPUs (medians
-of 41 and 15 calls): L1 forward 7.6 -> 6.3 ms at B = 2 and 56 -> 46 ms at
-B = 16; L2 2.1 -> 2.0 and 11.3 -> 10.9 ms.  The per-task scratch is one
-chunk, so B samples in flight cost B chunks, not B whole column matrices.
+sample's whole K x N columns: it gathers whole output rows at a time, as
+many as fit in ``_GATHER_CHUNK_ELEMENTS`` = 2^18 elements (1 MB, half of a
+2 MB L2 cache), and multiplies them by W while they are still in cache.
 
 Channel chunks.  A row chunk would split d_w's sum over positions, so a
 float32 d_w pass (a gather without W) chunks cols_n by whole input channels
@@ -84,10 +66,9 @@ instead: it gathers as many channels' rows as fit in
 each element of which still sums over every position in one GEMM.  The
 float32 adjoint takes W^T @ G_n in the same chunks of W^T's rows and adds
 each chunk's taps before the next, so each input element gets its taps in
-the same order.  At a 32x32 tile the paper's L1 takes 9 of its 64 channels
-(243 x 1024) and L2 and the deconv forward 28 of theirs (252 x 1024).  A
-pass with both W and d_w (the backward of the deconv and of a narrow conv)
-keeps whole columns: its W @ cols_n sums over every row.
+the same order.  A pass with both W and d_w (the backward of the deconv
+and of a narrow conv) keeps whole columns: its W @ cols_n sums over every
+row.
 
 In-place input gradients.  With ``need_dx`` a layer's backward writes d_xs
 into the memory of its input xs, whose last use it is (the memory sharing
@@ -95,40 +76,19 @@ of Chen et al., arXiv:1604.06174): the wide conv's adjoint copies its crop
 into xs, and a pass with both W and d_w takes each sample's d_w term from
 xs before it writes W @ cols_n over it.
 
-Row blocks at B < CPUs.  A float32 forward gather on fewer samples than
-CPUs, outside a pool task (a lone window, such as a slice that is one
-inference tile), splits each sample's output rows into up to CPUs // B
-blocks, one task each, when a block's whole columns reach the cutoff.  A
-block of whole rows is a contiguous column range of cols_n, and its task
-writes W @ those columns into its slice of out, chunk by chunk.  A sample
-of several chunks splits between chunks, so its GEMMs are the same chunks
-at any B and any block count; only a sample of one chunk, below the cutoff
-unless the cutoff is lowered, splits inside it.  Every other pass keeps
-one task per sample: a d_w pass split by columns would regroup d_w's sum
-over them, the adjoint's tap windows overlap between positions, and a
-split of W's rows would pack the whole column matrix once per part.
-
-The pooled results are the serial ones bit for bit: each sample's GEMM
-keeps its operands and shape (a GEMM element can depend on the extent of
-the other operand), each task writes only its own slices, and d_w is
-summed from zero in sample order on the calling thread.  Row chunks and
-row blocks change a GEMM's column extent, and channel chunks its other
-free extent, so they keep its bits only where OpenBLAS's sgemm tiles round
-alike, which is found by test, not by 16-column alignment.  Row blocks did
-in every whole-row split of the paper's layers and in 296 of 296 float32
-whole-row splits above the cutoff (K 27 to 1728, C_out 5 to 64, rows of 16
-to 170 columns), but not in 126 of the same splits in float64, so float64
-passes never split or chunk.  Chunks of the 2^18 rule keep the paper's
-whole-matrix bits at B = 1 and 2 (``TestChunkedGather``,
-``TestChunkedBackward``, ``TestBatchedInference``); 1-row L2 chunks do
-not, and nor did 5-row L1 chunks counted from each row block's start,
-which moved 2913 outputs of the benchmark's inference fold by up to 2.2e-7.
-Each task in flight beyond the first costs one more scratch array,
+The pooled results are the serial ones bit for bit, and a sample's results
+do not depend on B or on the CPU count: each sample's GEMMs keep their
+operands and shapes (a GEMM element can depend on the extent of the other
+operand), each task writes only its own slices, and d_w is summed from zero
+in sample order on the calling thread.  Row chunks change a GEMM's column
+extent, and channel chunks its other free extent, so they keep its bits
+only where OpenBLAS's sgemm tiles round alike, which is found by test
+(``TestChunkedGather``, ``TestChunkedBackward``, ``TestBatchedInference``),
+not by a rule.  Column splits that kept float32 bits moved float64 ones, so
+float64 passes never chunk.  The scratch arrays of the tasks in flight are
 allocated by the caller, all in one block, so that no worker thread's
-malloc arena keeps it and glibc keeps the block's pages from call to
-call: at the paper's L1 a 0.9 MB chunk (1728 x 128 float32) in the
-forward, and a 1 MB chunk (243 x 1024) in the d_w pass and the adjoint,
-where each took the whole 7 MB (1728 x 1024).
+malloc arena keeps them and glibc keeps the block's pages from call to
+call.
 """
 
 from __future__ import annotations
@@ -238,8 +198,7 @@ def _window(tap, stride, n_positions):
 
 
 # A per-sample loop whose whole scratch matrix (a gather's columns, or the rows
-# of W^T @ G_n) has fewer elements than this runs on the calling thread; see the
-# module docstring for the measurements behind it.
+# of W^T @ G_n) has fewer elements than this runs on the calling thread.
 _POOL_MIN_ELEMENTS = 1 << 18
 # A float32 forward gather fills and multiplies its columns in chunks of whole
 # output rows of at most this many scratch elements (1 MB, half of a 2 MB L2
@@ -375,17 +334,12 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     ``_GATHER_CHUNK_ELEMENTS`` scratch elements, at least one.  The axes
     before that one have extent one, so a chunk is a contiguous column
     range of cols_n, and W @ it goes into its slice of out while the chunk
-    is in cache.  On fewer samples than CPUs such a pass also splits each
-    sample's rows into up to CPUs // B blocks, one task each, when
-    ``_pools`` allows them by a block's whole columns.  The blocks are runs
-    of whole chunks when the sample has several, so every chunk, and with
-    it every GEMM, is the same at any B; a sample of one chunk splits its
-    rows.  A float32 pass without ``w`` (a d_w pass) fills and multiplies
-    cols_n in chunks of whole input channels, as many as fit in
+    is in cache.  A float32 pass without ``w`` (a d_w pass) fills and
+    multiplies cols_n in chunks of whole input channels, as many as fit in
     ``_GATHER_CHUNK_ELEMENTS``, at least one: a chunk is a run of whole rows
     of cols_n, so each d_w element still sums over every position in one
     GEMM.  A pass with both operands, or in float64, takes a sample's whole
-    columns in one task.
+    columns at once.  Every pass runs one ``_each_sample`` task per sample.
     """
     if w is not None and other is not None:
         other = np.ascontiguousarray(other)
@@ -399,19 +353,9 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     k_rows, n_cols = c_in * taps, math.prod(out_sp)
     ax = next((a for a, e in enumerate(out_sp) if e > 1), 0)
     rows, row_cols = out_sp[ax], math.prod(out_sp[ax + 1 :])
-    chunked = other is None and xs.dtype == np.float32
-    chunk = max(1, min(rows, _GATHER_CHUNK_ELEMENTS // (k_rows * row_cols))) if chunked else rows
-    n_chunks = -(-rows // chunk)
-    cuts, block_rows = [0, rows], rows
-    if chunked and n_samples < _CPUS:
-        # blocks of whole chunks, or of rows when the sample is one chunk
-        step, units = (chunk, n_chunks) if n_chunks > 1 else (1, rows)
-        split = min(_CPUS // n_samples, units)
-        widest = min(rows, step * -(-units // split))
-        if _pools(n_samples * split, k_rows * widest * row_cols):
-            cuts = [min(rows, step * (units * i // split)) for i in range(split + 1)]
-            block_rows = widest
-    blocks = len(cuts) - 1
+    chunk = rows
+    if other is None and xs.dtype == np.float32:
+        chunk = max(1, min(rows, _GATHER_CHUNK_ELEMENTS // (k_rows * row_cols)))
     chans = c_in
     if w is None and xs.dtype == other.dtype == np.float32:
         chans = max(1, min(c_in, _GATHER_CHUNK_ELEMENTS // (taps * n_cols)))
@@ -426,11 +370,10 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
         np.copyto(cols.reshape(src.shape), src)
         return cols
 
-    def task(t, scratch):
-        n, part = divmod(t, blocks)
+    def task(n, scratch):
         if other is None:
-            for r0 in range(cuts[part], cuts[part + 1], chunk):
-                r1 = min(r0 + chunk, cuts[part + 1])
+            for r0 in range(0, rows, chunk):
+                r1 = min(r0 + chunk, rows)
                 cols = fill(win[:, n][(slice(None),) * (4 + ax) + (slice(r0, r1),)], scratch)
                 np.matmul(wm, cols, out=out_cols[:, n, r0 * row_cols : r1 * row_cols])
             return None
@@ -443,13 +386,9 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
             np.matmul(wm, cols, out=out_cols[:, n])
         return d_w_n
 
-    task_elements = k_rows * block_rows * row_cols
-    if other is None:
-        scratch_shape = (k_rows, min(chunk, block_rows) * row_cols)
-    else:
-        scratch_shape = (chans * taps, n_cols)
+    scratch_shape = (k_rows, chunk * row_cols) if other is None else (chans * taps, n_cols)
     d_w = None if other is None else np.zeros((c_out, k_rows), xs.dtype)
-    for d_w_n in _each_sample(task, n_samples * blocks, task_elements, scratch_shape, xs.dtype):
+    for d_w_n in _each_sample(task, n_samples, k_rows * n_cols, scratch_shape, xs.dtype):
         if d_w is not None:
             d_w += d_w_n
     return out, None if d_w is None else d_w.reshape(geom.weight_shape(False))

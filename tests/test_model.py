@@ -701,11 +701,9 @@ class TestBatchedInference:
 
     def test_tile_tasks_give_the_bits_of_one_tile_at_a_time(self, own_pool, monkeypatch):
         """A 5x64x64 volume: 9 tiles per slice on two CPUs.  The reference
-        runs each tile on the calling thread with whole-column gathers, each
-        L1 and L2 sample in two row blocks (as before the gathers went in
-        chunks); a tile task runs its gathers in row chunks and in no row
-        block.  So the chunk rule must keep every GEMM's bits: 5-row L1
-        chunks counted from each row block's start moved outputs here."""
+        runs each tile on the calling thread with whole-column gathers; a
+        tile task runs its gathers in row chunks.  So the chunk rule must
+        keep every GEMM's bits."""
         params, vol = _paper_volume(64)
         calls = _spy_forward(monkeypatch)
         got = infer_volume(params, vol).data.data
@@ -716,10 +714,10 @@ class TestBatchedInference:
         want = _one_tile_at_a_time(params, vol, params.config.patch_hw)
         assert np.array_equal(got, want), int((got != want).sum())
 
-    def test_one_tile_per_slice_keeps_the_engines_row_blocks(self, own_pool, monkeypatch):
-        """A 5x32x32 volume is one tile per slice: it runs on the calling
-        thread, and the engine splits its wide convs' rows into blocks on
-        the pool, giving the whole-column bits."""
+    def test_one_tile_per_slice_runs_on_the_calling_thread(self, own_pool, monkeypatch):
+        """A 5x32x32 volume is one tile per slice: each slice's forward runs
+        on the calling thread, every engine loop in it is one task, no pool
+        is made, and the output is the whole-column bits."""
         params, vol = _paper_volume(32)
         calls = _spy_forward(monkeypatch)
         tasks = []
@@ -732,7 +730,8 @@ class TestBatchedInference:
         monkeypatch.setattr(ops, "_each_sample", count)
         got = infer_volume(params, vol).data.data
         assert calls == [(1, threading.current_thread().name)] * 5
-        assert 2 in tasks
+        assert tasks and set(tasks) == {1}
+        assert ops._pool is None
         monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", math.inf)
         want = _one_tile_at_a_time(params, vol, params.config.patch_hw)
         assert np.array_equal(got, want), int((got != want).sum())

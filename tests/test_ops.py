@@ -700,12 +700,12 @@ class TestThreadPool:
                 assert np.array_equal(got, (w + n) @ w)
 
     def test_import_and_single_sample_forward_start_no_thread(self):
-        """At the default cutoff, a B = 1 forward whose blocks are below it
-        (``forward`` of a small window, so ``infer_volume`` on a volume of
-        one small tile per slice; more tiles run on the pool) starts no
-        thread, and the package, CLI included, loads no test-only package:
-        numpy is its one runtime dependency.  Checked in a fresh
-        interpreter, since this one has the pool and the test tools."""
+        """A B = 1 forward, one engine task (``forward`` of a window, so
+        ``infer_volume`` on a volume of one tile per slice; more tiles run
+        on the pool), starts no thread, and the package, CLI included,
+        loads no test-only package: numpy is its one runtime dependency.
+        Checked in a fresh interpreter, since this one has the pool and the
+        test tools."""
         code = (
             "import sys, threading\n"
             "before = threading.active_count()\n"
@@ -826,7 +826,7 @@ def _count_tasks(monkeypatch):
 
 # The paper's wide convs at B = 1 on a 32x32 tile: (geometry, input extents).
 # L0's output has 3 depth rows, L1's and L2's one depth row and 32 rows; the
-# 17-row input splits 8/9.
+# 17-row input ends L1's 4-row chunks in a chunk of one row.
 _PAPER_B1 = {
     "paper L0": (ConvGeometry(1, 64, 3, 1, (0, 1, 1)), (5, 32, 32)),
     "paper L1": (ConvGeometry(64, 64, 3, 1, (0, 1, 1)), (3, 32, 32)),
@@ -836,72 +836,45 @@ _PAPER_B1 = {
 
 
 class TestSingleSampleBlocks:
-    """At B = 1, a float32 forward gather splits its sample's output rows
-    into blocks on the pool, and on the paper's layers the blocks give the
-    serial bits.  Two CPUs, so two blocks, even at a zero cutoff: blocks cut
-    far below the cutoff can round a GEMM's last columns differently
-    (CHANGES.md FOUND on narrow blocks)."""
+    """A sample is the engine's unit of work on any machine: with two CPUs
+    and every loop allowed to pool, each engine loop runs one task per
+    sample, also when the batch has fewer samples than CPUs."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(ops, "_CPUS", 2)
 
-    @pytest.mark.parametrize("case", sorted(_PAPER_B1))
-    def test_blocks_equal_serial(self, case, monkeypatch):
-        geom, in_sp = _PAPER_B1[case]
-        rng = Rng(995)
-        x = _rand((geom.in_channels, 1) + in_sp, rng)
-        w = 0.1 * _rand(geom.weight_shape(False), rng)
-        b = _rand((geom.out_channels,), rng)
-        counts = _count_tasks(monkeypatch)
-        outs = []
-        for cutoff in (math.inf, 0):  # serial, then in blocks
-            monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
-            outs.append(_conv_fwd_b(x, w, b, geom))
-        assert outs[1].dtype == np.float32 and np.array_equal(outs[1], outs[0])
-        assert counts == [1, 2]
-
     def test_each_traced_entry_point_of_the_paper_stack(self, monkeypatch):
-        """One training step of the paper config on one 32x32 window, which
-        calls each traced entry point at B = 1: its output and every layer's
-        gradients are the serial bits with every loop pooled."""
+        """One training step of the paper config on 32x32 windows at B = 1
+        and B = 3, which calls each traced entry point: every
+        ``_each_sample`` call has one task per sample, and the output and
+        every layer's gradients are the serial bits with every loop allowed
+        to pool."""
         params = model.build_model(model.ModelConfig(), Rng(994))
         rng = Rng(993)
-        xs = _rand((1, 1, 5, 32, 32), rng)
-        d_out = _rand((1, 1, 1, 96, 96), rng)
         counts = _count_tasks(monkeypatch)
-        runs = []
-        for cutoff in (math.inf, 0):
-            monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
-            out, caches = model._forward_batch(params, xs, keep_caches=True)
-            grads = model._backward_batch(params, caches, d_out.copy())
-            runs.append([out] + [a for pair in grads for a in pair])
-        for i, (serial, pooled) in enumerate(zip(*runs)):
-            assert np.array_equal(pooled, serial), i
-        assert 2 in counts
-
-    def test_paper_forward_on_a_whole_slice(self, monkeypatch):
-        """``forward`` of the paper config on a 170x170 window: the size of
-        a benchmark slice, whose rows do not split into multiples of the
-        GEMM kernel's width (85 x 170 columns per block)."""
-        params = model.build_model(model.ModelConfig(), Rng(996))
-        x = Rng(997).next_floats(5 * 170 * 170).reshape(1, 5, 170, 170).astype(np.float32)
-        counts = _count_tasks(monkeypatch)
-        outs = []
-        for cutoff in (math.inf, ops._POOL_MIN_ELEMENTS):
-            monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
-            outs.append(model.forward(params, x))
-        assert np.array_equal(outs[1], outs[0])
-        assert 2 in counts
+        for batch in (1, 3):
+            xs = _rand((1, batch, 5, 32, 32), rng)
+            d_out = _rand((1, batch, 1, 96, 96), rng)
+            runs = []
+            for cutoff in (math.inf, 0):
+                monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", cutoff)
+                counts.clear()
+                out, caches = model._forward_batch(params, xs, keep_caches=True)
+                grads = model._backward_batch(params, caches, d_out.copy())
+                runs.append([out] + [a for pair in grads for a in pair])
+                assert counts and set(counts) == {batch}, (batch, cutoff, counts)
+            for i, (serial, pooled) in enumerate(zip(*runs)):
+                assert np.array_equal(pooled, serial), (batch, i)
 
     def test_block_task_error_and_errstate(self, monkeypatch):
-        """A float32 overflow in a block's GEMM raises in the caller with its
-        own type under ``errstate(over="raise")``, and under "ignore" gives
-        inf with no warning (pytest turns warnings into errors): the
-        caller's errstate holds in the block tasks."""
+        """A float32 overflow in a pooled sample's GEMM raises in the caller
+        with its own type under ``errstate(over="raise")``, and under
+        "ignore" gives inf with no warning (pytest turns warnings into
+        errors): the caller's errstate holds in the pool tasks."""
         monkeypatch.setattr(ops, "_POOL_MIN_ELEMENTS", 0)
         geom = ConvGeometry(2, 6, 3, 1, (0, 1, 1))
-        x = np.full((2, 1, 3, 8, 8), 1e30, np.float32)
+        x = np.full((2, 2, 3, 8, 8), 1e30, np.float32)
         w = np.full(geom.weight_shape(False), 1e30, np.float32)
         b = _zeros(6)
         counts = _count_tasks(monkeypatch)
@@ -953,6 +926,19 @@ class TestChunkedGather:
         for chunk in (math.inf, ops._GATHER_CHUNK_ELEMENTS):
             monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", chunk)
             outs.append(_conv_fwd_b(x, w, b, geom))
+        assert np.array_equal(outs[1], outs[0])
+
+    def test_paper_forward_on_a_whole_slice(self, monkeypatch):
+        """``forward`` of the paper config on a 170x170 window, the size of
+        a benchmark slice: L1 gathers 1-row and L2 2-row chunks of
+        170-column rows, which are not multiples of the GEMM kernel's width,
+        and they give the whole-column bits."""
+        params = model.build_model(model.ModelConfig(), Rng(996))
+        x = Rng(997).next_floats(5 * 170 * 170).reshape(1, 5, 170, 170).astype(np.float32)
+        outs = []
+        for chunk in (math.inf, ops._GATHER_CHUNK_ELEMENTS):
+            monkeypatch.setattr(ops, "_GATHER_CHUNK_ELEMENTS", chunk)
+            outs.append(model.forward(params, x))
         assert np.array_equal(outs[1], outs[0])
 
 
