@@ -10,9 +10,7 @@ depth of min(k, remaining depth), so an n-slice window shrinks toward one
 slice as it moves through the stack, and the final convolution uses kernel
 depth equal to whatever depth remains.  Height/width are same-padded
 (p = (k-1)/2, k odd) so only the transposed convolution changes the
-in-plane extents.
-
-The transposed convolution writes exactly input*s in-plane.
+in-plane extents, to exactly the input's times the scale.
 
 Weights, biases, training pairs, activations and gradients are plain
 float32 arrays: training, validation and inference run one float32 path.
@@ -118,8 +116,7 @@ class ModelConfig:
                 f"got {self.filters}"
             )
         if not out:  # every geometry of the plan is valid: size its float32 parameters
-            need = 4 * sum(math.prod(g.weight_shape(kind == "deconv")) + g.out_channels
-                           for kind, g, _ in _layer_plan(self))
+            need = 4 * sum(math.prod(shape) + g.out_channels for _, g, shape in _layer_plan(self))
             have = physical_memory_bytes()
             if need > have:
                 out.append(
@@ -147,11 +144,7 @@ class Layer:
     kind: str  # "conv" | "deconv"
     weights: np.ndarray  # float32, owned and updated in place by sgd_step
     bias: np.ndarray  # float32 [C_out]
-    geom: ConvGeometry
-    # rows/cols by which a deconv's in-plane output falls short of its
-    # textbook extents (negative: reaches beyond them), so that it is
-    # exactly input*s
-    trim_hw: tuple[int, int] = (0, 0)
+    geom: ConvGeometry  # a deconv's output extents are its input's times the stride
 
 
 @dataclass
@@ -182,9 +175,9 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _layer_plan(cfg: ModelConfig) -> list[tuple[str, ConvGeometry, tuple[int, int]]]:
-    """The stack structure of a config: (kind, geometry, in-plane trim) per
-    layer.  It takes a valid config and does not check it; ``problems``
+def _layer_plan(cfg: ModelConfig) -> list[tuple[str, ConvGeometry, tuple[int, ...]]]:
+    """The stack structure of a config: (kind, geometry, weight block shape)
+    per layer.  It takes a valid config and does not check it; ``problems``
     calls it only once every other check has passed."""
     k, r = cfg.kernel, cfg.scale
     same = (0, (k - 1) // 2, (k - 1) // 2)
@@ -193,18 +186,17 @@ def _layer_plan(cfg: ModelConfig) -> list[tuple[str, ConvGeometry, tuple[int, in
     c_in = 1
     for i in range(cfg.conv_layers):
         kd = min(k, depth)
-        plan.append(("conv", ConvGeometry(c_in, cfg.filters[i], (kd, k, k), 1, same), (0, 0)))
+        plan.append(("conv", ConvGeometry(c_in, cfg.filters[i], (kd, k, k), 1, same)))
         depth = depth - kd + 1
         c_in = cfg.filters[i]
     # transposed conv: upsample H,W by r, keep depth
     p_hw = max(0, (k - r) // 2)
-    excess = k - r - 2 * p_hw  # 1 when k-r is odd, negative when k < r
     geom = ConvGeometry(c_in, cfg.filters[cfg.conv_layers], (1, k, k), (1, r, r), (0, p_hw, p_hw))
-    plan.append(("deconv", geom, (excess, excess)))
+    plan.append(("deconv", geom))
     c_in = cfg.filters[cfg.conv_layers]
     # final smoothing conv collapses the remaining depth into one slice
-    plan.append(("conv", ConvGeometry(c_in, cfg.filters[-1], (depth, k, k), 1, same), (0, 0)))
-    return plan
+    plan.append(("conv", ConvGeometry(c_in, cfg.filters[-1], (depth, k, k), 1, same)))
+    return [(kind, g, g.weight_shape(kind == "deconv")) for kind, g in plan]
 
 
 def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
@@ -218,11 +210,11 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     """
     cfg.validate()
     layers = []
-    for kind, geom, trim in _layer_plan(cfg):
+    for kind, geom, shape in _layer_plan(cfg):
         bound = np.sqrt(6.0 / (geom.in_channels * math.prod(geom.kernel)))
-        weights = uniform_init(geom.weight_shape(kind == "deconv"), -bound, bound, rng)
+        weights = uniform_init(shape, -bound, bound, rng)
         bias = np.zeros(geom.out_channels, dtype=np.float32)
-        layers.append(Layer(kind, weights, bias, geom, trim))
+        layers.append(Layer(kind, weights, bias, geom))
     return ModelParams(cfg, layers)
 
 
@@ -263,9 +255,8 @@ def _forward_batch(params: ModelParams, xs: np.ndarray, keep_caches: bool):
             if layer.kind == "conv":
                 z = ops._conv_fwd_b(h, w, b, layer.geom)
             else:
-                d, oh, ow = layer.geom.deconv_output_shape(h.shape[2:])
-                th, tw = layer.trim_hw
-                z = ops._deconv_fwd_b(h, w, b, layer.geom, (d, oh - th, ow - tw))
+                out_sp = tuple(n * s for n, s in zip(h.shape[2:], layer.geom.stride))
+                z = ops._deconv_fwd_b(h, w, b, layer.geom, out_sp)
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite output in layer {i}")
         if keep_caches:
@@ -567,16 +558,15 @@ def deserialize_params(buf: bytes) -> ModelParams:
     if n_layers != len(plan):
         raise ValueError(f"checkpoint has {n_layers} layers, config implies {len(plan)}")
     layers = []
-    for kind, geom, trim in plan:
+    for kind, geom, expect in plan:
         weights, off = _unpack_tensor(buf, off)
         bias, off = _unpack_tensor(buf, off)
-        expect = geom.weight_shape(kind == "deconv")
         if weights.shape != expect or bias.shape != (geom.out_channels,):
             raise ValueError(
                 f"checkpoint tensor shapes {weights.shape}/{bias.shape} do not match "
                 f"the config's layer plan {expect}"
             )
-        layers.append(Layer(kind, weights, bias, geom, trim))
+        layers.append(Layer(kind, weights, bias, geom))
     if off != len(buf):
         raise ValueError(f"{len(buf) - off} trailing bytes after checkpoint payload")
     return ModelParams(cfg, layers)

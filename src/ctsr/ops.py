@@ -54,21 +54,20 @@ on its own thread rather than queue behind it, which would deadlock once
 every worker waited so.  A tile task of ``model.infer_volume`` thus runs its
 B = 1 forward on its own thread, in the chunks it has anywhere else.
 
-Row chunks.  A float32 forward gather (a pass without d_w) never builds a
-sample's whole K x N columns: it gathers whole output rows at a time, as
-many as fit in ``_GATHER_CHUNK_ELEMENTS`` = 2^18 elements (1 MB, half of a
+Row chunks.  A forward gather (a pass without d_w) never builds a sample's
+whole K x N columns: it gathers whole output rows at a time, as many as fit
+in ``_GATHER_CHUNK_ELEMENTS`` = 2^18 elements (1 MB of float32, half of a
 2 MB L2 cache), and multiplies them by W while they are still in cache.
 
-Channel chunks.  A row chunk would split d_w's sum over positions, so a
-float32 d_w pass (a gather without W) chunks cols_n by whole input channels
-instead: it gathers as many channels' rows as fit in
-``_GATHER_CHUNK_ELEMENTS`` and multiplies them into their columns of d_w,
-each element of which still sums over every position in one GEMM.  The
-float32 adjoint takes W^T @ G_n in the same chunks of W^T's rows and adds
-each chunk's taps before the next, so each input element gets its taps in
-the same order.  A pass with both W and d_w (the backward of the deconv
-and of a narrow conv) keeps whole columns: its W @ cols_n sums over every
-row.
+Channel chunks.  A row chunk would split d_w's sum over positions, so a d_w
+pass (a gather without W) chunks cols_n by whole input channels instead: it
+gathers as many channels' rows as fit in ``_GATHER_CHUNK_ELEMENTS`` and
+multiplies them into their columns of d_w, each element of which still sums
+over every position in one GEMM.  The adjoint takes W^T @ G_n in the same
+chunks of W^T's rows and adds each chunk's taps before the next, so each
+input element gets its taps in the same order.  A pass with both W and d_w
+(the backward of the deconv and of a narrow conv) keeps whole columns: its
+W @ cols_n sums over every row.
 
 In-place input gradients.  With ``need_dx`` a layer's backward writes d_xs
 into the memory of its input xs, whose last use it is (the memory sharing
@@ -84,11 +83,9 @@ in sample order on the calling thread.  Row chunks change a GEMM's column
 extent, and channel chunks its other free extent, so they keep its bits
 only where OpenBLAS's sgemm tiles round alike, which is found by test
 (``TestChunkedGather``, ``TestChunkedBackward``, ``TestBatchedInference``),
-not by a rule.  Column splits that kept float32 bits moved float64 ones, so
-float64 passes never chunk.  The scratch arrays of the tasks in flight are
-allocated by the caller, all in one block, so that no worker thread's
-malloc arena keeps them and glibc keeps the block's pages from call to
-call.
+not by a rule.  The scratch arrays of the tasks in flight are allocated by
+the caller, all in one block, so that no worker thread's malloc arena keeps
+them and glibc keeps the block's pages from call to call.
 """
 
 from __future__ import annotations
@@ -97,6 +94,7 @@ import contextvars
 import math
 import os
 import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -200,9 +198,9 @@ def _window(tap, stride, n_positions):
 # A per-sample loop whose whole scratch matrix (a gather's columns, or the rows
 # of W^T @ G_n) has fewer elements than this runs on the calling thread.
 _POOL_MIN_ELEMENTS = 1 << 18
-# A float32 forward gather fills and multiplies its columns in chunks of whole
-# output rows of at most this many scratch elements (1 MB, half of a 2 MB L2
-# cache): the pool's cutoff, under a name of its own so that a test that moves
+# A forward gather fills and multiplies its columns in chunks of whole output
+# rows of at most this many scratch elements (1 MB of float32, half of a 2 MB
+# L2 cache): the pool's cutoff, under its own name so that a test that moves
 # the cutoff to compare pooled with serial bits leaves the chunks as they are.
 _GATHER_CHUNK_ELEMENTS = _POOL_MIN_ELEMENTS
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -241,10 +239,6 @@ def _each_task(task, n_tasks: int):
         return map(task, range(n_tasks))
     global _pool
     if _pool is None:
-        # imported here: concurrent.futures loads logging, 0.7 MB of RSS that
-        # a process which never pools (evaluation, one-tile inference) need not pay
-        from concurrent.futures import ThreadPoolExecutor
-
         _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ctsr-ops")
 
     def run(n):
@@ -328,18 +322,18 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     with out (a copy of other when other is not C-contiguous): each task
     takes sample n's other_n @ cols_n^T before it writes out[:, n].
 
-    A float32 pass without ``other`` (the forward) fills and multiplies
-    each sample's columns in chunks of whole output rows, along its first
-    axis with extent above one: each chunk has as many rows as fit in
+    A pass without ``other`` (the forward) fills and multiplies each
+    sample's columns in chunks of whole output rows, along its first axis
+    with extent above one: each chunk has as many rows as fit in
     ``_GATHER_CHUNK_ELEMENTS`` scratch elements, at least one.  The axes
     before that one have extent one, so a chunk is a contiguous column
     range of cols_n, and W @ it goes into its slice of out while the chunk
-    is in cache.  A float32 pass without ``w`` (a d_w pass) fills and
-    multiplies cols_n in chunks of whole input channels, as many as fit in
+    is in cache.  A pass without ``w`` (a d_w pass) fills and multiplies
+    cols_n in chunks of whole input channels, as many as fit in
     ``_GATHER_CHUNK_ELEMENTS``, at least one: a chunk is a run of whole rows
     of cols_n, so each d_w element still sums over every position in one
-    GEMM.  A pass with both operands, or in float64, takes a sample's whole
-    columns at once.  Every pass runs one ``_each_sample`` task per sample.
+    GEMM.  A pass with both operands takes a sample's whole columns at
+    once.  Every pass runs one ``_each_sample`` task per sample.
     """
     if w is not None and other is not None:
         other = np.ascontiguousarray(other)
@@ -353,11 +347,9 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
     k_rows, n_cols = c_in * taps, math.prod(out_sp)
     ax = next((a for a, e in enumerate(out_sp) if e > 1), 0)
     rows, row_cols = out_sp[ax], math.prod(out_sp[ax + 1 :])
-    chunk = rows
-    if other is None and xs.dtype == np.float32:
-        chunk = max(1, min(rows, _GATHER_CHUNK_ELEMENTS // (k_rows * row_cols)))
+    chunk = max(1, min(rows, _GATHER_CHUNK_ELEMENTS // (k_rows * row_cols)))
     chans = c_in
-    if w is None and xs.dtype == other.dtype == np.float32:
+    if w is None:
         chans = max(1, min(c_in, _GATHER_CHUNK_ELEMENTS // (taps * n_cols)))
     out = out_cols = wm = None
     if w is not None:
@@ -378,7 +370,7 @@ def _gather_pass(xs, geom: ConvGeometry, out_sp, w=None, other=None):
                 np.matmul(wm, cols, out=out_cols[:, n, r0 * row_cols : r1 * row_cols])
             return None
         other_n = other[:, n].reshape(c_out, -1)
-        d_w_n = np.empty((c_out, k_rows), np.result_type(other.dtype, xs.dtype))
+        d_w_n = np.empty((c_out, k_rows), xs.dtype)
         for c0 in range(0, c_in, chans):
             cols = fill(win[c0 : c0 + chans, n], scratch)
             np.matmul(other_n, cols.T, out=d_w_n[:, c0 * taps : c0 * taps + len(cols)])
@@ -402,10 +394,10 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None, out=None):
     window of the sample's padded grid, which on each axis reaches
     max(n + 2p, (o - 1)s + k).  The sum starts from ``seed[c]`` for channel
     c (zero when None), so input rows that no window reads keep that value.
-    In float32, W^T @ G_n and its adds go in chunks of whole input channels,
-    as many as fit in ``_GATHER_CHUNK_ELEMENTS`` rows x N, at least one: a
-    chunk is a run of whole rows of W^T, so each input element gets its taps
-    in the same order.  The result is cropped off the padding and the taps'
+    W^T @ G_n and its adds go in chunks of whole input channels, as many as
+    fit in ``_GATHER_CHUNK_ELEMENTS`` rows x N, at least one: a chunk is a
+    run of whole rows of W^T, so each input element gets its taps in the
+    same order.  The result is cropped off the padding and the taps'
     rows past in_sp by a copy, into ``out`` when it is given (an array of
     the result's shape, which is returned), else into a C-contiguous array.
     """
@@ -423,9 +415,7 @@ def _conv_adjoint(g, w, geom: ConvGeometry, in_sp, seed=None, out=None):
     windows = [(slice(None),) + _window(tap, geom.stride, out_sp)
                for tap in product(*(range(k) for k in geom.kernel))]
     taps, n_cols = len(windows), math.prod(out_sp)
-    chans = c_in
-    if g.dtype == np.float32:
-        chans = max(1, min(c_in, _GATHER_CHUNK_ELEMENTS // (taps * n_cols)))
+    chans = max(1, min(c_in, _GATHER_CHUNK_ELEMENTS // (taps * n_cols)))
 
     def scatter(n, scratch):
         g_n = g[:, n].reshape(c_out, -1)

@@ -3,6 +3,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +164,13 @@ class TestForward:
     @pytest.mark.parametrize("kernel, scale", [(1, 2), (3, 4), (3, 5)])
     def test_kernel_below_scale_deconv_of_zero_is_its_bias(self, kernel, scale):
         # every deconv output that no kernel tap reaches holds the bias, the
-        # rows and columns appended for a kernel below the scale included
+        # rows and columns past the textbook extents of a kernel below the
+        # scale included
         params = build_model(ModelConfig(**dict(TINY_CFG, kernel=kernel, scale=scale)), Rng(4))
         conv, deconv = params.layers[0], params.layers[1]
-        assert deconv.kind == "deconv" and min(deconv.trim_hw) < 0
+        assert deconv.kind == "deconv"
+        _, h, w = deconv.geom.deconv_output_shape((1, 5, 5))
+        assert h < 5 * scale and w < 5 * scale
         conv.weights[...] = 0.0
         deconv.bias[...] = (0.5, 0.25)
         xs = uniform_init([1, 2, 3, 5, 5], 0, 1, Rng(5))
@@ -177,22 +181,16 @@ class TestForward:
         assert np.array_equal(out, np.broadcast_to(deconv.bias.reshape(2, 1, 1, 1, 1), out.shape))
 
     def test_output_shape_grid(self):
-        for n in (1, 3, 5):
-            for l in (1, 2):
-                for k in (1, 3):
-                    for r in (2, 3):
-                        for hw in (6, 9):
-                            filters = tuple([2] * l + [2, 1])
-                            cfg = ModelConfig(
-                                feature_depth=n, conv_layers=l, filters=filters,
-                                kernel=k, scale=r,
-                            )
-                            if cfg.problems():
-                                continue
-                            params = build_model(cfg, Rng(1))
-                            x = uniform_init([1, n, hw, hw], 0, 1, Rng(2))
-                            out = forward(params, x)
-                            assert out.shape == (1, 1, hw * r, hw * r), cfg.key()
+        # every odd kernel from 1 to 7 and scale from 2 to 5: the deconv's
+        # textbook extents fall short of input x r, match it or pass it
+        for n, l, k, r, hw in product((1, 3, 5), (1, 2), (1, 3, 5, 7), (2, 3, 4, 5), (6, 9)):
+            cfg = ModelConfig(
+                feature_depth=n, conv_layers=l, filters=tuple([2] * l + [2, 1]),
+                kernel=k, scale=r,
+            )
+            params = build_model(cfg, Rng(1))
+            out = forward(params, uniform_init([1, n, hw, hw], 0, 1, Rng(2)))
+            assert out.shape == (1, 1, hw * r, hw * r), cfg.key()
 
     def test_zero_input_gives_bias_response(self):
         cfg = ModelConfig(**PAPER_CFG)
@@ -310,9 +308,8 @@ def _pre_activation(layer, h):
     """A layer's output before its ReLU, recomputed from its cached input."""
     if layer.kind == "conv":
         return _conv_fwd_b(h, layer.weights, layer.bias, layer.geom)
-    d, oh, ow = layer.geom.deconv_output_shape(h.shape[2:])
-    th, tw = layer.trim_hw
-    return _deconv_fwd_b(h, layer.weights, layer.bias, layer.geom, (d, oh - th, ow - tw))
+    out_sp = tuple(n * s for n, s in zip(h.shape[2:], layer.geom.stride))
+    return _deconv_fwd_b(h, layer.weights, layer.bias, layer.geom, out_sp)
 
 
 def _check_composite_gradient(cfg_kwargs, dtype, eps, tol, bias_range=(-0.1, 0.1)):
@@ -369,11 +366,12 @@ class TestEndToEndGradient:
     def test_composite_gradient_matches_finite_differences(self):
         _check_composite_gradient(TINY_CFG, np.float32, 1e-3, 1e-3)
 
-    # A kernel smaller than the scale: the deconv output is short by r - k
-    # rows and columns, which the model appends as zeros and crops from the
-    # gradient (trim k - r).  Float64 parameters allow a step small enough
-    # to stay clear of every ReLU kink on the larger upsampled output, and
-    # positive biases keep a unit of every layer alive.
+    # A kernel smaller than the scale: the deconv's textbook output is short
+    # of input x r by r - k rows and columns, which the engine fills with the
+    # bias; the backward reads no gradient from them but d_b's.  Float64
+    # parameters allow a step small enough to stay clear of every ReLU kink
+    # on the larger upsampled output, and positive biases keep a unit of
+    # every layer alive.
     @pytest.mark.parametrize("kernel, scale", [(1, 2), (1, 3), (3, 4), (3, 5)])
     def test_kernel_below_scale_matches_finite_differences(self, kernel, scale):
         cfg = dict(TINY_CFG, kernel=kernel, scale=scale)
@@ -759,7 +757,7 @@ class TestCheckpoint:
         assert loaded.config == cfg
         assert loaded.checksum() == params.checksum()
         for a, b in zip(loaded.layers, params.layers):
-            assert a.kind == b.kind and a.geom == b.geom and a.trim_hw == b.trim_hw
+            assert a.kind == b.kind and a.geom == b.geom
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
 

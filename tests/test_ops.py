@@ -589,6 +589,17 @@ def _paper_l1_case(rng):
     return geom, x, w, _f64_array((64,), rng), _conv_fwd_b, _conv_bwd_b
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this source tree's
+    ctsr; it must exit 0."""
+    src = str(Path(ops.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestThreadPool:
     """The per-sample loops give the same bits on the thread pool as on the
     calling thread, and B = 1 work below the cutoff starts no thread."""
@@ -727,12 +738,30 @@ class TestThreadPool:
             "test_tools = roots & {'scipy', 'hypothesis', 'pytest'}\n"
             "assert not test_tools, test_tools\n"
         )
-        src = str(Path(ops.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _run_fresh(code)
+
+    def test_a_pooled_call_imports_no_module(self):
+        """The first pooled engine call makes the pool and its threads but
+        imports nothing: an import there would load its modules while the
+        batch's arrays are live, and move where glibc's heap ends."""
+        code = (
+            "import math, sys\n"
+            "import numpy as np\n"
+            "from ctsr import ops\n"
+            "ops._CPUS = 2\n"
+            "geom = ops.ConvGeometry(2, 6, 3, 1, 1)\n"
+            "x = np.ones((2, 2, 3, 4, 4), np.float32)\n"
+            "w, b = np.ones(geom.weight_shape(False), np.float32), np.zeros(6, np.float32)\n"
+            "ops._POOL_MIN_ELEMENTS = math.inf\n"
+            "ops._conv_fwd_b(x, w, b, geom)\n"
+            "before = set(sys.modules)\n"
+            "ops._POOL_MIN_ELEMENTS = 0\n"
+            "ops._conv_fwd_b(x, w, b, geom)\n"
+            "assert ops._pool is not None\n"
+            "added = set(sys.modules) - before\n"
+            "assert not added, sorted(added)\n"
+        )
+        _run_fresh(code)
 
     @pytest.mark.parametrize("user", [None, "2"])
     def test_blas_defaults_to_one_thread(self, user):
@@ -886,10 +915,10 @@ class TestSingleSampleBlocks:
 
 
 class TestChunkedGather:
-    """A float32 forward gather fills and multiplies each task's columns in
-    chunks of whole output rows of at most ``_GATHER_CHUNK_ELEMENTS``
-    scratch elements, while whether it pools still goes by a task's whole
-    columns; on the paper's layers the chunks keep the whole-column bits."""
+    """A forward gather fills and multiplies each task's columns in chunks
+    of whole output rows of at most ``_GATHER_CHUNK_ELEMENTS`` scratch
+    elements, while whether it pools still goes by a task's whole columns;
+    on the paper's layers the float32 chunks keep the whole-column bits."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -1014,11 +1043,11 @@ def _chunked_case(case, batch, dtype):
 
 
 class TestChunkedBackward:
-    """A float32 d_w pass, and the adjoint's W^T @ G_n with its tap adds, go
-    in chunks of whole input channels of at most ``_GATHER_CHUNK_ELEMENTS``
-    scratch elements, while whether they pool still goes by a task's whole
-    matrix; on these layers the chunks keep the whole-matrix bits, and
-    float64 passes keep one chunk."""
+    """A d_w pass, and the adjoint's W^T @ G_n with its tap adds, go in
+    chunks of whole input channels of at most ``_GATHER_CHUNK_ELEMENTS``
+    scratch elements in any dtype, while whether they pool still goes by a
+    task's whole matrix; on these layers the float32 chunks keep the
+    whole-matrix bits."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -1048,9 +1077,10 @@ class TestChunkedBackward:
             calls.setdefault(task_elements, []).append(tuple(scratch_shape))
             return each_sample(task, n_tasks, task_elements, scratch_shape, dtype)
 
-        monkeypatch.setattr(ops, "_each_sample", spy)
-        fwd_b(x, w, b, geom)
-        bwd_b(x, w, geom, g, True)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_each_sample", spy)
+            fwd_b(x, w, b, geom)
+            bwd_b(x, w, geom, g, True)
         return calls
 
     def test_paper_chunks(self, monkeypatch):
@@ -1065,9 +1095,9 @@ class TestChunkedBackward:
         assert narrow[108 * 3072] == [(3 * 27, 3072), (108, 3072)]
 
     @pytest.mark.parametrize("case", sorted(_CHUNKED_BWD))
-    def test_float64_passes_keep_one_chunk(self, case, monkeypatch):
-        for whole, shapes in self._scratch_shapes(case, np.float64, monkeypatch).items():
-            assert all(math.prod(shape) == whole for shape in shapes), (whole, shapes)
+    def test_float64_passes_take_the_float32_chunks(self, case, monkeypatch):
+        f32 = self._scratch_shapes(case, np.float32, monkeypatch)
+        assert self._scratch_shapes(case, np.float64, monkeypatch) == f32
 
 
 # Every (module, attribute) that benchmarks/tracing.py wraps, with the
@@ -1139,6 +1169,20 @@ class TestTracingContract:
         assert ops._narrow(geom)
         g = _f64_array(_conv_fwd_b(x, w, b, geom).shape, Rng(961))
         _conv_bwd_b(x, w, geom, g, True)
+
+    @pytest.mark.parametrize("cfg", [
+        model.ModelConfig(),
+        model.ModelConfig(feature_depth=5, conv_layers=2, filters=(16, 4, 4, 1), kernel=5,
+                          scale=2),
+    ], ids=["paper", "grid k5 r2"])
+    def test_layer_plan_entries(self, cfg):
+        """``Tracer.set_plan`` unpacks each ``model._layer_plan`` entry as
+        (kind, geometry, weight block shape) and keys the layers by their
+        geometry."""
+        for kind, geom, shape in model._layer_plan(cfg):
+            assert kind in ("conv", "deconv")
+            assert isinstance(geom, ConvGeometry)
+            assert shape == geom.weight_shape(kind == "deconv")
 
 
 class _ParamsStub:
