@@ -38,7 +38,7 @@ import numpy as np
 from . import grid, metrics, model, pipeline, resample
 from .config import ConfigError, RunConfig, load_run_config
 from .tensor import NonFiniteError, Tensor
-from .volume import Volume, load_volume, serialize_volume, upsampled_spacing
+from .volume import Volume, load_volume, svol_parts, upsampled_spacing
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -51,11 +51,14 @@ class DataError(ValueError):
     """Missing or inconsistent input data."""
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """``path`` holds ``data``, or what it held before if the write fails."""
+def _atomic_write(path: Path, *parts) -> None:
+    """``path`` holds the buffers ``parts`` one after the other, written in
+    turn with no joined copy, or what it held before if the write fails."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -114,7 +117,7 @@ def cmd_simulate(args) -> int:
             except ValueError as err:
                 raise DataError(f"volume {hr_path} cannot be downsampled: {err}") from err
             lr_path = out_dir / f"{scan_id}_lr.svol"
-            _atomic_write(lr_path, serialize_volume(lr))
+            _atomic_write(lr_path, *svol_parts(lr))
             written.append(lr_path)
             rows.append([scan_id, hr_path, lr_path, args.scale])
         manifest = out_dir / "manifest.csv"
@@ -198,7 +201,9 @@ def cmd_infer(args) -> int:
         )
     r = params.config.scale
     out_shape = (vol.shape[0], vol.shape[1] * r, vol.shape[2] * r)
-    need = 4 * math.prod(out_shape)  # infer_volume's float32 output
+    # infer_volume's float32 output, the one copy of it that the command
+    # holds: the write streams that array to the file
+    need = 4 * math.prod(out_shape)
     have = model.physical_memory_bytes()
     if need > have:
         raise DataError(
@@ -212,7 +217,7 @@ def cmd_infer(args) -> int:
     sr = model.infer_volume(params, vol, tile_hw=args.tile)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, serialize_volume(sr))
+    _atomic_write(out, *svol_parts(sr))
     print(f"super-resolved {vol.shape} -> {sr.shape}: {out}")
     return EXIT_OK
 

@@ -43,10 +43,12 @@ def validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
 
 
 class Tensor:
-    """Read-only-by-convention float32 array.
+    """A float32 array that is not written after construction.
 
-    Construction rejects non-finite values so NaN/Inf never propagate
-    silently.
+    A volume read from an ``.svol`` buffer is a read-only view of its bytes
+    in fact, so a write through it raises; any other array is read-only by
+    convention.  Construction rejects non-finite values so NaN/Inf never
+    propagate silently.
     """
 
     __slots__ = ("_data",)
@@ -70,7 +72,8 @@ class Tensor:
 
     @property
     def data(self) -> np.ndarray:
-        """Underlying float32 buffer (do not mutate)."""
+        """Underlying float32 buffer (do not mutate; read-only when it is a
+        view of a volume's bytes)."""
         return self._data
 
     def __repr__(self) -> str:

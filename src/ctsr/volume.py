@@ -11,6 +11,14 @@ Format (little-endian, row-major, W fastest):
 
 Spacing values are written with repr(), which round-trips float64 exactly,
 so save followed by load reproduces a volume bit for bit.
+
+Neither end copies the payload.  A volume read from a buffer is a read-only
+view of the payload where it lies, so a file costs one payload in memory;
+a writable buffer (a ``bytearray``, a writable ``memoryview``) is copied
+once into ``bytes`` first, so that no one can write into a volume after its
+finiteness check.  The payload starts right after the header, whose length
+varies, so the view may be unaligned; numpy reads it as it is.  A write
+streams the header and then the array's own buffer, with no joined copy.
 """
 
 from __future__ import annotations
@@ -59,12 +67,10 @@ class Volume:
         return self.data.shape
 
 
-def save_volume(volume: Volume, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_volume(volume))
-
-
-def serialize_volume(volume: Volume) -> bytes:
+def svol_parts(volume: Volume) -> tuple[bytes, np.ndarray]:
+    """The header of ``volume``'s .svol file and its payload, the volume's
+    own float32 array (no copy on a little-endian machine), to be written
+    one after the other."""
     d, h, w = volume.shape
     dz, dy, dx = volume.spacing
     header = (
@@ -74,11 +80,25 @@ def serialize_volume(volume: Volume) -> bytes:
         f"dtype f32le\n"
         f"\n"
     )
-    # one copy of the payload: the join reads the array's buffer directly
-    return b"".join((header.encode("ascii"), volume.data.data.astype("<f4", copy=False)))
+    return header.encode("ascii"), volume.data.data.astype("<f4", copy=False)
+
+
+def serialize_volume(volume: Volume) -> bytes:
+    """The .svol file of ``volume`` as one ``bytes``, for in-memory callers;
+    ``save_volume`` writes the same bytes without joining them."""
+    return b"".join(svol_parts(volume))
+
+
+def save_volume(volume: Volume, path) -> None:
+    """Write ``volume`` to ``path``: the header, then the array's buffer."""
+    with open(path, "wb") as fh:
+        for part in svol_parts(volume):
+            fh.write(part)
 
 
 def load_volume(path) -> Volume:
+    """The volume in the file at ``path``, a read-only view into the one
+    ``bytes`` that holds the whole file."""
     with open(path, "rb") as fh:
         return deserialize_volume(fh.read())
 
@@ -96,6 +116,12 @@ def _header_fields(line: bytes, name: str, count: int, lineno: int) -> list[str]
 
 
 def deserialize_volume(buf: bytes) -> Volume:
+    """The volume in ``buf``: its data is a read-only, possibly unaligned
+    view of the payload in ``buf``, with no copy.  A writable ``buf`` is
+    copied once into ``bytes`` and that copy is viewed, so that the caller
+    cannot change the volume after its finiteness check."""
+    if not memoryview(buf).readonly:
+        buf = bytes(buf)
     lines, off = [], 0
     for _ in range(5):
         end = buf.find(b"\n", off)
@@ -129,6 +155,6 @@ def deserialize_volume(buf: bytes) -> Volume:
         raise VolumeFormatError(
             f"payload is {len(buf) - off} bytes, expected {expected} for dims {dims}"
         )
-    # the payload is read where it lies in buf, then copied once
     data = np.frombuffer(buf, dtype="<f4", offset=off).reshape(dims)
-    return Volume(Tensor(data.copy()), spacing)
+    data.flags.writeable = False
+    return Volume(Tensor(data), spacing)

@@ -27,11 +27,12 @@ from ctsr.model import (
     ModelConfig,
     build_model,
     deserialize_params,
+    infer_volume,
     load_checkpoint,
     serialize_params,
 )
 from ctsr.pipeline import gen_synthetic, make_pairs, split_folds
-from ctsr.resample import bicubic_upsample
+from ctsr.resample import bicubic_upsample, downsample_axial
 from ctsr.tensor import NonFiniteError, Rng, Tensor
 from ctsr.volume import Volume, load_volume, save_volume, serialize_volume
 
@@ -84,6 +85,9 @@ class TestSimulate:
         assert len(manifest) == 7
         vol = load_volume(lr_files[0])
         assert vol.shape == (16, 12, 12)
+        # the streamed header and payload are serialize_volume's bytes
+        want = downsample_axial(load_volume(data_dir / "scan0.svol"), 2)
+        assert lr_files[0].read_bytes() == serialize_volume(want)
 
     def test_empty_dir_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "none"
@@ -296,6 +300,8 @@ class TestInferEvaluate:
         assert out1.read_bytes() == out2.read_bytes()
         sr = load_volume(out1)
         assert sr.shape == (16, 24, 24)
+        want = infer_volume(load_checkpoint(trained), load_volume(lr_path))
+        assert out1.read_bytes() == serialize_volume(want)
 
     def test_infer_incompatible_volume(self, tmp_path, trained, capsys):
         thin = gen_synthetic("spheres", (16, 24, 24), seed=9)
@@ -1054,6 +1060,16 @@ def test_atomic_write_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
+def test_atomic_write_failing_after_its_first_part_leaves_the_old_file(tmp_path):
+    # a volume is written as its header, then its payload
+    path = tmp_path / "lr.svol"
+    path.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        cli._atomic_write(path, b"SVOL 1\n", object())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["lr.svol"]
+
+
 class TestOneCsvWriter:
     """``cli.py`` writes every CSV file, the grid journal included, as a
     whole through ``_csv_text``: no file is opened for appending, and no
@@ -1105,10 +1121,10 @@ def test_csv_text_quotes_a_bare_carriage_return(tmp_path):
 
 
 class TestExitCodes:
-    # a function that each command's work calls: the .svol writer, training,
-    # inference, SSIM and grid search's training
+    # a function that each command's work calls: the .svol header and
+    # payload, training, inference, SSIM and grid search's training
     WORK = {
-        "simulate": (cli, "serialize_volume"),
+        "simulate": (cli, "svol_parts"),
         "train": (model, "train"),
         "infer": (model, "infer_volume"),
         "evaluate": (metrics, "ssim"),

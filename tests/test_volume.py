@@ -5,6 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctsr import metrics
+from ctsr.model import ModelConfig, build_model, infer_volume
+from ctsr.pipeline import gen_synthetic, make_pairs
+from ctsr.resample import bicubic_upsample, downsample_axial
 from ctsr.tensor import Rng, Tensor, uniform_init
 from ctsr.volume import (
     Volume,
@@ -13,6 +17,7 @@ from ctsr.volume import (
     load_volume,
     save_volume,
     serialize_volume,
+    svol_parts,
 )
 
 
@@ -116,11 +121,15 @@ class TestVolumeType:
 
 
 class TestPayloadCopies:
+    # 16x128x128 float32, 1 MiB
+    @staticmethod
+    def _volume():
+        return Volume(Tensor(uniform_init([16, 128, 128], 0, 1, Rng(9))))
+
     def test_round_trip_holds_one_payload_copy(self):
-        # 16x128x128 float32, 1 MiB: serializing allocates the output bytes
-        # and deserializing the volume's own array plus Tensor's finiteness
-        # mask (a quarter of the payload); neither makes a second copy
-        vol = Volume(Tensor(uniform_init([16, 128, 128], 0, 1, Rng(9))))
+        # serializing allocates the output bytes; deserializing views them and
+        # allocates only Tensor's finiteness mask, a quarter of the payload
+        vol = self._volume()
         payload = vol.data.data.nbytes
         tracemalloc.start()
         try:
@@ -133,6 +142,83 @@ class TestPayloadCopies:
         finally:
             tracemalloc.stop()
         assert buf == serialize_volume(back)
+        assert np.shares_memory(back.data.data, np.frombuffer(buf, np.uint8))
         de_peak -= start
         assert ser_peak < 1.5 * payload, f"serialize traced {ser_peak / 2**20:.2f} MiB"
-        assert de_peak < 1.5 * payload, f"deserialize traced {de_peak / 2**20:.2f} MiB"
+        assert de_peak < 0.5 * payload, f"deserialize traced {de_peak / 2**20:.2f} MiB"
+
+    def test_save_streams_the_payload(self, tmp_path):
+        # the header, then the array's own buffer: no joined copy
+        vol = self._volume()
+        payload = vol.data.data.nbytes
+        path = tmp_path / "vol.svol"
+        tracemalloc.start()
+        try:
+            save_volume(vol, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * payload, f"save traced {peak / 2**20:.2f} MiB"
+        assert path.read_bytes() == serialize_volume(vol)
+
+
+class TestReadOnlyData:
+    def test_a_bytes_backed_volume_refuses_writes(self):
+        back = deserialize_volume(serialize_volume(_random_volume(Rng(10))))
+        with pytest.raises(ValueError, match="read-only"):
+            back.data.data[0, 0, 0] = np.nan
+
+    @pytest.mark.parametrize(
+        "wrap", [bytearray, lambda b: memoryview(bytearray(b))], ids=["bytearray", "memoryview"]
+    )
+    def test_a_writable_buffer_is_copied_once(self, wrap):
+        # a view of it would let its owner write a NaN after the finiteness check
+        vol = _random_volume(Rng(11))
+        owned = wrap(serialize_volume(vol))
+        back = deserialize_volume(owned)
+        assert not back.data.data.flags.writeable
+        assert not np.shares_memory(back.data.data, np.frombuffer(owned, np.uint8))
+        owned[-4:] = np.float32(np.nan).tobytes()
+        assert np.array_equal(back.data.data, vol.data.data)
+
+
+_TINY = ModelConfig(feature_depth=3, conv_layers=1, filters=(3, 3, 1), kernel=3, scale=2,
+                    patch_hw=8)
+
+
+class TestViewsThroughThePipeline:
+    """The payload starts right after the header, whose length varies with
+    the spacing, so a volume read from bytes may be an unaligned view; every
+    consumer gives the same bits on it as on a writable, aligned copy."""
+
+    @pytest.mark.parametrize(
+        "spacing, aligned",
+        [((2.5, 0.75, 0.75), True), ((1.0, 1.0, 1.0), False)],
+        ids=["aligned", "unaligned"],
+    )
+    def test_same_bits_as_a_writable_aligned_copy(self, spacing, aligned):
+        vol = Volume(gen_synthetic("spheres", (16, 24, 24), seed=3).data, spacing)
+        header, _ = svol_parts(vol)
+        assert (len(header) % 4 == 0) == aligned
+        view = deserialize_volume(serialize_volume(vol))
+        data = view.data.data
+        assert data.flags.aligned == aligned and not data.flags.writeable
+        copy = Volume(Tensor(np.array(data)), spacing)
+        assert copy.data.data.flags.aligned and copy.data.data.flags.writeable
+
+        def bits(v):
+            return v.data.data.tobytes()
+
+        for resample in (downsample_axial, bicubic_upsample):
+            assert bits(resample(view, 2)) == bits(resample(copy, 2))
+        params = build_model(_TINY, Rng(0))
+        assert bits(infer_volume(params, view)) == bits(infer_volume(params, copy))
+        def pair_bits(v):
+            return [(p.lr_patch.tobytes(), p.hr_slice.tobytes()) for p in make_pairs(v, _TINY)]
+
+        assert pair_bits(view) == pair_bits(copy)
+        ref = bicubic_upsample(downsample_axial(copy, 2), 2).data.data
+        for i in range(data.shape[0]):
+            a, b, r = Tensor(data[i]), Tensor(copy.data.data[i]), Tensor(ref[i])
+            assert metrics.psnr(a, r, 1.0) == metrics.psnr(b, r, 1.0)
+            assert metrics.ssim(r, a) == metrics.ssim(r, b)
